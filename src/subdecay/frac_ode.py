@@ -29,13 +29,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
+from scipy.special import roots_jacobi
 
 from .errors import ConsistencyError, DomainError, QuadratureError
-from .mittag_leffler import ml_neg, ml_neg_cached
+from .mittag_leffler import ml_neg
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -163,8 +165,8 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
         t0 = times[n_adaptive:-1]
         mid = t0 + 0.5 * h
         nodes = mid[:, None] + 0.5 * h * _GAUSS_NODES[None, :]
-        kern = nodes ** (eta - 1.0) * ml_neg_cached(
-            eta, eta, -c * nodes.ravel() ** eta).reshape(nodes.shape)
+        kern = nodes ** (eta - 1.0) * ml_neg(
+            eta, eta, -c * nodes.ravel() ** eta, rtol=1e-10).reshape(nodes.shape)
         wa = (times[n_adaptive + 1:, None] - nodes) / h
         vals = kern * 0.5 * h
         A[n_adaptive:] = (vals * wa) @ _GAUSS_WEIGHTS
@@ -172,32 +174,16 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
         # fractional end moment via Gauss-Jacobi (weight absorbs (t_{j+1}-tau)^p)
         xj, wj = _jacobi_rule(p)
         nodes_j = times[n_adaptive + 1:, None] - 0.5 * h * (1.0 - xj[None, :])
-        kern_j = nodes_j ** (eta - 1.0) * ml_neg_cached(
-            eta, eta, -c * nodes_j.ravel() ** eta).reshape(nodes_j.shape)
+        kern_j = nodes_j ** (eta - 1.0) * ml_neg(
+            eta, eta, -c * nodes_j.ravel() ** eta, rtol=1e-10).reshape(nodes_j.shape)
         M[n_adaptive:] = (kern_j @ wj) * (0.5 * h) ** (1.0 + p)
     return _KernelWeights(A=A, B=B, layer_corr=M - h ** p * A, layer_exp=p, h=h)
 
 
-@dataclass(frozen=True)
-class _JacobiRule:
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-_JACOBI_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _jacobi_rule(p: float, n: int = 10):
     """Gauss-Jacobi nodes/weights for weight (1-x)^p on [-1, 1]."""
-    key = (round(p, 14), n)
-    rule = _JACOBI_CACHE.get(key)
-    if rule is None:
-        from scipy.special import roots_jacobi
-
-        x, w = roots_jacobi(n, p, 0.0)
-        rule = _JacobiRule(nodes=x, weights=w)
-        _JACOBI_CACHE[key] = rule
-    return rule.nodes, rule.weights
+    return roots_jacobi(n, p, 0.0)
 
 
 def _convolve_linear(kw: _KernelWeights, W):
@@ -233,10 +219,10 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int, tol: float = 1e-12,
 
     EA1 = np.empty(n_steps + 1)
     EA1[0] = 1.0
-    EA1[1:] = ml_neg_cached(spec.alpha, 1.0, -spec.eta1 * tpos ** spec.alpha)
+    EA1[1:] = ml_neg(spec.alpha, 1.0, -spec.eta1 * tpos ** spec.alpha, rtol=1e-10)
     EB1 = np.empty(n_steps + 1)
     EB1[0] = 1.0
-    EB1[1:] = ml_neg_cached(spec.beta, 1.0, -spec.eta2 * tpos ** spec.beta)
+    EB1[1:] = ml_neg(spec.beta, 1.0, -spec.eta2 * tpos ** spec.beta, rtol=1e-10)
 
     # kernel-alpha convolves V (initial layer t^beta) and vice versa
     kA = _kernel_moments(spec.alpha, spec.eta1, times, layer_exp=spec.beta)

@@ -6,17 +6,19 @@ E_{eta,mu}(z) = sum_k z^k / Gamma(eta*k + mu).  Everything downstream
 function evaluated at z <= 0, so the evaluator aims at ~1e-12 relative
 accuracy and refuses to return silently degraded values.
 
-Evaluation strategy per point, chosen by a-posteriori error estimates:
+Evaluation strategy per point; every route is vectorised float64 and gated
+by an a-posteriori relative error estimate:
 
-* power series with compensated (Kahan) summation, viable while the largest
-  term does not destroy float64 significance;
-* the algebraic large-|z| expansion  -sum_{k>=1} z^{-k}/Gamma(mu - eta*k),
+* |z| < 4: power series with compensated (Kahan) summation;
+* |z| >= 4: the algebraic expansion -sum_{k>=1} z^{-k}/Gamma(mu - eta*k),
   truncated at its smallest term (1/Gamma at a pole contributes exactly 0);
-* an extended-precision series (mpmath) for the crossover band where neither
-  float64 route reaches the target.
-
-For eta = 1 the expansion misses the exponentially small e^z part, so the
-error estimate accounts for it and E_{1,1} short-circuits to exp.
+* the crossover band where neither certifies: for eta < 1 the trapezoid
+  rule on a parabolic Bromwich contour (Weideman & Trefethen, Math. Comp. 76
+  (2007); Garrappa, SIAM J. Numer. Anal. 53 (2015)), for eta = 1 the
+  Kummer-transformed series; E_{1,1} short-circuits to exp;
+* last resort, an extended-precision series (mpmath) for what no float64
+  route certifies: points next to a zero of E (mu < eta, or mu < 1 at
+  eta = 1) and, at rtol = 1e-12, mu = eta >= 0.98 with 14 <= |z| <= 38.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .errors import DomainError, NumericalError, UnsupportedRangeError
 _EPS = float(np.finfo(float).eps)
 _SERIES_CAP = 2000
 _ASYMP_CAP = 400
+_CONTOUR_N = 28
+_CONTOUR_CHUNK = 2048
 # validated accuracy envelope of the public evaluator
 _ETA_RANGE = (0.1, 1.0)
 _MU_RANGE = (0.1, 3.0)
@@ -112,6 +116,8 @@ def _series_f64(eta, mu, z):
 
     The estimate combines rounding loss (condition number of the alternating
     sum times eps) with the last-term size when the 2000-term cap is hit.
+    Each point converges on its own (two consecutive negligible terms), so
+    one slow point in a batch does not cost the others their certificate.
     Requires mu > 0 so no series denominator hits a Gamma pole.
     """
     ratios = _series_ratios(float(eta), float(mu), _SERIES_CAP)
@@ -119,11 +125,13 @@ def _series_f64(eta, mu, z):
     total = term.copy()
     comp = np.zeros_like(z)
     abssum = np.abs(term)
-    tiny_runs = np.zeros(z.shape, dtype=np.int8)
-    k_used = 0
+    tiny_prev = np.zeros(z.shape, dtype=bool)
+    failed = np.zeros(z.shape, dtype=bool)
+    k_used = np.full(z.shape, _SERIES_CAP)
     for k in range(_SERIES_CAP):
-        k_used = k + 1
         term = term * z * ratios[k]
+        failed |= ~(np.abs(term) <= 1e260)
+        term[failed] = 0.0
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -131,22 +139,17 @@ def _series_f64(eta, mu, z):
         at = np.abs(term)
         abssum += at
         tiny = at <= 0.25 * _EPS * np.abs(total)
-        tiny_runs = np.where(tiny, tiny_runs + 1, 0)
-        if np.all(tiny_runs >= 2):
-            converged = np.ones(z.shape, dtype=bool)
+        k_used[tiny & tiny_prev & (k_used == _SERIES_CAP)] = k + 1
+        tiny_prev = tiny
+        if np.all((k_used < _SERIES_CAP) | failed):
             break
-        if not np.all(np.isfinite(term)) or np.max(at) > 1e260:
-            converged = np.zeros(z.shape, dtype=bool)
-            break
-    else:
-        converged = tiny_runs >= 2
     scale = np.maximum(np.abs(total), 1e-300)
     # rounding of the Gamma argument eta*k+mu perturbs term k by about
     # eps * eta*k * psi(eta*k+mu), which dominates plain summation rounding
     # once many terms are in play; inflate the estimate accordingly
     arg = eta * k_used + mu
-    est = abssum / scale * _EPS * (1.0 + arg * math.log(2.0 + arg))
-    est = np.where(converged, est, np.inf)
+    est = abssum / scale * _EPS * (1.0 + arg * np.log(2.0 + arg))
+    est = np.where((k_used < _SERIES_CAP) & ~failed, est, np.inf)
     return total, est
 
 
@@ -154,11 +157,11 @@ def _asymp_f64(eta, mu, z):
     """Vectorized large-|z| expansion with per-point optimal truncation.
 
     Sums -z^{-k}/Gamma(mu-eta*k) while the (nonzero) term magnitudes shrink,
-    freezing each point once they clearly grow again; the smallest term seen
-    is the error estimate.  If the nonzero weights run out before any growth
-    (possible only for eta == 1, where the expansion terminates), truncation
-    is exact up to the exponentially small e^z part, which is added to the
-    estimate for eta == 1 in all cases.
+    freezing each point once they clearly grow again or fall below rounding
+    level; the smallest term seen is the error estimate.  If the nonzero
+    weights run out before any growth (possible only for eta == 1, where the
+    expansion terminates), truncation is exact up to the exponentially small
+    part, which is added to the estimate whenever eta > 2/3.
     """
     weights = _asymp_weights(float(eta), float(mu), _ASYMP_CAP)
     finite = np.isfinite(weights)
@@ -183,6 +186,7 @@ def _asymp_f64(eta, mu, z):
             frozen |= mag > 2.0 * best
             total = np.where(frozen, total, total + a)
             best = np.where((mag < best) & ~frozen, mag, best)
+            frozen |= mag <= 0.25 * _EPS * np.abs(total)
             if np.all(frozen):
                 break
     if eta == 1.0 and not np.all(frozen):
@@ -190,21 +194,94 @@ def _asymp_f64(eta, mu, z):
         best[~frozen & nonzero_z] = 0.0
     scale = np.maximum(np.abs(total), 1e-300)
     est = np.where(np.isfinite(best), best, np.inf) / scale * 3.0
-    if eta == 1.0:
-        est = est + np.exp(np.maximum(z, -700.0)) / scale
+    if eta > 2.0 / 3.0:
+        # the exponentials (1/eta) s^(1-mu) e^s at s = |z|^(1/eta) e^(+-i pi/eta)
+        # survive on the negative axis for eta > 2/3 (e^z z^(1-mu) at eta = 1);
+        # exponentially small, but not below the smallest algebraic term
+        with np.errstate(divide="ignore", under="ignore"):
+            r = np.abs(z) ** (1.0 / eta)
+            est = est + 2.0 / eta * r ** (1.0 - mu) * np.exp(
+                np.maximum(r * math.cos(math.pi / eta), -700.0)) / scale
     est[~nonzero_z] = np.inf
     return total, est
 
 
+@lru_cache(maxsize=64)
+def _contour_rule(eta: float, mu: float, n: int):
+    """Nodes s_k^eta and weights w_k of the n-step trapezoid rule on the
+    parabola s(u) = c (1 + iu)^2, u in [0, u_max], so that by symmetry about
+    the real axis E = sum_k Im(w_k / (s_k^eta - z)).
+
+    c = 1.5 bounds the e^s rounding of the weights by e^1.5 eps (Garrappa's
+    choice for a 1e-15 target); c moves right once s^(eta-mu) is strongly
+    singular at the origin (mu > eta + 1), whose |s|^(eta-mu) decay pays for
+    the larger e^c.  The tail beyond u_max is e^(c(1 - u_max^2)) = e^-36.
+    """
+    centre = 1.5 * (1.0 + max(0.0, mu - eta - 1.0))
+    u = np.linspace(0.0, math.sqrt(1.0 + 36.0 / centre), n + 1)
+    s = centre * (1.0 + 1j * u) ** 2
+    w = (u[1] / math.pi) * np.exp(s) * s ** (eta - mu) * (2j * centre * (1.0 + 1j * u))
+    w[0] *= 0.5
+    return s ** eta, w
+
+
+def _contour_f64(eta, mu, z):
+    """Inverse Laplace transform of s^(eta-mu)/(s^eta - z) at t = 1, for
+    0 < eta < 1 and z < 0 (no poles on the principal sheet).
+
+    Returns the 1.5N-node value with the estimate |I_N - I_1.5N| plus the
+    rounding bound eps * sum |terms|, both relative.  z is processed in
+    fixed-size chunks so the node-by-point matrix stays small.
+    """
+    (s_n, w_n), (s_fine, w_fine) = (_contour_rule(float(eta), float(mu), n)
+                                    for n in (_CONTOUR_N, 3 * _CONTOUR_N // 2))
+    total = np.empty_like(z)
+    err = np.empty_like(z)
+    for lo in range(0, z.size, _CONTOUR_CHUNK):
+        part = slice(lo, lo + _CONTOUR_CHUNK)
+        rough = (w_n[:, None] / (s_n[:, None] - z[part])).imag.sum(axis=0)
+        terms = (w_fine[:, None] / (s_fine[:, None] - z[part])).imag
+        total[part] = terms.sum(axis=0)
+        err[part] = np.abs(rough - total[part]) + _EPS * np.abs(terms).sum(axis=0)
+    return total, err / np.maximum(np.abs(total), 1e-300)
+
+
+def _kummer_f64(eta, mu, z):
+    """E_{1,mu}(z) = e^z/Gamma(mu) * sum_k (mu-1)/(mu-1+k) (-z)^k/k!.
+
+    Kummer's transformation of 1F1(1; mu; z).  For z <= 0 every term past
+    k = 0 has the sign of mu - 1, so the sum cancels only where E itself
+    crosses zero (mu < 1), which the estimate reports.  Term k carries about
+    k roundings from the recurrence; the estimate weights it accordingly.
+    """
+    x = -z
+    power = np.ones_like(x)
+    total = np.ones_like(x)
+    weighted = np.ones_like(x)
+    tiny_prev = np.zeros(x.shape, dtype=bool)
+    converged = np.zeros(x.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, _SERIES_CAP):
+            power = power * x / k
+            term = (mu - 1.0) / (mu - 1.0 + k) * power
+            total += term
+            weighted += (k + 2.0) * np.abs(term)
+            tiny = np.abs(term) <= 0.25 * _EPS * np.abs(total)
+            converged |= tiny & tiny_prev
+            tiny_prev = tiny
+            if np.all(converged | ~np.isfinite(total)):
+                break
+        est = _EPS * weighted / np.maximum(np.abs(total), 1e-300)
+    est = np.where(converged & np.isfinite(total), est + 4.0 * _EPS, np.inf)
+    return np.exp(z) * rgamma(mu) * total, est
+
+
 def _mp_series(eta: float, mu: float, z: float, rtol: float) -> float:
-    """Extended-precision series for one point in the crossover band."""
+    """Extended-precision series for one point no float64 route certifies."""
     import mpmath
 
     absz = abs(z)
-    if absz <= 1.0:
-        kstar = 10.0
-    else:
-        kstar = absz ** (1.0 / eta) / eta + 10.0
+    kstar = (absz ** (1.0 / eta) / eta if absz > 1.0 else 0.0) + 10.0
     if kstar > 2e5:
         raise NumericalError(
             f"mittag-leffler series needs ~{kstar:.3g} terms at "
@@ -251,8 +328,8 @@ def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
     Internal workhorse: callers that need parameters outside the validated
     public envelope (e.g. large mu in series identities, or z below -1e4
     where the expansion only gets better) come through here.  ``rtol`` is the
-    accepted relative error before falling back to extended precision;
-    kernel builders relax it to avoid pointless mpmath work.
+    relative error a float64 route must certify before the point falls
+    through to the next route; kernel builders pass 1e-10.
     """
     eta = float(eta)
     mu = float(mu)
@@ -261,6 +338,8 @@ def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
+    if not (math.isfinite(mu) and np.all(np.isfinite(z_arr))):
+        raise DomainError(f"ml_neg needs finite mu and z, got mu={mu}")
     if np.any(z_arr > 0.0):
         raise DomainError("ml_neg requires z <= 0")
     out = np.empty_like(z_arr)
@@ -289,77 +368,12 @@ def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
         big = np.abs(zv) >= 4.0
         attempt(_asymp_f64, big)
         attempt(_series_f64, ~big)
-        # crossover band: try the other float64 route before extended precision
-        attempt(_series_f64, big & (np.abs(zv) <= 40.0))
-        attempt(_asymp_f64, ~big)
+        # crossover band: what neither the expansion nor the series certified
+        attempt(_kummer_f64 if eta == 1.0 else _contour_f64, ~done)
         for i in np.flatnonzero(~done):
             vals[i] = _mp_series(eta, mu, float(zv[i]), rtol)
         out[todo] = vals
     return float(out[0]) if scalar else out
-
-
-class _SplineTable:
-    """Cubic spline of E_{eta,mu}(-e^u) in u = log(-z) over a fixed range."""
-
-    def __init__(self, eta: float, mu: float, zmin: float, zmax: float, rtol: float):
-        from scipy.interpolate import CubicSpline
-
-        self.eta = eta
-        self.mu = mu
-        self.rtol = rtol
-        decades = math.log10(zmax / zmin)
-        n = int(min(6000, max(1200, 500 * decades)))
-        u = np.linspace(math.log(zmin), math.log(zmax), n)
-        self.lo = zmin
-        self.hi = zmax
-        self.spline = CubicSpline(u, ml_neg(eta, mu, -np.exp(u), rtol=rtol))
-        probe = np.exp(np.linspace(math.log(zmin) + 0.37, math.log(zmax) - 0.11, 9))
-        direct = ml_neg(eta, mu, -probe, rtol=rtol)
-        err = np.abs(self.spline(np.log(probe)) - direct)
-        if np.max(err / np.maximum(np.abs(direct), 1e-30)) > 1e-8:
-            raise NumericalError("mittag-leffler table failed its interpolation check")
-
-    def covers(self, absz: np.ndarray) -> np.ndarray:
-        return (absz >= self.lo) & (absz <= self.hi)
-
-    def __call__(self, absz: np.ndarray) -> np.ndarray:
-        return self.spline(np.log(absz))
-
-
-_TABLE_CACHE: dict = {}
-
-
-def ml_neg_cached(eta: float, mu: float, z, rtol: float = 1e-10):
-    """Array evaluation backed by a cached log-grid spline.
-
-    Large kernel builds evaluate E at tens of thousands of points whose
-    arguments sweep through the extended-precision crossover band; a one-time
-    table keeps that cost independent of the grid size.  Accuracy is
-    ~1e-9 relative (checked against direct evaluation when built), which is
-    ample for quadrature weights; use ml_neg directly when full precision
-    matters.
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if z_arr.size <= 64:
-        return ml_neg(eta, mu, z_arr, rtol=rtol)
-    absz = np.abs(z_arr)
-    pos = absz[absz > 0.0]
-    if pos.size == 0:
-        return ml_neg(eta, mu, z_arr, rtol=rtol)
-    zmax = float(np.max(pos))
-    key = (float(eta), float(mu), round(math.log10(zmax), 1))
-    table = _TABLE_CACHE.get(key)
-    if table is None or zmax > table.hi:
-        table = _SplineTable(eta, mu, zmax * 1e-12, zmax * 1.0000001, rtol)
-        if len(_TABLE_CACHE) > 64:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = table
-    out = np.empty_like(z_arr)
-    inside = table.covers(absz)
-    out[inside] = table(absz[inside])
-    if np.any(~inside):
-        out[~inside] = ml_neg(eta, mu, z_arr[~inside], rtol=rtol)
-    return out
 
 
 def ml_eval(eta: float, mu: float, z: float) -> float:
@@ -372,6 +386,8 @@ def ml_eval(eta: float, mu: float, z: float) -> float:
     eta = float(eta)
     mu = float(mu)
     z = float(z)
+    if not all(map(math.isfinite, (eta, mu, z))):
+        raise DomainError(f"ml_eval needs finite arguments, got {eta}, {mu}, {z}")
     if not eta > 0.0:
         raise DomainError(f"eta must be positive, got {eta}")
     if z > 0.0:
@@ -385,11 +401,6 @@ def ml_eval(eta: float, mu: float, z: float) -> float:
     if z < _Z_MIN:
         raise UnsupportedRangeError(f"z={z:g} below validated minimum {_Z_MIN:g}")
     return float(ml_neg(eta, mu, z, rtol=1e-12))
-
-
-def ml_eval_query(q: MLQuery) -> float:
-    """``ml_eval`` on a packed query."""
-    return ml_eval(q.eta, q.mu, q.z)
 
 
 def relaxation_kernel(eta: float, c: float, t):

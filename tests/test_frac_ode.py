@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
+from subdecay import mittag_leffler
 from subdecay.errors import ConsistencyError, DomainError
 from subdecay.frac_ode import (LaplaceSymbol, OdeSpec, branch_cut_invert,
                                check_decay_assumption, default_search_radius,
@@ -217,6 +218,30 @@ class TestBranchCutInversion:
         U_bc, V_bc = branch_cut_invert(sym, t_check)
         idx = np.searchsorted(path.times, t_check)
         np.testing.assert_allclose(path.times[idx], t_check, atol=1e-12, rtol=0)
+        assert np.max(np.abs(path.U[idx] - U_bc) / U_bc) < 1e-4
+        assert np.max(np.abs(path.V[idx] - V_bc) / V_bc) < 1e-4
+
+    def test_cold_solve_stays_in_float64(self, monkeypatch):
+        # the kernel tables of a cold solve need no extended precision
+        def refuse(*args):
+            raise AssertionError("extended-precision fallback reached")
+
+        monkeypatch.setattr(mittag_leffler, "_mp_series", refuse)
+        spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.0,
+                       eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
+        path = picard_solve(spec, T=20.0, n_steps=5120)
+        assert path.converged
+
+    def test_classical_fast_order_agreement(self):
+        # orders 1.0/0.5: the fast kernel and E_{1,1} are plain exponentials
+        sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=1.0, beta=0.5)
+        spec = OdeSpec(alpha=1.0, beta=0.5, a=1.0, b=0.0,
+                       eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
+        path = picard_solve(spec, T=20.0, n_steps=5120)
+        assert path.converged
+        t_check = np.array([1.0, 2.0, 5.0, 10.0, 20.0])
+        U_bc, V_bc = branch_cut_invert(sym, t_check)
+        idx = np.searchsorted(path.times, t_check)
         assert np.max(np.abs(path.U[idx] - U_bc) / U_bc) < 1e-4
         assert np.max(np.abs(path.V[idx] - V_bc) / V_bc) < 1e-4
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
+from subdecay import mittag_leffler
 from subdecay.errors import DomainError, UnsupportedRangeError
 from subdecay.mittag_leffler import (MLQuery, gamma_fn, ml_eval, ml_neg,
-                                     ml_neg_cached, relaxation_kernel)
+                                     relaxation_kernel)
 
 from conftest import ml_integral_reference, ml_series_reference
 
@@ -144,12 +145,39 @@ class TestMLEval:
         with pytest.raises(DomainError):
             ml_eval(-0.5, 1.0, -1.0)
 
-    def test_cached_table_matches_direct(self):
-        z = -np.logspace(-6, 1.4, 3000)
-        table_vals = ml_neg_cached(0.9, 1.0, z)
-        direct = ml_neg(0.9, 1.0, z[::97])
-        assert np.max(np.abs(table_vals[::97] - direct)
-                      / np.abs(direct)) < 1e-8
+    @pytest.mark.parametrize("eta", [0.3, 0.5, 0.7, 0.9, 0.95, 1.0])
+    def test_crossover_route_against_series_reference(self, eta):
+        # the band between the series (|z| < 4) and the point where the
+        # expansion certifies (|z|^(1/eta) ~ 36), evaluated by the contour
+        # (eta < 1) or the Kummer series (eta = 1) on their own and via ml_neg
+        route = mittag_leffler._kummer_f64 if eta == 1.0 else mittag_leffler._contour_f64
+        z = -np.linspace(0.5, 1.2 * 36.0 ** eta, 24)
+        for mu in sorted({eta, 1.0, 3.0}):
+            ref = np.array([ml_series_reference(eta, mu, float(x)) for x in z])
+            got, est = route(eta, mu, z)
+            assert np.all(est <= 1e-10), f"eta={eta}, mu={mu}"
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-10, f"eta={eta}, mu={mu}"
+            via = ml_neg(eta, mu, z)
+            assert np.max(np.abs(via - ref) / np.abs(ref)) < 1e-10, f"eta={eta}, mu={mu}"
+
+    def test_series_converges_per_point(self):
+        # a slow point in the batch must not cost the fast one its certificate
+        vals, est = mittag_leffler._series_f64(0.5, 1.0, np.array([-1e-11, -4.9]))
+        assert est[0] <= 1e-14
+        assert vals[0] == pytest.approx(1.0 - 1e-11 / gamma_fn(1.5), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DomainError):
+            ml_eval(0.5, 1.0, bad)
+        with pytest.raises(DomainError):
+            ml_eval(bad, 1.0, -1.0)
+        with pytest.raises(DomainError):
+            ml_eval(0.5, bad, -1.0)
+        with pytest.raises(DomainError):
+            ml_neg(0.5, 1.0, np.array([-1.0, bad]))
+        with pytest.raises(DomainError):
+            ml_neg(0.5, bad, -1.0)
 
 
 class TestRelaxationKernel:
