@@ -16,8 +16,7 @@ from .spectral import (ModeConvolution, SpectralSolution, asymptotic_v,
 from .subdiff_fd import (BandedMatrix, Grid, History, SystemSpec,
                          assemble_block_matrix, banded_solve, gershgorin_disks,
                          l1_weights, norm_history, simulate,
-                         stability_condition, step_fully_implicit,
-                         step_semi_implicit)
+                         stability_condition)
 
 __all__ = [
     "MLQuery", "gamma_fn", "ml_eval", "relaxation_kernel",
@@ -25,9 +24,8 @@ __all__ = [
     "picard_monotonicity", "q_of_r", "im_parts", "find_poles",
     "branch_cut_invert", "check_decay_assumption", "poincare_constant",
     "Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights",
-    "step_semi_implicit", "step_fully_implicit", "assemble_block_matrix",
-    "banded_solve", "gershgorin_disks", "stability_condition", "simulate",
-    "norm_history",
+    "assemble_block_matrix", "banded_solve", "gershgorin_disks",
+    "stability_condition", "simulate", "norm_history",
     "NormSeries", "DecayFit", "pointwise_exponent", "fit_exponent", "l2_norm",
     "SpectralSolution", "ModeConvolution", "decoupled_solve",
     "mode_convolution", "q_integral", "r_series_identity", "asymptotic_v",

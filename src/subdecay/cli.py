@@ -176,6 +176,12 @@ class RunConfig:
             problems.append("diffusivities length disagrees with orders")
         if len(self.couplings) != K or any(len(r) != K for r in self.couplings):
             problems.append("couplings must be a K x K matrix")
+        for name, vals in (("T", [self.T]), ("L", [self.L]), ("ic_scale", [self.ic_scale]),
+                           ("diffusivities", self.diffusivities),
+                           ("couplings", [c for row in self.couplings for c in row]),
+                           ("window", self.window or [])):
+            if not all(map(math.isfinite, vals)):
+                problems.append(f"{name} must be finite")
         if self.ic_scale < 0.0:
             problems.append("ic_scale must be nonnegative")
         if not (self.L > 0 and self.T > 0):
@@ -272,6 +278,15 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
     grid = config.grid()
     history = subdiff_fd.simulate(spec, grid, config.scheme)
     times, norms = subdiff_fd.norm_history(history, stride=config.stride)
+    margin = subdiff_fd.stability_margin(spec, grid)
+    # without sources a row-dominant system stays bounded: growth is instability
+    total = norms.sum(axis=1)
+    if not (np.all(np.isfinite(norms))
+            and (margin < 0.0 or total.max() <= 10.0 * total[0])):
+        raise NumericalError(
+            f"norms diverged (summed norm up to {total.max():.3g}, {total[0]:.3g} at "
+            f"t = 0, coupling margin {margin:g}): the {config.scheme} scheme is "
+            f"unstable at dt = {grid.dt:g}")
 
     if csv_sink is None and config.output is not None:
         with open(config.output, "w") as fh:
@@ -289,7 +304,6 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
         fits.append(_fit_window(times, norms[:, k], window))
     total_fit = _fit_window(times, norms.sum(axis=1), window)
 
-    margin = subdiff_fd.stability_margin(spec, grid)
     kappa0 = min(config.diffusivities)
     c_sup = _offdiag_sup(config)
     assumption_ok = False

@@ -118,8 +118,17 @@ def _series_f64(eta, mu, z):
     sum times eps) with the last-term size when the 2000-term cap is hit.
     Each point converges on its own (two consecutive negligible terms), so
     one slow point in a batch does not cost the others their certificate.
-    Requires mu > 0 so no series denominator hits a Gamma pole.
+    For mu <= 0 the leading terms, whose Gamma arguments eta*k + mu are not
+    positive, are summed directly: E_{eta,mu}(z) = sum_{k<k0} z^k/Gamma(eta*k
+    + mu) + z^k0 E_{eta,mu+eta*k0}(z), so no term ratio meets a Gamma pole.
     """
+    if mu <= 0.0:
+        k0 = int(-mu // eta) + 1
+        head = [z ** k * rgamma(eta * k + mu) for k in range(k0)]
+        tail, est = _series_f64(eta, mu + eta * k0, z)
+        total = sum(head) + z ** k0 * tail
+        err = np.abs(z ** k0 * tail) * est + _EPS * sum(np.abs(h) for h in head)
+        return total, err / np.maximum(np.abs(total), 1e-300)
     ratios = _series_ratios(float(eta), float(mu), _SERIES_CAP)
     term = np.full(z.shape, rgamma(mu))
     total = term.copy()

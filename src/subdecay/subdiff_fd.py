@@ -9,23 +9,30 @@ with Caputo orders 1 >= a_1 >= ... >= a_K > 0.  Time discretization is the
 classical L1 rule with weights b^j = (j+1)^{1-a} - j^{1-a} (backward Euler
 falls out at a = 1); space is the second-order central difference.
 
-The semi-implicit scheme lags the coupling and source one level, so each
-component solves its own constant tridiagonal system.  The fully implicit
-scheme keeps the couplings at the new level and solves one banded system in
-node-interleaved ordering (bandwidth K each side); Gershgorin disks of that
-matrix drive the stability check c_kk >= sum_{l != k} |c_kl|.
+One stepper per run carries the L1 memory as a sum of exponentials (after
+Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21 (2017) 650-678), so
+every step costs the same, and makes one LAPACK banded solve per step.  The
+semi-implicit scheme lags the coupling and source one level, so the K
+components decouple into one block-diagonal tridiagonal system.  The fully
+implicit scheme keeps the couplings at the new level and solves one banded
+system in node-interleaved ordering (bandwidth K each side); Gershgorin disks
+of that matrix drive the stability check c_kk >= sum_{l != k} |c_kl|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.special import rgamma
 
 from .errors import DomainError, SolverError
+
+# relative size of the neglected parts of the L1 memory's exponential sum
+_SOE_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +76,15 @@ def l1_weights(gamma: float, n: int) -> np.ndarray:
 
     b^0 = 1, the sequence is positive and strictly decreasing, and it
     telescopes: sum_{j<=n} b^j = (n+1)^{1-gamma}.  gamma = 1 degenerates to
-    (1, 0, 0, ...), i.e. backward Euler.
+    (1, 0, 0, ...), i.e. backward Euler.  Formed as
+    j^{1-gamma} expm1((1-gamma) log1p(1/j)), a few ulps from exact, where
+    the plain difference loses log10(j) digits.
     """
     if not 0.0 < gamma <= 1.0:
         raise DomainError(f"order must lie in (0, 1], got {gamma}")
-    j = np.arange(n + 1, dtype=float)
-    b = (j + 1.0) ** (1.0 - gamma) - j ** (1.0 - gamma)
-    b[0] = 1.0  # j=0 term is 1 for every order; numpy's 0**0 would break gamma=1
-    return b
+    j = np.arange(1, n + 1, dtype=float)
+    return np.concatenate(
+        ([1.0], j ** (1.0 - gamma) * np.expm1((1.0 - gamma) * np.log1p(1.0 / j))))
 
 
 CouplingEntry = float | Callable[[np.ndarray, float], np.ndarray]
@@ -169,9 +177,6 @@ class History:
     values: np.ndarray
     scheme: str
 
-    def component(self, k: int) -> np.ndarray:
-        return self.values[:, k, :]
-
 
 # ---------------------------------------------------------------------------
 # banded matrices
@@ -192,9 +197,10 @@ class BandedMatrix:
     def to_dense(self) -> np.ndarray:
         n = self.n
         dense = np.zeros((n, n))
-        for i in range(n):
-            for j in range(max(0, i - self.lower), min(n, i + self.upper + 1)):
-                dense[i, j] = self.ab[self.upper + i - j, j]
+        band, j = np.indices(self.ab.shape)
+        i = band - self.upper + j
+        inside = (i >= 0) & (i < n)
+        dense[i[inside], j[inside]] = self.ab[inside]
         return dense
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -218,47 +224,23 @@ def banded_from_dense(dense: np.ndarray) -> BandedMatrix:
     lower = int(np.max(nz[0] - nz[1], initial=0))
     upper = int(np.max(nz[1] - nz[0], initial=0))
     ab = np.zeros((lower + upper + 1, n))
-    for i, j in zip(*nz):
-        ab[upper + i - j, j] = dense[i, j]
+    ab[upper + nz[0] - nz[1], nz[1]] = dense[nz]
     return BandedMatrix(lower=lower, upper=upper, ab=ab)
 
 
-def _thomas(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Tridiagonal elimination without pivoting (diagonally dominant use)."""
-    n = rhs.size
-    c = ab[0, 1:].copy()      # superdiagonal c[j] = A[j, j+1]
-    d = ab[1, :].copy()       # diagonal
-    a = ab[2, :-1].copy()     # subdiagonal a[j] = A[j+1, j]
-    x = rhs.astype(float).copy()
-    for i in range(1, n):
-        if d[i - 1] == 0.0:
-            raise SolverError("zero pivot in tridiagonal elimination")
-        w = a[i - 1] / d[i - 1]
-        d[i] -= w * c[i - 1]
-        x[i] -= w * x[i - 1]
-    if d[-1] == 0.0:
-        raise SolverError("zero pivot in tridiagonal elimination")
-    x[-1] /= d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - c[i] * x[i + 1]) / d[i]
-    return x
-
-
 def banded_solve(matrix: BandedMatrix | np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a banded system: Thomas elimination for bandwidth 3, LAPACK
-    banded LU (partial pivoting) otherwise.  The relative residual is checked
-    against 1e-12; a singular or unusable system raises SolverError."""
+    """Solve a banded system by LAPACK (scipy's solve_banded: gtsv for a
+    tridiagonal band, banded LU with partial pivoting otherwise).  The
+    relative residual is checked against 1e-12, which also catches
+    non-finite input; a singular or unusable system raises SolverError."""
     if isinstance(matrix, np.ndarray):
         matrix = banded_from_dense(matrix)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (matrix.n,):
         raise DomainError(f"rhs shape {rhs.shape} does not match n={matrix.n}")
     try:
-        if matrix.lower == 1 and matrix.upper == 1:
-            x = _thomas(matrix.ab, rhs)
-        else:
-            x = scipy.linalg.solve_banded((matrix.lower, matrix.upper),
-                                          matrix.ab, rhs)
+        x = scipy.linalg.solve_banded((matrix.lower, matrix.upper), matrix.ab, rhs,
+                                      check_finite=False)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise SolverError(f"banded solve failed: {exc}") from exc
     scale = np.abs(matrix.ab).max() * max(np.abs(x).max(), 1.0) + np.abs(rhs).max()
@@ -359,109 +341,95 @@ def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> Band
     return BandedMatrix(lower=K, upper=K, ab=ab)
 
 
-def _history_sum(weights_diff: list[np.ndarray], values: np.ndarray, n: int) -> np.ndarray:
-    """sum_{j=1}^{n} (b^{n-j} - b^{n-j+1}) u^j per component, over interior nodes."""
-    K = values.shape[1]
-    out = np.zeros((K, values.shape[2]))
-    if n == 0:
-        return out
-    for k in range(K):
-        w = weights_diff[k][n - 1::-1][:n]
-        out[k] = w @ values[1:n + 1, k, :]
-    return out
+def _soe_modes(gamma: float, N: int):
+    """Decay factors e^{-s_q} and weights w_q with b^m - b^{m+1} =
+    sum_q w_q e^{-m s_q} to ~1e-15 relative for 1 <= m <= N: the trapezoid
+    rule, step 1/4 in log s, on the exact form b^m - b^{m+1} =
+    int_0^inf e^{-ms} (1-gamma)/Gamma(gamma) (1-e^{-s})^2 s^{gamma-2} ds, cut
+    where the small-s part of the m = N term, or e^{-s}, drops below 1e-15.
+    gamma = 1 (backward Euler) has no modes."""
+    if gamma == 1.0:
+        return np.empty(0), np.empty(0)
+    h = 0.25
+    lo = math.log(1.0 / N) + math.log(_SOE_TOL) / (1.0 + gamma)
+    hi = math.log(-math.log(_SOE_TOL)) + 0.5
+    s = np.exp(np.arange(lo, hi, h))
+    w = h * (1.0 - gamma) * rgamma(gamma) * np.expm1(-s) ** 2 * s ** (gamma - 1.0)
+    return np.exp(-s), w
 
 
-@dataclass
-class _StepContext:
-    """Precomputed per-run data shared by every step."""
+class _Stepper:
+    """The L1 time stepper of one run, built once by ``simulate``.
 
-    spec: SystemSpec
-    grid: Grid
-    weights: list = field(default_factory=list)        # b_k^j, j = 0..N
-    weights_diff: list = field(default_factory=list)   # b_k^j - b_k^{j+1}
-    r: np.ndarray = None
-    fac: np.ndarray = None
-    tri_ab: list = field(default_factory=list)
-    implicit_matrix: BandedMatrix | None = None
-
-    def __post_init__(self):
-        spec, grid = self.spec, self.grid
-        for a in spec.orders:
-            b = l1_weights(a, grid.N)
-            self.weights.append(b)
-            self.weights_diff.append(b[:-1] - b[1:])
-        self.r = _r_coeffs(spec, grid)
-        self.fac = grid.dx ** 2 * self.r / np.asarray(spec.diffusivities)
-        m = grid.I - 1
-        for k in range(spec.K):
-            ab = np.zeros((3, m))
-            ab[0, 1:] = -self.r[k]
-            ab[1, :] = 1.0 + 2.0 * self.r[k]
-            ab[2, :-1] = -self.r[k]
-            self.tri_ab.append(ab)
-        if spec.couplings_constant():
-            self.implicit_matrix = assemble_block_matrix(spec, grid, 0)
-
-    def implicit_at(self, time_index: int) -> BandedMatrix:
-        if self.implicit_matrix is not None:
-            return self.implicit_matrix
-        return assemble_block_matrix(self.spec, self.grid, time_index)
-
-
-def _interior_rhs_common(ctx: _StepContext, values: np.ndarray, n: int) -> np.ndarray:
-    """b^n u^0 + history sum, per component on interior nodes."""
-    spec = ctx.spec
-    interior = values[..., 1:-1]
-    hist = _history_sum(ctx.weights_diff, interior, n)
-    out = np.empty_like(hist)
-    for k in range(spec.K):
-        out[k] = ctx.weights[k][n] * interior[0, k, :] + hist[k]
-    return out
-
-
-def step_semi_implicit(spec: SystemSpec, grid: Grid, history: History | np.ndarray,
-                       n: int, _ctx: _StepContext | None = None) -> np.ndarray:
-    """Advance to level n+1 with couplings and sources lagged at level n.
-
-    Returns the new level as a (K, I+1) array with zero boundary values;
-    each component solves its own tridiagonal system.
+    The memory of step n -> n+1 is b^n u^0 + sum_{m=0}^{n-1} (b^m - b^{m+1})
+    u^{n-m}.  The u^0 and m = 0 terms are direct; the tail m >= 1 is a sum
+    of exponentials whose states z_q = sum_{m>=1} e^{-m s_q} u^{n-m} advance
+    by z_q <- e^{-s_q} (z_q + u^n), so a step costs O(modes), not O(n).
     """
-    values = history.values if isinstance(history, History) else history
-    ctx = _ctx if _ctx is not None else _StepContext(spec, grid)
-    x = grid.x[1:-1]
-    t_n = grid.times[n]
-    rhs = _interior_rhs_common(ctx, values, n)
-    cur = values[n, :, 1:-1]
-    K = spec.K
-    new_level = np.zeros((K, grid.I + 1))
-    for k in range(K):
-        coup = np.zeros_like(x)
-        for l in range(K):
-            coup += spec.coupling_at(k, l, x, float(t_n)) * cur[l]
-        load = rhs[k] + ctx.fac[k] * (-coup + spec.source_at(k, x, float(t_n)))
-        new_level[k, 1:-1] = banded_solve(
-            BandedMatrix(lower=1, upper=1, ab=ctx.tri_ab[k]), load)
-    return new_level
 
+    def __init__(self, spec: SystemSpec, grid: Grid, scheme: str, u0: np.ndarray):
+        K, m = spec.K, grid.I - 1
+        self.spec, self.grid, self.scheme = spec, grid, scheme
+        self.x = grid.x[1:-1]
+        self.times = grid.times
+        self.u0 = np.array(u0, dtype=float)
+        self.b = np.array([l1_weights(a, grid.N) for a in spec.orders])
+        self.d0 = -2.0 * np.expm1(-math.log(2.0) * np.array(spec.orders))  # b^0 - b^1
+        self.modes = [_soe_modes(a, grid.N) for a in spec.orders]
+        self.states = [np.zeros((decay.size, m)) for decay, _ in self.modes]
+        r = _r_coeffs(spec, grid)
+        self.fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
+        if scheme == "semi-implicit":
+            ab = np.zeros((3, K * m))
+            ab[0] = ab[2] = -np.repeat(r, m)
+            ab[1] = 1.0 + 2.0 * np.repeat(r, m)
+            ab[0, ::m] = 0.0          # A[j, j+1] at ab[0, j+1]: none across blocks
+            ab[2, m - 1::m] = 0.0     # A[j+1, j] at ab[2, j]
+            self.matrix = BandedMatrix(lower=1, upper=1, ab=ab)
+        else:
+            self.matrix = (assemble_block_matrix(spec, grid, 0)
+                           if spec.couplings_constant() else None)
 
-def step_fully_implicit(spec: SystemSpec, grid: Grid, history: History | np.ndarray,
-                        n: int, _ctx: _StepContext | None = None) -> np.ndarray:
-    """Advance to level n+1 with couplings and sources taken at level n+1,
-    solving the node-interleaved banded block system."""
-    values = history.values if isinstance(history, History) else history
-    ctx = _ctx if _ctx is not None else _StepContext(spec, grid)
-    x = grid.x[1:-1]
-    t_next = grid.times[n + 1]
-    rhs = _interior_rhs_common(ctx, values, n)
-    K = spec.K
-    for k in range(K):
-        rhs[k] += ctx.fac[k] * spec.source_at(k, x, float(t_next))
-    stacked = rhs.T.reshape(-1)   # node-interleaved: (i, k) -> i*K + k
-    matrix = ctx.implicit_at(n + 1)
-    sol = banded_solve(matrix, stacked)
-    new_level = np.zeros((K, grid.I + 1))
-    new_level[:, 1:-1] = sol.reshape(grid.I - 1, K).T
-    return new_level
+    def memory(self, n: int, u: np.ndarray) -> np.ndarray:
+        """The L1 memory of step n -> n+1, shape (K, I-1), given level n.
+
+        Call once per step with n = 0, 1, 2, ...: it folds u^n into the
+        exponential states for the steps that follow.
+        """
+        out = self.b[:, n, None] * self.u0
+        if n == 0:
+            return out
+        out += self.d0[:, None] * u
+        for k, ((decay, weight), z) in enumerate(zip(self.modes, self.states)):
+            if decay.size:
+                out[k] += weight @ z
+                z += u[k]
+                z *= decay[:, None]
+        return out
+
+    def _sources(self, t: float) -> np.ndarray:
+        return np.array([self.spec.source_at(k, self.x, t) for k in range(self.spec.K)])
+
+    def _coupled(self, t: float, u: np.ndarray) -> np.ndarray:
+        """sum_l c_kl(x, t) u_l for every k."""
+        K = self.spec.K
+        return np.array([sum(self.spec.coupling_at(k, l, self.x, t) * u[l] for l in range(K))
+                         for k in range(K)])
+
+    def step(self, n: int, u: np.ndarray) -> np.ndarray:
+        """Level n+1 on the interior nodes, shape (K, I-1), from level n."""
+        rhs = self.memory(n, u)
+        K, m = rhs.shape
+        if self.scheme == "semi-implicit":
+            t = float(self.times[n])
+            rhs += self.fac[:, None] * (self._sources(t) - self._coupled(t, u))
+            return banded_solve(self.matrix, rhs.reshape(-1)).reshape(K, m)
+        t = float(self.times[n + 1])
+        rhs += self.fac[:, None] * self._sources(t)
+        matrix = self.matrix if self.matrix is not None else \
+            assemble_block_matrix(self.spec, self.grid, n + 1)
+        # node-interleaved ordering: unknown (i, k) at row i*K + k
+        return banded_solve(matrix, rhs.T.reshape(-1)).reshape(m, K).T
 
 
 def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit",
@@ -482,15 +450,14 @@ def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit",
         values[0, k, :] = prof
     values[0, :, 0] = 0.0
     values[0, :, -1] = 0.0
-    ctx = _StepContext(spec, grid)
-    stepper = step_semi_implicit if scheme == "semi-implicit" else step_fully_implicit
     if check_diagonal and not spec.couplings_constant():
         xs = x[1:-1]
         for k in range(K):
             if np.any(spec.coupling_at(k, k, xs, 0.0) < 0.0):
                 raise DomainError(f"diagonal coupling c[{k}][{k}] negative at t=0")
+    stepper = _Stepper(spec, grid, scheme, values[0, :, 1:-1])
     for n in range(grid.N):
-        values[n + 1] = stepper(spec, grid, values, n, _ctx=ctx)
+        values[n + 1, :, 1:-1] = stepper.step(n, values[n, :, 1:-1])
     return History(grid=grid, values=values, scheme=scheme)
 
 

@@ -1,6 +1,7 @@
 """Shared test oracles, all independent of the library's evaluation paths."""
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -71,6 +72,28 @@ def ml_integral_reference(eta: float, x: float, second: bool = False) -> float:
         val = mpmath.quad(f, [0, 1, mpmath.inf])
         pref = s / mpmath.pi if second else xx * s / mpmath.pi
         return float(pref * val)
+
+
+@lru_cache(maxsize=64)
+def l1_weights_reference(gamma: float, n: int):
+    """L1 weights b^j = (j+1)^{1-gamma} - j^{1-gamma}, j = 0..n, and their
+    differences d_m = b^m - b^{m+1}, m = 0..n-1, formed in 40-digit
+    arithmetic (float64 differences of b lose digits at large m)."""
+    with mpmath.workdps(40):
+        g = 1 - mpmath.mpf(gamma)
+        p = [mpmath.mpf(j) ** g if j else mpmath.mpf(0) for j in range(n + 2)]
+        b = [p[j + 1] - p[j] for j in range(n + 1)]
+        d = [b[m] - b[m + 1] for m in range(n)]
+        return (np.array([float(v) for v in b]), np.array([float(v) for v in d]))
+
+
+def l1_history_direct(gamma: float, levels: np.ndarray, n: int) -> np.ndarray:
+    """The L1 memory of step n -> n+1 summed directly over every level:
+    b^n u^0 + sum_{m=0}^{n-1} d_m u^{n-m}, for levels[j] = u^j (any trailing
+    shape).  O(n) per call, the oracle for the stepper's exponential sum."""
+    b, d = l1_weights_reference(float(gamma), levels.shape[0] - 1)
+    levels = np.asarray(levels, dtype=float)
+    return b[n] * levels[0] + np.tensordot(d[:n], levels[n:0:-1], axes=1)
 
 
 @pytest.fixture(scope="session")

@@ -47,6 +47,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="ic_case"):
             RunConfig.from_dict({**SMALL, "ic_case": "iii"}).system_spec()
 
+    @pytest.mark.parametrize("field, value", [
+        ("T", math.inf), ("L", math.nan), ("ic_scale", math.inf),
+        ("diffusivities", [1.0, math.inf]), ("couplings", [[1.0, -1.0], [-1.0, math.nan]]),
+        ("window", [10.0, math.inf])])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            RunConfig.from_dict({**SMALL, field: value})
+
     def test_defaults_fill_in(self):
         cfg = RunConfig.from_dict({"orders": [0.9, 0.5], "ic_case": "i"})
         assert cfg.couplings == ((1.0, -1.0), (-1.0, 1.0))
@@ -72,6 +80,19 @@ class TestRun:
         cfg = RunConfig.from_dict({**SMALL, "ic_scale": 0.0})
         with pytest.raises(NumericalError, match="zero norm series"):
             run(cfg)
+
+    def test_unstable_semi_implicit_run_refused(self, tmp_path):
+        """dt = 10 on I = 16: the lagged coupling makes the semi-implicit
+        norms grow to ~1e34 while the couplings are row-dominant."""
+        raw = {"orders": [0.9, 0.5], "ic_case": "i", "n_space": 16,
+               "n_time": 200, "T": 2000.0}
+        with pytest.raises(NumericalError, match="unstable at dt = 10"):
+            run(RunConfig.from_dict(raw))
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(raw))
+        assert main(["pde", "--config", str(path)]) == 2
+        bounded = run(RunConfig.from_dict({**raw, "scheme": "fully-implicit"}))
+        assert bounded.total_fit.exponent < 0.0
 
     def test_csv_pointwise_nan_below_one(self):
         cfg = RunConfig.from_dict({**SMALL, "stride": 10})

@@ -166,6 +166,16 @@ class TestMLEval:
         assert est[0] <= 1e-14
         assert vals[0] == pytest.approx(1.0 - 1e-11 / gamma_fn(1.5), rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_mu_without_gamma_poles(self):
+        # E_{a,0}(z) = z E_{a,a}(z); no series term may meet the pole of Gamma at 0
+        z = -np.linspace(0.05, 30.0, 60)
+        assert np.allclose(ml_neg(0.5, 0.0, z), z * ml_neg(0.5, 0.5, z), rtol=1e-14, atol=0.0)
+        # negative Gamma arguments keep their sign
+        for x in (-0.5, -2.0, -6.0):
+            assert ml_neg(0.5, -1.3, x) == pytest.approx(ml_series_reference(0.5, -1.3, x),
+                                                         rel=1e-12)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(DomainError):

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import l1_history_direct
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
-from subdecay.subdiff_fd import (BandedMatrix, Grid, SystemSpec,
+from subdecay.subdiff_fd import (BandedMatrix, Grid, SystemSpec, _Stepper,
                                  assemble_block_matrix, banded_from_dense,
                                  banded_solve, gershgorin_disks, l1_weights,
                                  norm_history, simulate, stability_condition,
-                                 stability_margin, step_fully_implicit,
-                                 step_semi_implicit)
+                                 stability_margin)
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
 ZERO = lambda x: np.zeros_like(x)
@@ -279,6 +281,17 @@ class TestStepping:
         d1, d2 = diff_at(64), diff_at(128)
         assert d1 / d2 == pytest.approx(2.0, abs=0.6)
 
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    def test_callable_couplings_match_constants(self, scheme):
+        grid = Grid(L=math.pi, I=16, T=1.0, N=16)
+        consts = [[1.0, -0.5], [-0.25, 0.75]]
+        as_callables = [[(lambda x, t, c=c: c + 0.0 * x) for c in row] for row in consts]
+        runs = [simulate(SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 0.5),
+                                    couplings=couplings, initials=[np.sin, HAT]),
+                         grid, scheme)
+                for couplings in (consts, as_callables)]
+        np.testing.assert_allclose(runs[1].values, runs[0].values, rtol=0, atol=1e-14)
+
     def test_three_component_residual(self):
         grid = Grid(L=math.pi, I=24, T=1.0, N=8)
         spec = SystemSpec(orders=(0.9, 0.5, 0.3), diffusivities=(1.0, 1.0, 1.0),
@@ -286,27 +299,62 @@ class TestStepping:
                                      [-0.5, -0.5, 1.0]],
                           initials=[np.sin, HAT, lambda x: x * (np.pi - x)])
         hist = simulate(spec, grid, "fully-implicit")
-        # re-check the level-N linear system residual explicitly
+        # re-check the level-N linear system residual against the direct L1 sum
         n = grid.N - 1
-        values = hist.values
+        interior = hist.values[..., 1:-1]
         A = assemble_block_matrix(spec, grid, n + 1)
-        from subdecay.subdiff_fd import _StepContext, _interior_rhs_common
-        ctx = _StepContext(spec, grid)
-        rhs = _interior_rhs_common(ctx, values, n)
-        sol = values[n + 1, :, 1:-1].T.reshape(-1)
+        rhs = np.array([l1_history_direct(a, interior[:, k], n)
+                        for k, a in enumerate(spec.orders)])
+        sol = interior[n + 1].T.reshape(-1)
         resid = np.max(np.abs(A.matvec(sol) - rhs.T.reshape(-1)))
         assert resid < 1e-10 * max(1.0, np.abs(rhs).max())
 
-    def test_public_step_functions_match_simulate(self):
+    def test_stepper_levels_match_direct_solve(self):
+        """Every level simulate returns solves the scheme's system built
+        from the direct L1 sum, by a dense solve independent of the band."""
         grid = Grid(L=math.pi, I=16, T=1.0, N=8)
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=[[1.0, -1.0], [-1.0, 1.0]],
                           initials=[np.sin, HAT])
-        for scheme, step in (("semi-implicit", step_semi_implicit),
-                             ("fully-implicit", step_fully_implicit)):
-            hist = simulate(spec, grid, scheme)
-            level3 = step(spec, grid, hist.values[:3], 2)
-            assert np.allclose(level3, hist.values[3], atol=1e-14)
+        C = np.array(spec.couplings)
+        m = grid.I - 1
+        r = [d * math.gamma(2.0 - a) * grid.dt ** a / grid.dx ** 2
+             for a, d in zip(spec.orders, spec.diffusivities)]
+        fac = [grid.dx ** 2 * r[k] / spec.diffusivities[k] for k in range(2)]
+        full = assemble_block_matrix(spec, grid, 0).to_dense()
+        for scheme in ("semi-implicit", "fully-implicit"):
+            interior = simulate(spec, grid, scheme).values[..., 1:-1]
+            for n in range(grid.N):
+                memory = np.array([l1_history_direct(a, interior[:, k], n)
+                                   for k, a in enumerate(spec.orders)])
+                if scheme == "semi-implicit":
+                    load = memory - np.array(fac)[:, None] * (C @ interior[n])
+                    expected = np.array([
+                        np.linalg.solve((1 + 2 * r[k]) * np.eye(m)
+                                        - r[k] * (np.eye(m, k=1) + np.eye(m, k=-1)),
+                                        load[k]) for k in range(2)])
+                else:
+                    expected = np.linalg.solve(full, memory.T.reshape(-1)).reshape(m, 2).T
+                assert np.allclose(interior[n + 1], expected, rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+           N=st.integers(2, 2000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stepper_memory_matches_direct_sum(self, order, N, seed):
+        """The sum-of-exponentials memory against the direct L1 sum, at
+        every step of random levels, relative to sum |weight| |level|."""
+        levels = np.random.default_rng(seed).standard_normal((N + 1, 1, 3))
+        spec = SystemSpec(orders=(order,), diffusivities=(1.0,), couplings=[[0.0]],
+                          initials=[ZERO])
+        stepper = _Stepper(spec, Grid(L=math.pi, I=4, T=1.0, N=N), "semi-implicit",
+                           levels[0])
+        b = l1_weights(order, N)
+        d_abs = np.abs(b[:-1] - b[1:])
+        for n in range(N):
+            memory = stepper.memory(n, levels[n])[0]
+            direct = l1_history_direct(order, levels[:, 0], n)
+            scale = b[n] * np.abs(levels[0, 0]) + d_abs[:n] @ np.abs(levels[n:0:-1, 0])
+            assert np.all(np.abs(memory - direct) <= 1e-12 * scale)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
