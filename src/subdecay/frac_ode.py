@@ -10,7 +10,8 @@ The system is
 
 with Caputo derivatives of orders 1 >= alpha >= beta > 0.  Its integral form
 convolves the relaxation kernel t^{eta-1} E_{eta,eta}(-c t^eta) against the
-other component, which is what the Picard sweep discretizes.
+other component, which is what the Picard sweep discretizes (kernel cell 0
+in closed form, later cells on fixed Gauss and Gauss-Jacobi panels).
 
 The Laplace route writes
 
@@ -20,19 +21,18 @@ The Laplace route writes
 and inverts along the branch cut: poles of D on the principal branch are
 located by argument-principle counting plus Newton polish, and the cut
 contributes an integral of e^{-rt} r^{alpha-1} against closed-form imaginary
-parts.  The two solvers share nothing numerically, which is exactly why the
-cross-check between them is trusted.
+parts, one adaptive Gauss-Legendre pass for all times.  The two solvers
+share nothing numerically, which is exactly why the cross-check between
+them is trusted.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import roots_jacobi
 
@@ -40,6 +40,10 @@ from .errors import ConsistencyError, DomainError, QuadratureError
 from .mittag_leffler import ml_neg
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# branch-cut quadrature (see _cut_integrals): its own rule, nothing shared with Picard
+_CUT_NODES, _CUT_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_CUT_X, _CUT_BULK, _CUT_GRADE, _CUT_LEVELS = 45.0, 16, 0.15, 20
+_CUT_TOL, _CUT_BUDGET, _CUT_CHUNK = 1e-13, 2000, 16
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +75,10 @@ class OdeSpec:
             raise DomainError(
                 f"orders must satisfy 0 < beta <= alpha <= 1, got "
                 f"alpha={self.alpha}, beta={self.beta}")
+        bad = [name for name in ("a", "b", "eta1", "eta2", "mu1", "mu2")
+               if not math.isfinite(getattr(self, name))]
+        if bad:
+            raise DomainError(f"{', '.join(bad)} must be finite")
 
     def coeffs_nonnegative(self) -> bool:
         return min(self.a, self.b, self.eta1, self.eta2, self.mu1, self.mu2) >= 0.0
@@ -118,65 +126,42 @@ class _KernelWeights:
 
 def _kernel_moments(eta: float, c: float, times: np.ndarray,
                     layer_exp: float) -> _KernelWeights:
-    """Moments of the kernel tau^{eta-1} E_{eta,eta}(-c tau^eta).
+    """Moments of the kernel k(tau) = tau^{eta-1} E_{eta,eta}(-c tau^eta).
 
     A[j] = int_{t_j}^{t_{j+1}} k(tau) (t_{j+1}-tau)/h dtau and B[j] likewise
-    with (tau-t_j)/h.  The first two cells use adaptive quadrature under the
-    substitution sigma = tau^eta that removes the endpoint singularity; away
-    from the origin the kernel is smooth and fixed Gauss panels suffice.
+    with (tau-t_j)/h.  The first cell, which holds the tau^{eta-1}
+    singularity, is closed form: the Riemann-Liouville integral
+    K_p(t) = int_0^t k(tau) (t-tau)^p dtau = Gamma(p+1) t^{eta+p}
+    E_{eta,eta+p+1}(-c t^eta) gives A[0] = K_1(h)/h, B[0] = K_0(h) - K_1(h)/h
+    and M[0] = K_p(h).  Away from the origin the kernel is smooth and fixed
+    Gauss panels suffice.
 
     layer_exp is the power p of the convolved factor's initial layer
-    (W ~ W(0) + c0 t^p); the extra moment int k(tau) (t_{j+1}-tau)^p dtau
-    feeds the end-cell correction that restores accuracy lost to linear
+    (W ~ W(0) + c0 t^p); the extra moment M[j] = int k(tau) (t_{j+1}-tau)^p
+    dtau feeds the end-cell correction that restores accuracy lost to linear
     interpolation of that layer.
     """
-    n = times.size - 1
     h = times[1] - times[0]
-    A = np.empty(n)
-    B = np.empty(n)
-    M = np.empty(n)
     p = float(layer_exp)
 
-    def kernel_sigma(sig):
-        # kernel contribution after tau = sigma^{1/eta}: k(tau) dtau = E/eta dsigma
-        return float(ml_neg(eta, eta, -c * sig, rtol=1e-11)) / eta
+    def K(q):
+        E = ml_neg(eta, eta + q + 1.0, -c * h ** eta, rtol=1e-11)
+        return math.gamma(q + 1.0) * h ** (eta + q) * E
 
-    n_adaptive = min(2, n)
-    for j in range(n_adaptive):
-        t0, t1 = times[j], times[j + 1]
-        lo, hi = t0 ** eta, t1 ** eta
+    def kernel(tau):
+        return tau ** (eta - 1.0) * ml_neg(eta, eta, -c * tau.ravel() ** eta,
+                                           rtol=1e-10).reshape(tau.shape)
 
-        def fa(sig):
-            return kernel_sigma(sig) * (t1 - sig ** (1.0 / eta)) / h
-
-        def fb(sig):
-            return kernel_sigma(sig) * (sig ** (1.0 / eta) - t0) / h
-
-        def fm(sig):
-            return kernel_sigma(sig) * (t1 - sig ** (1.0 / eta)) ** p
-
-        A[j], errA = quad(fa, lo, hi, epsabs=1e-14, epsrel=1e-11, limit=200)
-        B[j], errB = quad(fb, lo, hi, epsabs=1e-14, epsrel=1e-11, limit=200)
-        M[j], _ = quad(fm, lo, hi, epsabs=1e-14, epsrel=1e-11, limit=200)
-        if max(errA, errB) > 1e-9 * max(abs(A[j]), abs(B[j]), 1e-9) + 1e-12:
-            raise QuadratureError(
-                f"kernel moment cell {j} error estimate {max(errA, errB):.2e}")
-    if n > n_adaptive:
-        t0 = times[n_adaptive:-1]
-        mid = t0 + 0.5 * h
-        nodes = mid[:, None] + 0.5 * h * _GAUSS_NODES[None, :]
-        kern = nodes ** (eta - 1.0) * ml_neg(
-            eta, eta, -c * nodes.ravel() ** eta, rtol=1e-10).reshape(nodes.shape)
-        wa = (times[n_adaptive + 1:, None] - nodes) / h
-        vals = kern * 0.5 * h
-        A[n_adaptive:] = (vals * wa) @ _GAUSS_WEIGHTS
-        B[n_adaptive:] = (vals * (1.0 - wa)) @ _GAUSS_WEIGHTS
-        # fractional end moment via Gauss-Jacobi (weight absorbs (t_{j+1}-tau)^p)
-        xj, wj = _jacobi_rule(p)
-        nodes_j = times[n_adaptive + 1:, None] - 0.5 * h * (1.0 - xj[None, :])
-        kern_j = nodes_j ** (eta - 1.0) * ml_neg(
-            eta, eta, -c * nodes_j.ravel() ** eta, rtol=1e-10).reshape(nodes_j.shape)
-        M[n_adaptive:] = (kern_j @ wj) * (0.5 * h) ** (1.0 + p)
+    K0, K1 = K(0.0), K(1.0)
+    nodes = (times[1:-1] + 0.5 * h)[:, None] + 0.5 * h * _GAUSS_NODES[None, :]
+    wa = (times[2:, None] - nodes) / h
+    vals = kernel(nodes) * 0.5 * h
+    A = np.concatenate(([K1 / h], (vals * wa) @ _GAUSS_WEIGHTS))
+    B = np.concatenate(([K0 - K1 / h], (vals * (1.0 - wa)) @ _GAUSS_WEIGHTS))
+    # fractional end moment via Gauss-Jacobi (weight absorbs (t_{j+1}-tau)^p)
+    xj, wj = _jacobi_rule(p)
+    kern_j = kernel(times[2:, None] - 0.5 * h * (1.0 - xj[None, :]))
+    M = np.concatenate(([K(p)], (kern_j @ wj) * (0.5 * h) ** (1.0 + p)))
     return _KernelWeights(A=A, B=B, layer_corr=M - h ** p * A, layer_exp=p, h=h)
 
 
@@ -312,18 +297,29 @@ class LaplaceSymbol:
                 f"alpha={self.alpha}, beta={self.beta}")
 
 
+def _cut_parts(sym: LaplaceSymbol, ra, rb):
+    """Re q, Im q, Im(e^{i alpha pi} conj(q)) and Im(p conj(q)) on the upper
+    side of the cut, s = r e^{i pi}, from ra = r^alpha and rb = r^beta."""
+    a, b, c1, c2 = sym.alpha, sym.beta, sym.c1, sym.c2
+    gap = c1 * c1 - c2 * c2
+    rab = ra * rb
+    re = gap + c1 * (ra * math.cos(a * math.pi) + rb * math.cos(b * math.pi)) \
+        + rab * math.cos((a + b) * math.pi)
+    im = c1 * (ra * math.sin(a * math.pi) + rb * math.sin(b * math.pi)) \
+        + rab * math.sin((a + b) * math.pi)
+    im_exp = gap * math.sin(a * math.pi) + c1 * rb * math.sin((a - b) * math.pi) \
+        - rab * math.sin(b * math.pi)
+    im_p = c1 * gap * math.sin(a * math.pi) \
+        + (c1 * c1 * math.sin((a - b) * math.pi) + gap * math.sin((a + b) * math.pi)) * rb \
+        + c1 * math.sin(a * math.pi) * rb * rb
+    return re, im, im_exp, im_p
+
+
 def q_of_r(sym: LaplaceSymbol, r):
     """Denominator along the upper side of the cut, s = r e^{i pi}, in the
     closed form grouping real and imaginary parts."""
     r = np.asarray(r, dtype=float)
-    a, b, c1, c2 = sym.alpha, sym.beta, sym.c1, sym.c2
-    ra = r ** a
-    rb = r ** b
-    rab = r ** (a + b)
-    re = (c1 * c1 - c2 * c2) + c1 * (ra * math.cos(a * math.pi) + rb * math.cos(b * math.pi)) \
-        + rab * math.cos((a + b) * math.pi)
-    im = c1 * (ra * math.sin(a * math.pi) + rb * math.sin(b * math.pi)) \
-        + rab * math.sin((a + b) * math.pi)
+    re, im, _, _ = _cut_parts(sym, r ** sym.alpha, r ** sym.beta)
     out = re + 1j * im
     return complex(out) if out.ndim == 0 else out
 
@@ -335,14 +331,7 @@ def im_parts(sym: LaplaceSymbol, r):
     each equals the directly computed complex expression to ~1e-12 relative.
     """
     r = np.asarray(r, dtype=float)
-    a, b, c1, c2 = sym.alpha, sym.beta, sym.c1, sym.c2
-    gap = c1 * c1 - c2 * c2
-    rb = r ** b
-    im_exp = gap * math.sin(a * math.pi) + c1 * rb * math.sin((a - b) * math.pi) \
-        - r ** (a + b) * math.sin(b * math.pi)
-    im_p = c1 * gap * math.sin(a * math.pi) \
-        + (c1 * c1 * math.sin((a - b) * math.pi) + gap * math.sin((a + b) * math.pi)) * rb \
-        + c1 * math.sin(a * math.pi) * rb * rb
+    _, _, im_exp, im_p = _cut_parts(sym, r ** sym.alpha, r ** sym.beta)
     if im_exp.ndim == 0:
         return float(im_exp), float(im_p)
     return im_exp, im_p
@@ -479,35 +468,81 @@ def _split_and_count(sym, box, samples, stack) -> int:
     return total
 
 
-def _branch_integral(sym: LaplaceSymbol, t: float, numerator) -> float:
-    """(1/pi) int_0^inf e^{-rt} r^{alpha-1} numerator(r)/|q(r)|^2 dr.
+def _cut_panels(sym: LaplaceSymbol, lo, hi, t_a, t_b):
+    """16-point Gauss-Legendre sums of e^{-x} n(r)/|q(r)|^2 over panels
+    [lo, hi] of y, with x = y^{1/alpha}, r = x/t, t_a = t^-alpha and
+    t_b = t^-beta per panel: the sums and the sums of absolute values, each
+    shaped (2, panels), row 0 for n = im_p and row 1 for n = im_exp."""
+    half = 0.5 * (hi - lo)[:, None]
+    y = 0.5 * (hi + lo)[:, None] + half * _CUT_NODES
+    x = y ** (1.0 / sym.alpha)
+    re, im, im_exp, im_p = _cut_parts(sym, y * t_a[:, None], x ** sym.beta * t_b[:, None])
+    damp = np.exp(-x) / (re * re + im * im)
+    vals = np.stack((im_p * damp, im_exp * damp))
+    w = half * _CUT_WEIGHTS
+    return (vals * w).sum(axis=2), (np.abs(vals) * w).sum(axis=2)
 
-    The r^{alpha-1} endpoint singularity is handled by the algebraic-weight
-    adaptive rule; the exponential factor confines the mass to r <= ~45/t, and
-    the neglected tail is bounded and checked against the result.
+
+def _cut_integrals(sym: LaplaceSymbol, t: np.ndarray):
+    """(1/pi) int_0^{45/t} e^{-rt} r^{alpha-1} n(r)/|q(r)|^2 dr for n = im_p
+    (row 0, U) and n = im_exp (row 1, V), at every t at once.
+
+    x = r t maps each cut to [0, 45] (e^-45 < 1e-19) and y = x^alpha absorbs
+    the weight: t^-alpha/(pi alpha) int_0^{45^alpha} e^{-x} n/|q|^2 dy.  As n
+    and |q|^2 carry r^beta, the first of 16 uniform panels is graded
+    geometrically toward y = 0.  Each (time, panel) pair compares its
+    16-point sum with the sum over its two halves and is bisected while they
+    differ by more than 1e-13 of that time's int |integrand|; each level is
+    one array pass over the active pairs of a chunk of 16 times.  Summed
+    differences above 1e-8 |I(t)|, a tail past x = 45 above 1e-9 |I(t)|, or
+    more than 2,000 panels for one time raise QuadratureError.
     """
-    A = 45.0 / t
-
-    def f(r):
-        q = q_of_r(sym, r)
-        return math.exp(-r * t) * numerator(r) / abs(q) ** 2
-
-    val, err = quad(f, 0.0, A, weight="alg", wvar=(sym.alpha - 1.0, 0.0),
-                    epsabs=1e-300, epsrel=1e-11, limit=400)
-    scale = max(abs(val), 1e-280)
-    if err > 1e-8 * scale:
-        val2, err2 = quad(f, 0.0, A, weight="alg", wvar=(sym.alpha - 1.0, 0.0),
-                          epsabs=1e-13 * scale, epsrel=1e-11, limit=800)
-        if err2 > 1e-8 * max(abs(val2), 1e-280):
-            raise QuadratureError(
-                f"branch-cut quadrature error {err2:.3e} at t={t:g} "
-                f"(value {val2:.6e})")
-        val = val2
-    # crude tail bound: |integrand| decays at least like e^{-rt} past A
-    tail = abs(f(A)) * math.gamma(sym.alpha) * max(A, 1.0) ** (sym.alpha - 1.0) / t
-    if tail > 1e-9 * scale:
-        raise QuadratureError(f"branch-cut tail bound {tail:.3e} not negligible")
-    return val / math.pi
+    if t.size > _CUT_CHUNK:
+        return np.concatenate([_cut_integrals(sym, t[i:i + _CUT_CHUNK])
+                               for i in range(0, t.size, _CUT_CHUNK)], axis=1)
+    a, b, m = sym.alpha, sym.beta, t.size
+    y_max = _CUT_X ** a
+    first = y_max / _CUT_BULK
+    edges = np.concatenate(([0.0], first * _CUT_GRADE ** np.arange(_CUT_LEVELS, 0, -1),
+                            np.linspace(first, y_max, _CUT_BULK)))
+    t_a, t_b = t ** -a, t ** -b
+    owner = np.repeat(np.arange(m), edges.size - 1)
+    lo, hi = np.tile(edges[:-1], m), np.tile(edges[1:], m)
+    coarse, _ = _cut_panels(sym, lo, hi, t_a[owner], t_b[owner])
+    total, err, l1_done = np.zeros((3, 2, m))
+    panels = np.full(m, edges.size - 1)
+    while owner.size:
+        mid = 0.5 * (lo + hi)
+        both = np.concatenate((owner, owner))
+        los, his = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        halves, abs_halves = _cut_panels(sym, los, his, t_a[both], t_b[both])
+        fine = halves[:, :owner.size] + halves[:, owner.size:]
+        fine_abs = abs_halves[:, :owner.size] + abs_halves[:, owner.size:]
+        diff = np.abs(fine - coarse)
+        # int |integrand| so far: accepted panels plus the active ones
+        l1 = l1_done.copy()
+        np.add.at(l1.T, owner, fine_abs.T)
+        split = np.any(diff > _CUT_TOL * l1[:, owner], axis=0)
+        for acc, part in ((total, fine), (err, diff), (l1_done, fine_abs)):
+            np.add.at(acc.T, owner[~split], part[:, ~split].T)
+        panels += np.bincount(owner[split], minlength=m)
+        if np.any(panels > _CUT_BUDGET):
+            raise QuadratureError(f"branch-cut quadrature needs more than {_CUT_BUDGET} "
+                                  f"panels at t={t[np.argmax(panels)]:g}")
+        twice = np.concatenate((split, split))
+        owner, lo, hi, coarse = both[twice], los[twice], his[twice], halves[:, twice]
+    scale = np.maximum(np.abs(total), 1e-280)
+    if np.any(err > 1e-8 * scale):
+        k, i = np.unravel_index(np.argmax(err / scale), err.shape)
+        raise QuadratureError(f"branch-cut quadrature error {err[k, i]:.3e} at "
+                              f"t={t[i]:g} (value {total[k, i]:.6e})")
+    # crude tail bound: |integrand| decays at least like e^{-rt} past r = 45/t
+    re, im, im_exp, im_p = _cut_parts(sym, y_max * t_a, _CUT_X ** b * t_b)
+    edge = math.exp(-_CUT_X) * np.abs(np.stack((im_p, im_exp))) / (re * re + im * im)
+    tail = edge * math.gamma(a) * np.maximum(_CUT_X / t, 1.0) ** (a - 1.0) / t
+    if np.any(tail > 1e-9 * np.maximum(scale * t_a / a, 1e-280)):
+        raise QuadratureError("branch-cut tail bound not negligible")
+    return total * (t_a / (math.pi * a))
 
 
 def branch_cut_invert(sym: LaplaceSymbol, t):
@@ -520,26 +555,21 @@ def branch_cut_invert(sym: LaplaceSymbol, t):
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
+    if not np.all(np.isfinite(t_arr)):
+        raise DomainError("branch-cut inversion needs finite times")
     if np.any(t_arr < 1.0):
         raise DomainError("branch-cut inversion is validated for t >= 1 only; "
                           "use picard_solve below t = 1")
     poles = find_poles(sym)
     c1, c2 = sym.c1, sym.c2
 
-    U = np.empty_like(t_arr)
-    V = np.empty_like(t_arr)
-    for i, tv in enumerate(t_arr):
-        res_u = 0.0
-        res_v = 0.0
-        for z in poles:
-            dp = _denominator_prime(sym, z)
-            e_zt = cmath.exp(z * tv)
-            res_u += (z ** (sym.alpha - 1.0) * (z ** sym.beta + c1) / dp * e_zt).real
-            res_v += (c2 * z ** (sym.alpha - 1.0) / dp * e_zt).real
-        bu = _branch_integral(sym, float(tv), lambda r: im_parts(sym, r)[1])
-        bv = c2 * _branch_integral(sym, float(tv), lambda r: im_parts(sym, r)[0])
-        U[i] = res_u + bu
-        V[i] = res_v + bv
+    U, V = _cut_integrals(sym, t_arr)
+    V *= c2
+    for z in poles:
+        dp = _denominator_prime(sym, z)
+        e_zt = np.exp(z * t_arr)
+        U += (z ** (sym.alpha - 1.0) * (z ** sym.beta + c1) / dp * e_zt).real
+        V += (c2 * z ** (sym.alpha - 1.0) / dp * e_zt).real
     if scalar:
         return float(U[0]), float(V[0])
     return U, V

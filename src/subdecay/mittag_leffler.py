@@ -111,6 +111,18 @@ def _asymp_weights(eta: float, mu: float, cap: int) -> np.ndarray:
     return w
 
 
+def _lift_mu(route, eta, mu, z):
+    """E_{eta,mu}(z) for mu <= 0 as sum_{k<k0} z^k/Gamma(eta*k + mu) +
+    z^k0 E_{eta,mu+eta*k0}(z), the tail from route at a positive mu, so no
+    series term ratio or Kummer factor (mu-1)/(mu-1+k) meets a Gamma pole."""
+    k0 = int(-mu // eta) + 1
+    head = [z ** k * rgamma(eta * k + mu) for k in range(k0)]
+    tail, est = route(eta, mu + eta * k0, z)
+    total = sum(head) + z ** k0 * tail
+    err = np.abs(z ** k0 * tail) * est + _EPS * sum(np.abs(h) for h in head)
+    return total, err / np.maximum(np.abs(total), 1e-300)
+
+
 def _series_f64(eta, mu, z):
     """Vectorized power series. Returns (value, relative error estimate).
 
@@ -118,17 +130,9 @@ def _series_f64(eta, mu, z):
     sum times eps) with the last-term size when the 2000-term cap is hit.
     Each point converges on its own (two consecutive negligible terms), so
     one slow point in a batch does not cost the others their certificate.
-    For mu <= 0 the leading terms, whose Gamma arguments eta*k + mu are not
-    positive, are summed directly: E_{eta,mu}(z) = sum_{k<k0} z^k/Gamma(eta*k
-    + mu) + z^k0 E_{eta,mu+eta*k0}(z), so no term ratio meets a Gamma pole.
     """
     if mu <= 0.0:
-        k0 = int(-mu // eta) + 1
-        head = [z ** k * rgamma(eta * k + mu) for k in range(k0)]
-        tail, est = _series_f64(eta, mu + eta * k0, z)
-        total = sum(head) + z ** k0 * tail
-        err = np.abs(z ** k0 * tail) * est + _EPS * sum(np.abs(h) for h in head)
-        return total, err / np.maximum(np.abs(total), 1e-300)
+        return _lift_mu(_series_f64, eta, mu, z)
     ratios = _series_ratios(float(eta), float(mu), _SERIES_CAP)
     term = np.full(z.shape, rgamma(mu))
     total = term.copy()
@@ -263,6 +267,8 @@ def _kummer_f64(eta, mu, z):
     crosses zero (mu < 1), which the estimate reports.  Term k carries about
     k roundings from the recurrence; the estimate weights it accordingly.
     """
+    if mu <= 0.0:
+        return _lift_mu(_kummer_f64, eta, mu, z)
     x = -z
     power = np.ones_like(x)
     total = np.ones_like(x)

@@ -49,8 +49,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not (self.L > 0.0 and self.T > 0.0):
-            raise DomainError("L and T must be positive")
+        if not (0.0 < self.L < math.inf and 0.0 < self.T < math.inf):
+            raise DomainError(f"L and T must be positive and finite, got L={self.L}, T={self.T}")
         if self.I < 2 or self.N < 2:
             raise DomainError("need I >= 2 space cells and N >= 2 time steps")
 

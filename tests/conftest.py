@@ -6,6 +6,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammaln
 
 
@@ -94,6 +95,34 @@ def l1_history_direct(gamma: float, levels: np.ndarray, n: int) -> np.ndarray:
     b, d = l1_weights_reference(float(gamma), levels.shape[0] - 1)
     levels = np.asarray(levels, dtype=float)
     return b[n] * levels[0] + np.tensordot(d[:n], levels[n:0:-1], axes=1)
+
+
+def branch_cut_quad_reference(sym, t: float, numerator: str) -> float:
+    """(1/pi) int_0^{45/t} e^{-rt} r^{alpha-1} n(r)/|q(r)|^2 dr by scalar
+    QUADPACK (the algebraic-weight rule qawse, epsrel 1e-11), n = im_p for
+    numerator "p" and n = im_exp for "exp": the oracle for the vectorised
+    cut quadrature, with the same error and tail checks.  The closed forms
+    q_of_r and im_parts are held to complex arithmetic in test_frac_ode."""
+    from subdecay.frac_ode import im_parts, q_of_r
+
+    pick = 1 if numerator == "p" else 0
+    A = 45.0 / t
+
+    def f(r):
+        return math.exp(-r * t) * im_parts(sym, r)[pick] / abs(q_of_r(sym, r)) ** 2
+
+    val, err = quad(f, 0.0, A, weight="alg", wvar=(sym.alpha - 1.0, 0.0),
+                    epsabs=1e-300, epsrel=1e-11, limit=400)
+    scale = max(abs(val), 1e-280)
+    if err > 1e-8 * scale:
+        val, err = quad(f, 0.0, A, weight="alg", wvar=(sym.alpha - 1.0, 0.0),
+                        epsabs=1e-13 * scale, epsrel=1e-11, limit=800)
+        if err > 1e-8 * max(abs(val), 1e-280):
+            raise ValueError(f"reference quadrature error {err:.3e} at t={t:g}")
+    tail = abs(f(A)) * math.gamma(sym.alpha) * max(A, 1.0) ** (sym.alpha - 1.0) / t
+    if tail > 1e-9 * scale:
+        raise ValueError(f"reference tail bound {tail:.3e} not negligible")
+    return val / math.pi
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import erfcx
 
+from conftest import branch_cut_quad_reference, ml_series_reference
 from subdecay import mittag_leffler
 from subdecay.errors import ConsistencyError, DomainError
-from subdecay.frac_ode import (LaplaceSymbol, OdeSpec, branch_cut_invert,
-                               check_decay_assumption, default_search_radius,
-                               find_poles, im_parts, picard_monotonicity,
-                               picard_solve, poincare_constant, q_of_r)
+from subdecay.frac_ode import (LaplaceSymbol, OdeSpec, _cut_integrals, _kernel_moments,
+                               branch_cut_invert, check_decay_assumption,
+                               default_search_radius, find_poles, im_parts,
+                               picard_monotonicity, picard_solve, poincare_constant,
+                               q_of_r)
 
 
 def random_symbol(rng):
@@ -186,6 +191,13 @@ class TestPicard:
             OdeSpec(alpha=0.5, beta=0.9, a=1.0, b=0.0,
                     eta1=1.0, eta2=1.0, mu1=0.0, mu2=0.0)
 
+    @pytest.mark.parametrize("name", ["a", "b", "eta1", "eta2", "mu1", "mu2"])
+    def test_non_finite_coefficient_rejected(self, name):
+        fields = dict(alpha=0.9, beta=0.5, a=1.0, b=0.0,
+                      eta1=1.0, eta2=1.0, mu1=0.5, mu2=0.5)
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            OdeSpec(**{**fields, name: math.nan})
+
     def test_nonconvergence_reported_not_raised(self):
         spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.0,
                        eta1=0.0, eta2=0.0, mu1=4.0, mu2=4.0)
@@ -194,11 +206,81 @@ class TestPicard:
         assert path.iterations == 3
 
 
+def kernel_cell_reference(eta, c, t0, t1, weight):
+    """int_{t0}^{t1} k(tau) weight(tau) dtau for the relaxation kernel
+    k(tau) = tau^{eta-1} E_{eta,eta}(-c tau^eta), by QUADPACK under
+    sigma = tau^eta (k dtau = E(-c sigma)/eta dsigma, no singular factor
+    left) over the mpmath series of E."""
+    def f(sig):
+        return ml_series_reference(eta, eta, -c * sig) / eta * weight(sig ** (1.0 / eta))
+
+    val, err = quad(f, t0 ** eta, t1 ** eta, epsabs=0.0, epsrel=2e-14, limit=200)
+    assert err <= 1e-13 * abs(val)
+    return val
+
+
+class TestKernelMoments:
+    @pytest.mark.parametrize("eta, c, p, T, n", [
+        (0.9, 2.0, 0.5, 20.0, 5120), (0.5, 2.0, 0.9, 20.0, 5120),
+        (1.0, 2.0, 0.5, 20.0, 16), (0.3, 1.0, 0.1, 5.0, 64)])
+    def test_first_cells_against_quadrature(self, eta, c, p, T, n):
+        # cell 0 is closed form, cell 1 the Gauss and Gauss-Jacobi panels
+        times = np.linspace(0.0, T, n + 1)
+        kw = _kernel_moments(eta, c, times, layer_exp=p)
+        h = kw.h
+        M = kw.layer_corr + h ** p * kw.A
+        for j in (0, 1):
+            t0, t1 = times[j], times[j + 1]
+            A = kernel_cell_reference(eta, c, t0, t1, lambda tau: (t1 - tau) / h)
+            B = kernel_cell_reference(eta, c, t0, t1, lambda tau: (tau - t0) / h)
+            Mj = kernel_cell_reference(eta, c, t0, t1, lambda tau: (t1 - tau) ** p)
+            assert kw.A[j] == pytest.approx(A, rel=1e-12, abs=0.0)
+            assert kw.B[j] == pytest.approx(B, rel=1e-12, abs=0.0)
+            assert M[j] == pytest.approx(Mj, rel=1e-12, abs=0.0)
+
+
+def cut_reference(sym, t):
+    return np.array([[branch_cut_quad_reference(sym, tv, n) for tv in t]
+                     for n in ("p", "exp")])
+
+
 class TestBranchCutInversion:
     def test_rejects_small_times(self):
         sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.9, beta=0.5)
         with pytest.raises(DomainError):
             branch_cut_invert(sym, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.9, beta=0.5)
+        with pytest.raises(DomainError, match="finite"):
+            branch_cut_invert(sym, bad)
+        with pytest.raises(DomainError, match="finite"):
+            branch_cut_invert(sym, np.array([2.0, bad]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.2, 1.0), beta_share=st.floats(0.0, 1.0),
+           c2=st.floats(0.05, 3.0), ratio=st.floats(1.01, 4.0),
+           log_t=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3))
+    def test_cut_integrals_against_quadpack(self, alpha, beta_share, c2, ratio, log_t):
+        beta = 0.05 + beta_share * (alpha - 0.05)
+        sym = LaplaceSymbol(c1=ratio * c2, c2=c2, alpha=alpha, beta=beta)
+        try:
+            find_poles(sym)
+        except ConsistencyError:
+            assume(False)
+        t = 10.0 ** np.array(log_t)
+        ref = cut_reference(sym, t)
+        np.testing.assert_allclose(_cut_integrals(sym, t), ref, rtol=1e-9, atol=0.0)
+
+    def test_near_pole_cut_against_quadpack(self):
+        # at orders 1.0/0.2, c2 = 0.053, |q(r)|^2 dips to 4e-7 near r = c1 = 2
+        sym = LaplaceSymbol(c1=2.0, c2=0.053, alpha=1.0, beta=0.2)
+        r = np.linspace(1.9, 2.1, 2001)
+        assert np.min(np.abs(q_of_r(sym, r)) ** 2) < 5e-7
+        t = np.array([1.0, 2.0, 5.0, 10.0, 20.0, 100.0, 1e4])
+        np.testing.assert_allclose(_cut_integrals(sym, t), cut_reference(sym, t),
+                                   rtol=1e-9, atol=0.0)
 
     def test_against_talbot_frozen_values(self):
         # frozen from an independent 30-digit Talbot inversion of the symbols

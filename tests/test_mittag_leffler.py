@@ -175,6 +175,11 @@ class TestMLEval:
         for x in (-0.5, -2.0, -6.0):
             assert ml_neg(0.5, -1.3, x) == pytest.approx(ml_series_reference(0.5, -1.3, x),
                                                          rel=1e-12)
+        # E_{1,0}(z) = z e^z and E_{1,-1}(z) = z^2 e^z across the crossover band,
+        # where the Kummer factor (mu-1)/(mu-1+k) would divide by zero at k = 1 - mu
+        z = -np.linspace(0.5, 40.0, 80)
+        assert np.allclose(ml_neg(1.0, 0.0, z), z * np.exp(z), rtol=1e-13, atol=0.0)
+        assert np.allclose(ml_neg(1.0, -1.0, z), z ** 2 * np.exp(z), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):

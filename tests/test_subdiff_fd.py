@@ -98,6 +98,14 @@ class TestBandedSolve:
             banded_solve(eye, np.ones(5))
 
 
+class TestGrid:
+    @pytest.mark.parametrize("name", ["L", "T"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_extent_rejected(self, name, bad):
+        with pytest.raises(DomainError, match="positive and finite"):
+            Grid(**{"L": math.pi, "I": 4, "T": 1.0, "N": 4, name: bad})
+
+
 class TestAssembly:
     def grid(self, I=3):
         return Grid(L=math.pi, I=I, T=1.0, N=4)
