@@ -6,9 +6,8 @@ decoupled mixed-order system, and long-time decay-rate estimation."""
 from .decay import (DecayFit, NormSeries, fit_exponent, l2_norm,
                     pointwise_exponent)
 from .frac_ode import (LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert,
-                       check_decay_assumption, find_poles, im_parts,
-                       picard_monotonicity, picard_solve, poincare_constant,
-                       q_of_r)
+                       check_decay_assumption, im_parts, picard_monotonicity,
+                       picard_solve, poincare_constant, q_of_r)
 from .mittag_leffler import MLQuery, gamma_fn, ml_eval, relaxation_kernel
 from .spectral import (ModeConvolution, SpectralSolution, asymptotic_v,
                        decoupled_solve, mode_convolution, q_integral,
@@ -21,8 +20,8 @@ from .subdiff_fd import (BandedMatrix, Grid, History, SystemSpec,
 __all__ = [
     "MLQuery", "gamma_fn", "ml_eval", "relaxation_kernel",
     "OdeSpec", "OdePath", "LaplaceSymbol", "picard_solve",
-    "picard_monotonicity", "q_of_r", "im_parts", "find_poles",
-    "branch_cut_invert", "check_decay_assumption", "poincare_constant",
+    "picard_monotonicity", "q_of_r", "im_parts", "branch_cut_invert",
+    "check_decay_assumption", "poincare_constant",
     "Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights",
     "assemble_block_matrix", "banded_solve", "gershgorin_disks",
     "stability_condition", "simulate", "norm_history",

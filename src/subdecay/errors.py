@@ -35,8 +35,3 @@ class QuadratureError(NumericalError):
 
 class SolverError(NumericalError):
     """A linear solve failed (singular or numerically unusable system)."""
-
-
-class ConsistencyError(NumericalError):
-    """An internal cross-check failed (e.g. a located pole violating the
-    half-plane condition)."""

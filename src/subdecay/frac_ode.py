@@ -1,7 +1,7 @@
 """Coupled two-component fractional relaxation system, solved two independent
-ways: Picard iteration on the Volterra integral form, and residue plus
-branch-cut inversion of the Laplace-domain symbols for the special constant
-system (initial data (1, 0), no sources, symmetric damping/coupling).
+ways: Picard iteration on the Volterra integral form, and branch-cut
+inversion of the Laplace-domain symbols for the special constant system
+(initial data (1, 0), no sources, symmetric damping/coupling).
 
 The system is
 
@@ -18,12 +18,15 @@ The Laplace route writes
     U^(s) = s^{alpha-1}(s^beta+c1) / D(s),   V^(s) = c2 s^{alpha-1} / D(s),
     D(s)  = (s^alpha+c1)(s^beta+c1) - c2^2,
 
-and inverts along the branch cut: poles of D on the principal branch are
-located by argument-principle counting plus Newton polish, and the cut
-contributes an integral of e^{-rt} r^{alpha-1} against closed-form imaginary
-parts, one adaptive Gauss-Legendre pass for all times.  The two solvers
-share nothing numerically, which is exactly why the cross-check between
-them is trusted.
+and inverts along the branch cut alone, because D has no zero in the cut
+plane: for 0 < arg s = theta < pi the factors s^alpha + c1 and s^beta + c1
+have arguments in (0, alpha theta) and (0, beta theta), so their product has
+argument in (0, 2 pi) and is never the positive real c2^2; on the positive
+axis the product is at least c1^2 > c2^2, and conjugation covers theta < 0.
+With no residues, the inversion is an integral of e^{-rt} r^{alpha-1}
+against closed-form imaginary parts along the cut, one adaptive
+Gauss-Legendre pass for all times.  The two solvers share nothing
+numerically, which is exactly why the cross-check between them is trusted.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import roots_jacobi
 
-from .errors import ConsistencyError, DomainError, QuadratureError
+from .errors import DomainError, QuadratureError
 from .mittag_leffler import ml_neg
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -280,7 +283,8 @@ def poincare_constant(L: float) -> float:
 
 @dataclass(frozen=True)
 class LaplaceSymbol:
-    """Constant-coefficient symbol with c1 > c2 > 0 (the validated decay set)."""
+    """Constant-coefficient symbol with finite c1 > c2 > 0 and orders
+    0 < beta <= alpha <= 1, alpha = beta = 1 excluded (the validated decay set)."""
 
     c1: float
     c2: float
@@ -288,13 +292,16 @@ class LaplaceSymbol:
     beta: float
 
     def __post_init__(self):
-        if not (self.c1 > self.c2 > 0.0):
+        if not (math.isfinite(self.c1) and self.c1 > self.c2 > 0.0):
             raise DomainError(
-                f"need c1 > c2 > 0, got c1={self.c1}, c2={self.c2}")
+                f"need finite c1 > c2 > 0, got c1={self.c1}, c2={self.c2}")
         if not (0.0 < self.beta <= self.alpha <= 1.0):
             raise DomainError(
                 f"orders must satisfy 0 < beta <= alpha <= 1, got "
                 f"alpha={self.alpha}, beta={self.beta}")
+        if self.alpha == 1.0 and self.beta == 1.0:
+            raise DomainError("alpha = beta = 1 puts the poles on the negative "
+                              "axis and leaves no cut; need alpha < 1 or beta < 1")
 
 
 def _cut_parts(sym: LaplaceSymbol, ra, rb):
@@ -337,137 +344,6 @@ def im_parts(sym: LaplaceSymbol, r):
     return im_exp, im_p
 
 
-def _denominator(sym: LaplaceSymbol, s):
-    return (s ** sym.alpha + sym.c1) * (s ** sym.beta + sym.c1) - sym.c2 ** 2
-
-
-def _denominator_prime(sym: LaplaceSymbol, s):
-    return sym.alpha * s ** (sym.alpha - 1.0) * (s ** sym.beta + sym.c1) \
-        + sym.beta * s ** (sym.beta - 1.0) * (s ** sym.alpha + sym.c1)
-
-
-def default_search_radius(sym: LaplaceSymbol) -> float:
-    """Root magnitudes scale like c^{1/order}; factor 4 is the safety margin."""
-    return 4.0 * max(sym.c1, sym.c2) ** (1.0 / min(sym.alpha, sym.beta))
-
-
-def _winding(sym: LaplaceSymbol, corners, samples: int) -> int:
-    """Winding number of D(s) around 0 along the rectangle boundary."""
-    x0, x1, y0, y1 = corners
-    edges = [
-        np.linspace(x0 + 1j * y0, x1 + 1j * y0, samples),
-        np.linspace(x1 + 1j * y0, x1 + 1j * y1, samples),
-        np.linspace(x1 + 1j * y1, x0 + 1j * y1, samples),
-        np.linspace(x0 + 1j * y1, x0 + 1j * y0, samples),
-    ]
-    pts = np.concatenate(edges)
-    vals = _denominator(sym, pts)
-    if np.min(np.abs(vals)) < 1e-12 * np.max(np.abs(vals)):
-        raise ConsistencyError("pole search contour passes through a zero")
-    ang = np.angle(vals)
-    dang = np.diff(np.concatenate([ang, ang[:1]]))
-    dang = (dang + math.pi) % (2.0 * math.pi) - math.pi
-    if np.max(np.abs(dang)) > 0.5 * math.pi:
-        if samples >= 2 ** 15:
-            raise ConsistencyError("winding sampling did not stabilize")
-        return _winding(sym, corners, samples * 2)
-    total = float(np.sum(dang)) / (2.0 * math.pi)
-    count = int(round(total))
-    if abs(total - count) > 0.05:
-        if samples >= 2 ** 15:
-            raise ConsistencyError(f"non-integer winding {total:.3f}")
-        return _winding(sym, corners, samples * 2)
-    return count
-
-
-def _newton_polish(sym: LaplaceSymbol, z0: complex) -> complex | None:
-    z = z0
-    for _ in range(80):
-        d = _denominator(sym, z)
-        dp = _denominator_prime(sym, z)
-        if dp == 0:
-            return None
-        step = d / dp
-        z = z - step
-        if z.real != z.real or abs(z) > 1e12 or z.imag == 0.0:
-            return None
-        if abs(step) < 1e-14 * (1.0 + abs(z)):
-            return z
-    return None
-
-
-def find_poles(sym: LaplaceSymbol, search_radius: float | None = None,
-               samples: int = 512) -> list[complex]:
-    """Zeros of the symbol denominator on the principal branch.
-
-    Counts zeros in the upper-half search box by the argument principle,
-    isolates them by rectangle subdivision, polishes with Newton and mirrors
-    the conjugates.  Located poles must have negative real part and nonzero
-    imaginary part; a violation raises ConsistencyError.  An empty list is a
-    valid result.  The classical case alpha = beta = 1 is excluded (its poles
-    sit on the cut itself).
-    """
-    if sym.alpha == 1.0 and sym.beta == 1.0:
-        raise DomainError("alpha = beta = 1 puts the poles on the cut; "
-                          "need alpha < 1 or beta < 1")
-    R = float(search_radius) if search_radius is not None else default_search_radius(sym)
-    eps_im = 1e-9 * R
-    top = (-R, R * 1e-9, eps_im, R)
-    total = _winding(sym, top, samples)
-    found: list[complex] = []
-    stack = [(top, total)]
-    while stack:
-        box, count = stack.pop()
-        if count == 0:
-            continue
-        x0, x1, y0, y1 = box
-        if count == 1 or max(x1 - x0, y1 - y0) < 1e-6 * R:
-            z = _newton_polish(sym, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
-            if z is None or not (x0 - 0.05 * R <= z.real <= x1 + 0.05 * R
-                                 and y0 - 0.05 * R <= z.imag <= y1 + 0.05 * R):
-                if max(x1 - x0, y1 - y0) < 1e-6 * R:
-                    raise ConsistencyError(
-                        f"could not resolve a counted zero inside {box}")
-                # split further and retry
-                count_children = _split_and_count(sym, box, samples, stack)
-                if count_children != count:
-                    raise ConsistencyError("zero count changed under subdivision")
-                continue
-            found.append(z)
-            continue
-        count_children = _split_and_count(sym, box, samples, stack)
-        if count_children != count:
-            raise ConsistencyError("zero count changed under subdivision")
-
-    poles: list[complex] = []
-    for z in found:
-        if all(abs(z - p) > 1e-8 * (1.0 + abs(z)) for p in poles):
-            poles.append(z)
-    if len(poles) != total:
-        raise ConsistencyError(
-            f"located {len(poles)} distinct zeros but winding says {total}")
-    for z in poles:
-        if z.real >= 0.0 or abs(z.imag) <= eps_im:
-            raise ConsistencyError(
-                f"pole {z} violates the negative-real-part / nonzero-imaginary "
-                f"condition")
-    mirrored = poles + [z.conjugate() for z in poles]
-    return sorted(mirrored, key=lambda z: (z.real, z.imag))
-
-
-def _split_and_count(sym, box, samples, stack) -> int:
-    x0, x1, y0, y1 = box
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    children = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
-    total = 0
-    for child in children:
-        c = _winding(sym, child, samples)
-        total += c
-        if c:
-            stack.append((child, c))
-    return total
-
-
 def _cut_panels(sym: LaplaceSymbol, lo, hi, t_a, t_b):
     """16-point Gauss-Legendre sums of e^{-x} n(r)/|q(r)|^2 over panels
     [lo, hi] of y, with x = y^{1/alpha}, r = x/t, t_a = t^-alpha and
@@ -493,9 +369,10 @@ def _cut_integrals(sym: LaplaceSymbol, t: np.ndarray):
     geometrically toward y = 0.  Each (time, panel) pair compares its
     16-point sum with the sum over its two halves and is bisected while they
     differ by more than 1e-13 of that time's int |integrand|; each level is
-    one array pass over the active pairs of a chunk of 16 times.  Summed
-    differences above 1e-8 |I(t)|, a tail past x = 45 above 1e-9 |I(t)|, or
-    more than 2,000 panels for one time raise QuadratureError.
+    one array pass over the active pairs of a chunk of 16 times.  A
+    non-finite sum (c1^2 or |q|^2 out of float64 range), summed differences
+    above 1e-8 |I(t)|, a tail past x = 45 above 1e-9 |I(t)|, or more than
+    2,000 panels for one time raise QuadratureError.
     """
     if t.size > _CUT_CHUNK:
         return np.concatenate([_cut_integrals(sym, t[i:i + _CUT_CHUNK])
@@ -531,6 +408,9 @@ def _cut_integrals(sym: LaplaceSymbol, t: np.ndarray):
                                   f"panels at t={t[np.argmax(panels)]:g}")
         twice = np.concatenate((split, split))
         owner, lo, hi, coarse = both[twice], los[twice], his[twice], halves[:, twice]
+    if not np.all(np.isfinite(total)):
+        raise QuadratureError("branch-cut integrand overflows float64 for "
+                              f"c1={sym.c1:g}, c2={sym.c2:g}")
     scale = np.maximum(np.abs(total), 1e-280)
     if np.any(err > 1e-8 * scale):
         k, i = np.unravel_index(np.argmax(err / scale), err.shape)
@@ -546,11 +426,10 @@ def _cut_integrals(sym: LaplaceSymbol, t: np.ndarray):
 
 
 def branch_cut_invert(sym: LaplaceSymbol, t):
-    """(U(t), V(t)) by residues plus branch-cut integrals, valid for t >= 1.
+    """(U(t), V(t)) by the branch-cut integrals, valid for t >= 1.
 
     The cut contribution enters with the orientation that reproduces the
-    classical completely monotone representation in the decoupled limit;
-    residues of the conjugate pole pairs are summed explicitly.
+    classical completely monotone representation in the decoupled limit.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -560,16 +439,8 @@ def branch_cut_invert(sym: LaplaceSymbol, t):
     if np.any(t_arr < 1.0):
         raise DomainError("branch-cut inversion is validated for t >= 1 only; "
                           "use picard_solve below t = 1")
-    poles = find_poles(sym)
-    c1, c2 = sym.c1, sym.c2
-
     U, V = _cut_integrals(sym, t_arr)
-    V *= c2
-    for z in poles:
-        dp = _denominator_prime(sym, z)
-        e_zt = np.exp(z * t_arr)
-        U += (z ** (sym.alpha - 1.0) * (z ** sym.beta + c1) / dp * e_zt).real
-        V += (c2 * z ** (sym.alpha - 1.0) / dp * e_zt).real
+    V *= sym.c2
     if scalar:
         return float(U[0]), float(V[0])
     return U, V

@@ -123,13 +123,16 @@ class SystemSpec:
         if any(x > y + 1e-15 for x, y in zip(self.orders[1:], self.orders[:-1])):
             problems.append("orders must be non-increasing")
         for d in self.diffusivities:
-            if not d > 0.0:
-                problems.append(f"diffusivity {d} must be positive")
+            if not 0.0 < d < math.inf:
+                problems.append(f"diffusivity {d} must be positive and finite")
         if not problems:
             for k in range(K):
                 if len(self.couplings[k]) != K:
                     problems.append(f"coupling row {k} has wrong length")
                     continue
+                for l, c in enumerate(self.couplings[k]):
+                    if not callable(c) and not math.isfinite(float(c)):
+                        problems.append(f"coupling c[{k}][{l}] = {c} must be finite")
                 ckk = self.couplings[k][k]
                 if not callable(ckk) and float(ckk) < 0.0:
                     problems.append(f"diagonal coupling c[{k}][{k}] = {ckk} < 0")

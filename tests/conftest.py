@@ -125,6 +125,32 @@ def branch_cut_quad_reference(sym, t: float, numerator: str) -> float:
     return val / math.pi
 
 
+def principal_zero_count(sym) -> int:
+    """Zeros of D(s) = (s^alpha + c1)(s^beta + c1) - c2^2 in the box
+    |Re s| < R, 1e-9 R < Im s < R of the upper half plane, R = 4 c1^(1/beta)
+    (zeros have |s^order| of order c1), by the argument principle: the
+    winding number of D along the box boundary, resampled until no step
+    turns by more than pi/2.  Conjugation covers the lower half plane, and
+    D >= c1^2 - c2^2 > 0 on the positive axis.  Where D nearly vanishes next
+    to the cut (orders 1.0/0.2, c1 = 1.9, c2 = 0.02) the sampling does not
+    settle and ValueError is raised."""
+    R = 4.0 * sym.c1 ** (1.0 / sym.beta)
+    corners = [complex(-R, 1e-9 * R), complex(R, 1e-9 * R), complex(R, R), complex(-R, R)]
+    samples = 512
+    while samples <= 2 ** 15:
+        s = np.concatenate([np.linspace(a, b, samples, endpoint=False)
+                            for a, b in zip(corners, corners[1:] + corners[:1])])
+        d = (s ** sym.alpha + sym.c1) * (s ** sym.beta + sym.c1) - sym.c2 ** 2
+        turn = np.angle(np.roll(d, -1) / d)
+        if np.max(np.abs(turn)) < 0.5 * math.pi:
+            winding = float(np.sum(turn)) / (2.0 * math.pi)
+            if abs(winding - round(winding)) > 0.05:
+                raise ValueError(f"non-integer winding {winding:.3f}")
+            return round(winding)
+        samples *= 2
+    raise ValueError("winding sampling did not stabilize")
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

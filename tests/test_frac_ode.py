@@ -2,17 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
-from conftest import branch_cut_quad_reference, ml_series_reference
+from conftest import branch_cut_quad_reference, ml_series_reference, principal_zero_count
 from subdecay import mittag_leffler
-from subdecay.errors import ConsistencyError, DomainError
+from subdecay.errors import DomainError, QuadratureError
 from subdecay.frac_ode import (LaplaceSymbol, OdeSpec, _cut_integrals, _kernel_moments,
-                               branch_cut_invert, check_decay_assumption,
-                               default_search_radius, find_poles, im_parts,
+                               branch_cut_invert, check_decay_assumption, im_parts,
                                picard_monotonicity, picard_solve, poincare_constant,
                                q_of_r)
 
@@ -39,6 +38,11 @@ class TestSymbol:
             LaplaceSymbol(c1=1.0, c2=-0.5, alpha=0.9, beta=0.5)
         with pytest.raises(DomainError):
             LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.5, beta=0.9)
+
+    @pytest.mark.parametrize("c1", [math.inf, math.nan])
+    def test_rejects_non_finite_c1(self, c1):
+        with pytest.raises(DomainError, match="finite"):
+            LaplaceSymbol(c1=c1, c2=1.0, alpha=0.9, beta=0.5)
 
     def test_q_at_origin(self):
         sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.9, beta=0.5)
@@ -104,27 +108,18 @@ class TestImParts:
 
 
 class TestFindPoles:
+    """The inversion sums no residues: the symbols it accepts have no pole
+    in the cut plane, and alpha = beta = 1, whose poles lie on the negative
+    axis, is refused."""
+
     def test_classical_case_excluded(self):
-        sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=1.0, beta=1.0)
-        with pytest.raises(DomainError):
-            find_poles(sym)
+        with pytest.raises(DomainError, match="alpha = beta = 1"):
+            LaplaceSymbol(c1=2.0, c2=1.0, alpha=1.0, beta=1.0)
 
     @pytest.mark.parametrize("orders", [(0.9, 0.5), (1.0, 0.5), (0.7, 0.7)])
     def test_reference_symbols_have_no_principal_poles(self, orders):
         sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=orders[0], beta=orders[1])
-        assert find_poles(sym) == []
-
-    def test_two_resolution_agreement(self):
-        sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.9, beta=0.5)
-        coarse = find_poles(sym, samples=256)
-        fine = find_poles(sym, samples=1024)
-        assert len(coarse) == len(fine)
-        for zc, zf in zip(coarse, fine):
-            assert abs(zc - zf) < 1e-8
-
-    def test_search_radius_default(self):
-        sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.9, beta=0.5)
-        assert default_search_radius(sym) == pytest.approx(4.0 * 2.0 ** 2)
+        assert principal_zero_count(sym) == 0
 
 
 class TestPicard:
@@ -244,6 +239,22 @@ def cut_reference(sym, t):
                      for n in ("p", "exp")])
 
 
+def assert_solvers_agree(alpha, beta, c1, c2):
+    """Picard (T = 20, 5120 steps) and branch-cut inversion of the symmetric
+    system with data (1, 0) agree to 1e-4 relative at t = 1, 2, 5, 10, 20."""
+    sym = LaplaceSymbol(c1=c1, c2=c2, alpha=alpha, beta=beta)
+    spec = OdeSpec(alpha=alpha, beta=beta, a=1.0, b=0.0,
+                   eta1=c1, eta2=c1, mu1=c2, mu2=c2)
+    path = picard_solve(spec, T=20.0, n_steps=5120)
+    assert path.converged
+    t_check = np.array([1.0, 2.0, 5.0, 10.0, 20.0])
+    U_bc, V_bc = branch_cut_invert(sym, t_check)
+    idx = np.searchsorted(path.times, t_check)
+    np.testing.assert_allclose(path.times[idx], t_check, atol=1e-12, rtol=0)
+    assert np.max(np.abs(path.U[idx] - U_bc) / U_bc) < 1e-4
+    assert np.max(np.abs(path.V[idx] - V_bc) / V_bc) < 1e-4
+
+
 class TestBranchCutInversion:
     def test_rejects_small_times(self):
         sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.9, beta=0.5)
@@ -265,13 +276,16 @@ class TestBranchCutInversion:
     def test_cut_integrals_against_quadpack(self, alpha, beta_share, c2, ratio, log_t):
         beta = 0.05 + beta_share * (alpha - 0.05)
         sym = LaplaceSymbol(c1=ratio * c2, c2=c2, alpha=alpha, beta=beta)
-        try:
-            find_poles(sym)
-        except ConsistencyError:
-            assume(False)
         t = 10.0 ** np.array(log_t)
         ref = cut_reference(sym, t)
         np.testing.assert_allclose(_cut_integrals(sym, t), ref, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("c1, c2", [(1e200, 1.0), (1e-150, 1e-160)])
+    def test_overflowing_symbol_refused(self, c1, c2):
+        # c1^2 overflows, or |q|^2 ~ c1^4 underflows to 0: no silent inf/NaN
+        sym = LaplaceSymbol(c1=c1, c2=c2, alpha=0.9, beta=0.5)
+        with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="overflows"):
+            branch_cut_invert(sym, np.array([1.0, 100.0]))
 
     def test_near_pole_cut_against_quadpack(self):
         # at orders 1.0/0.2, c2 = 0.053, |q(r)|^2 dips to 4e-7 near r = c1 = 2
@@ -292,16 +306,7 @@ class TestBranchCutInversion:
                                   rel=1e-8)
 
     def test_cross_solver_agreement(self):
-        sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.9, beta=0.5)
-        spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.0,
-                       eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
-        path = picard_solve(spec, T=20.0, n_steps=5120)
-        t_check = np.array([1.0, 2.0, 5.0, 10.0, 20.0])
-        U_bc, V_bc = branch_cut_invert(sym, t_check)
-        idx = np.searchsorted(path.times, t_check)
-        np.testing.assert_allclose(path.times[idx], t_check, atol=1e-12, rtol=0)
-        assert np.max(np.abs(path.U[idx] - U_bc) / U_bc) < 1e-4
-        assert np.max(np.abs(path.V[idx] - V_bc) / V_bc) < 1e-4
+        assert_solvers_agree(0.9, 0.5, c1=2.0, c2=1.0)
 
     def test_cold_solve_stays_in_float64(self, monkeypatch):
         # the kernel tables of a cold solve need no extended precision
@@ -316,16 +321,14 @@ class TestBranchCutInversion:
 
     def test_classical_fast_order_agreement(self):
         # orders 1.0/0.5: the fast kernel and E_{1,1} are plain exponentials
-        sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=1.0, beta=0.5)
-        spec = OdeSpec(alpha=1.0, beta=0.5, a=1.0, b=0.0,
-                       eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
-        path = picard_solve(spec, T=20.0, n_steps=5120)
-        assert path.converged
-        t_check = np.array([1.0, 2.0, 5.0, 10.0, 20.0])
-        U_bc, V_bc = branch_cut_invert(sym, t_check)
-        idx = np.searchsorted(path.times, t_check)
-        assert np.max(np.abs(path.U[idx] - U_bc) / U_bc) < 1e-4
-        assert np.max(np.abs(path.V[idx] - V_bc) / V_bc) < 1e-4
+        assert_solvers_agree(1.0, 0.5, c1=2.0, c2=1.0)
+
+    @pytest.mark.parametrize("orders, c1, c2", [
+        ((1.0, 0.05), 1.5, 1.0), ((1.0, 0.2), 1.9, 0.02), ((1.0, 0.2), 2.1, 0.1)])
+    def test_near_cut_symbols_against_picard(self, orders, c1, c2):
+        # |q(r)| dips to 5e-2, 3e-5 and 5e-4 of |q(0)| along the cut for
+        # these symbols; the cut integral alone must still match Picard
+        assert_solvers_agree(*orders, c1=c1, c2=c2)
 
     def test_positivity_along_the_decay(self):
         for alpha in (0.9, 1.0):
@@ -335,7 +338,7 @@ class TestBranchCutInversion:
 
     def test_residue_bound_trivial_when_no_poles(self):
         sym = LaplaceSymbol(c1=2.0, c2=1.0, alpha=0.9, beta=0.5)
-        assert find_poles(sym) == []
+        assert principal_zero_count(sym) == 0
         # with an empty pole set the inversion is the pure cut integral,
         # bounded by any e^{sigma t} with sigma < 0
         U, _ = branch_cut_invert(sym, 10.0)

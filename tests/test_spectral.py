@@ -17,12 +17,20 @@ SQRT_PI_HALF = math.sqrt(math.pi / 2.0)
 
 
 def quad_reference_mode(lam, beta, t, dps=35):
-    """Independent extended-precision quadrature of the mode convolution."""
+    """Independent extended-precision quadrature of the mode convolution.
+
+    At beta = 1/2 the kernel is the closed form
+    E_{1/2,1/2}(-x) = 1/sqrt(pi) - x e^{x^2} erfc(x) in working precision;
+    other orders use the series reference."""
     with mpmath.workdps(dps):
         bb = mpmath.mpf(beta)
 
-        def E(z):
-            return mpmath.mpf(ml_series_reference(beta, beta, float(z)))
+        if beta == 0.5:
+            def E(z):
+                return 1 / mpmath.sqrt(mpmath.pi) + z * mpmath.exp(z * z) * mpmath.erfc(-z)
+        else:
+            def E(z):
+                return mpmath.mpf(ml_series_reference(beta, beta, float(z)))
 
         def f(u):
             tau = t - u

@@ -374,5 +374,11 @@ class TestStepping:
         with pytest.raises(DomainError):
             SystemSpec(orders=(0.9,), diffusivities=(1.0,), couplings=[[-0.2]],
                        initials=[np.sin])
+        with pytest.raises(DomainError, match="finite"):
+            SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, math.inf),
+                       couplings=[[1.0, 0.0], [0.0, 1.0]], initials=[np.sin, HAT])
+        with pytest.raises(DomainError, match="finite"):
+            SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
+                       couplings=[[1.0, math.nan], [0.0, 1.0]], initials=[np.sin, HAT])
         with pytest.raises(DomainError):
             Grid(L=math.pi, I=1, T=1.0, N=4)
