@@ -9,9 +9,8 @@ from .frac_ode import (LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert,
                        check_decay_assumption, im_parts, picard_monotonicity,
                        picard_solve, poincare_constant, q_of_r)
 from .mittag_leffler import MLQuery, gamma_fn, ml_eval, relaxation_kernel
-from .spectral import (ModeConvolution, SpectralSolution, asymptotic_v,
-                       decoupled_solve, mode_convolution, q_integral,
-                       r_series_identity)
+from .spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
+                       mode_convolution, q_integral, r_series_identity)
 from .subdiff_fd import (BandedMatrix, Grid, History, SystemSpec,
                          assemble_block_matrix, banded_solve, gershgorin_disks,
                          l1_weights, norm_history, simulate,
@@ -26,6 +25,6 @@ __all__ = [
     "assemble_block_matrix", "banded_solve", "gershgorin_disks",
     "stability_condition", "simulate", "norm_history",
     "NormSeries", "DecayFit", "pointwise_exponent", "fit_exponent", "l2_norm",
-    "SpectralSolution", "ModeConvolution", "decoupled_solve",
-    "mode_convolution", "q_integral", "r_series_identity", "asymptotic_v",
+    "SpectralSolution", "decoupled_solve", "mode_convolution",
+    "q_integral", "r_series_identity", "asymptotic_v",
 ]

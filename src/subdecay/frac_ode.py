@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import roots_jacobi
 
 from .errors import DomainError, QuadratureError
@@ -118,6 +117,7 @@ class _KernelWeights:
     A[j], B[j] are the hat moments over cell [t_j, t_{j+1}]; layer_corr[j] is
     the defect of the linear rule against a t^p front (the other component's
     singular layer exponent), applied at the moving end of the convolution.
+    AB_hat holds the FFTs of A and B at the wrap-free length n_fft.
     """
 
     A: np.ndarray
@@ -125,6 +125,8 @@ class _KernelWeights:
     layer_corr: np.ndarray
     layer_exp: float
     h: float
+    n_fft: int
+    AB_hat: np.ndarray
 
 
 def _kernel_moments(eta: float, c: float, times: np.ndarray,
@@ -165,7 +167,15 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
     xj, wj = _jacobi_rule(p)
     kern_j = kernel(times[2:, None] - 0.5 * h * (1.0 - xj[None, :]))
     M = np.concatenate(([K(p)], (kern_j @ wj) * (0.5 * h) ** (1.0 + p)))
-    return _KernelWeights(A=A, B=B, layer_corr=M - h ** p * A, layer_exp=p, h=h)
+    n_fft = _fft_size(2 * A.size - 1)
+    return _KernelWeights(A=A, B=B, layer_corr=M - h ** p * A, layer_exp=p, h=h,
+                          n_fft=n_fft, AB_hat=np.fft.rfft(np.stack((A, B)), n_fft))
+
+
+def _fft_size(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m: numpy's FFT is slow at large prime factors."""
+    k = range(m.bit_length() + 1)
+    return min(n for n in (2 ** a * 3 ** b * 5 ** c for a in k for b in k for c in k) if n >= m)
 
 
 @lru_cache(maxsize=64)
@@ -180,7 +190,9 @@ def _convolve_linear(kw: _KernelWeights, W):
     approximates int_0^{t_i} k(tau) W(t_i - tau) dtau."""
     n = kw.A.size
     out = np.zeros(n + 1)
-    out[1:] = fftconvolve(kw.A, W[1:])[:n] + fftconvolve(kw.B, W[:-1])[:n]
+    # A * W[1:] + B * W[:-1] in one inverse transform
+    W_hat = np.fft.rfft(np.stack((W[1:], W[:-1])), kw.n_fft)
+    out[1:] = np.fft.irfft((kw.AB_hat * W_hat).sum(axis=0), kw.n_fft)[:n]
     # replace the linear rule on the moving-end cell by the layer model
     # W(s) ~ W(0) + c0 s^p: out[i] gains c0 * (M[i-1] - h^p A[i-1])
     c0 = (W[1] - W[0]) / kw.h ** kw.layer_exp

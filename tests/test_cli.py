@@ -1,10 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subdecay
 from subdecay.cli import (RunConfig, build_parser, conjectured_rate, main, run,
                           table_configs)
 from subdecay.errors import ConfigError, NumericalError
@@ -190,3 +194,15 @@ class TestCommandLine:
     def test_parser_rejects_missing_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestImportHygiene:
+    def test_cold_import_loads_no_heavy_modules(self):
+        # scipy.signal and scipy.integrate cost about a second of cold start,
+        # and mpmath belongs to the test oracles, not the library
+        src = os.path.dirname(os.path.dirname(os.path.abspath(subdecay.__file__)))
+        code = ("import sys, subdecay, subdecay.cli; print(' '.join(m for m in "
+                "('scipy.signal', 'scipy.integrate', 'mpmath') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == ""

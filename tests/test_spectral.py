@@ -4,12 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from subdecay.errors import DomainError
+from subdecay.errors import DomainError, QuadratureError
 from subdecay.mittag_leffler import gamma_fn
-from subdecay.spectral import (ModeConvolution, SpectralSolution, asymptotic_v,
-                               decoupled_solve, eigenfunction, eigenvalues,
-                               mode_convolution, project_initial, q_integral,
-                               r_series_identity)
+from subdecay.spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
+                               eigenfunction, eigenvalues, mode_convolution,
+                               project_initial, q_integral, r_series_identity)
 
 from conftest import ml_series_reference
 
@@ -37,6 +36,15 @@ def quad_reference_mode(lam, beta, t, dps=35):
             return tau ** (bb - 1) * E(-lam * tau ** bb) * mpmath.e ** (-lam * u)
 
         return float(mpmath.quad(f, [0, t / 2, t]))
+
+
+def talbot_reference_mode(lam, beta, t, dps=40):
+    """Talbot inversion of F(s) = 1/((s^beta + lam)(s + lam)) in 40-digit
+    arithmetic: a different contour, rule and precision from the library's."""
+    with mpmath.workdps(dps):
+        bb, ll = mpmath.mpf(beta), mpmath.mpf(lam)
+        return float(mpmath.invertlaplace(lambda s: 1 / ((s ** bb + ll) * (s + ll)),
+                                          mpmath.mpf(t), method="talbot"))
 
 
 class TestEigensystem:
@@ -77,8 +85,38 @@ class TestModeConvolution:
     def test_positivity(self):
         for lam in (1.0, 9.0, 100.0):
             for t in (0.1, 1.0, 10.0, 1000.0):
-                mc = ModeConvolution.evaluate(lam, 0.5, t)
-                assert mc.value > 0.0
+                assert mode_convolution(lam, 0.5, t) > 0.0
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.99])
+    def test_against_talbot_over_envelope(self, beta):
+        for lam in (1.0, 64.0, 4096.0):
+            for t in (1e-8, 1e-5, 1e-2, 1.0, 1e2, 1e4):
+                ref = talbot_reference_mode(lam, beta, t)
+                assert mode_convolution(lam, beta, t) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.99])
+    def test_regime_switch(self, beta):
+        # plain F at lam*t = 0.5, the subtracted form at lam*t = 2, chosen
+        # per mode within one call
+        for t in (1.0, 2.0 ** -12):
+            lam = np.array([0.5, 2.0]) / t
+            got = mode_convolution(lam, beta, t)
+            for g, lt in zip(got, lam):
+                assert g == pytest.approx(talbot_reference_mode(lt, beta, t), rel=1e-10)
+                assert g == pytest.approx(mode_convolution(float(lt), beta, t), rel=1e-14)
+
+    def test_array_matches_scalar_calls(self):
+        lam = eigenvalues(64)
+        for t in (1e-3, 1.0, 1000.0):
+            got = mode_convolution(lam, 0.5, t)
+            assert got.shape == lam.shape
+            for g, x in zip(got, lam):
+                assert g == pytest.approx(mode_convolution(float(x), 0.5, t), rel=1e-14)
+
+    def test_estimate_above_rtol_raises(self):
+        # the rounding part of the estimate alone is ~1e-16 relative
+        with pytest.raises(QuadratureError):
+            mode_convolution(1.0, 0.5, 1.0, rtol=1e-20)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -87,6 +125,13 @@ class TestModeConvolution:
             mode_convolution(1.0, 1.2, 1.0)
         with pytest.raises(DomainError):
             mode_convolution(-1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("lam,t", [(math.inf, 1.0), (math.nan, 1.0),
+                                       (np.array([1.0, math.inf]), 1.0),
+                                       (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_inputs(self, lam, t):
+        with pytest.raises(DomainError):
+            mode_convolution(lam, 0.5, t)
 
 
 class TestDecoupledSolve:
@@ -102,6 +147,14 @@ class TestDecoupledSolve:
         _, v = decoupled_solve(coeffs, 0.5, 1.0)
         assert v[0] == pytest.approx(mode_convolution(1.0, 0.5, 1.0), rel=1e-12)
         assert v[1] == pytest.approx(0.5 * mode_convolution(4.0, 0.5, 1.0), rel=1e-12)
+
+    def test_input_checks(self):
+        with pytest.raises(DomainError):
+            decoupled_solve([], 0.5, 1.0)
+        with pytest.raises(DomainError):
+            decoupled_solve([1.0, math.nan], 0.5, 1.0)
+        with pytest.raises(DomainError):
+            decoupled_solve([0.0, 0.0], 0.5, -1.0)
 
 
 class TestQIntegral:
@@ -207,3 +260,49 @@ class TestAsymptoticForm:
     def test_requires_large_time(self):
         with pytest.raises(DomainError):
             asymptotic_v(np.array([1.0]), 0.5, 1.0)
+
+
+class TestSpectralInputChecks:
+    def test_asymptotic_non_finite_time(self):
+        for t in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                asymptotic_v(np.array([1.0]), 0.5, t)
+
+    def test_asymptotic_non_finite_coefficient(self):
+        with pytest.raises(DomainError):
+            asymptotic_v(np.array([math.nan, 1.0]), 0.5, 100.0)
+
+    def test_non_finite_coefficients(self):
+        with pytest.raises(DomainError):
+            SpectralSolution(beta=0.5, u0_coeffs=[math.nan, 1.0]).v_norm(10.0)
+        with pytest.raises(DomainError):
+            SpectralSolution(beta=0.5, u0_coeffs=[])
+
+    def test_non_positive_time_with_zero_data(self):
+        sol = SpectralSolution(beta=0.5, u0_coeffs=[0.0, 0.0])
+        assert sol.v_norm(1.0) == 0.0
+        with pytest.raises(DomainError):
+            sol.v_norm(-1.0)
+
+    def test_u_norm_non_finite_time(self):
+        sol = SpectralSolution(beta=0.5, u0=np.sin, n_modes=4)
+        for t in (math.nan, math.inf, 0.0):
+            with pytest.raises(DomainError):
+                sol.u_norm(t)
+
+    def test_tail_estimate_negative_time(self):
+        sol = SpectralSolution(beta=0.5, u0=np.sin, n_modes=4)
+        with pytest.raises(DomainError):
+            sol.tail_estimate(-5.0)
+
+    def test_n_modes_at_least_one(self):
+        with pytest.raises(DomainError):
+            SpectralSolution(beta=0.5, u0=np.sin, n_modes=0)
+        with pytest.raises(DomainError):
+            project_initial(np.sin, 0)
+
+    def test_non_finite_datum(self):
+        with pytest.raises(DomainError):
+            project_initial(lambda x: np.where(x > 1.0, math.nan, x), 4)
+        with pytest.raises(DomainError):
+            SpectralSolution(beta=0.5, u0=lambda x: np.full_like(x, math.inf), n_modes=4)
