@@ -8,7 +8,7 @@ from .decay import (DecayFit, NormSeries, fit_exponent, l2_norm,
 from .frac_ode import (LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert,
                        check_decay_assumption, im_parts, picard_monotonicity,
                        picard_solve, poincare_constant, q_of_r)
-from .mittag_leffler import MLQuery, gamma_fn, ml_eval, relaxation_kernel
+from .mittag_leffler import gamma_fn, ml_eval, relaxation_kernel
 from .spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
                        mode_convolution, q_integral, r_series_identity)
 from .subdiff_fd import (BandedMatrix, Grid, History, SystemSpec,
@@ -17,7 +17,7 @@ from .subdiff_fd import (BandedMatrix, Grid, History, SystemSpec,
                          stability_condition)
 
 __all__ = [
-    "MLQuery", "gamma_fn", "ml_eval", "relaxation_kernel",
+    "gamma_fn", "ml_eval", "relaxation_kernel",
     "OdeSpec", "OdePath", "LaplaceSymbol", "picard_solve",
     "picard_monotonicity", "q_of_r", "im_parts", "branch_cut_invert",
     "check_decay_assumption", "poincare_constant",

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,37 +59,24 @@ def _ic_profiles(K: int, case: str):
             f"{sorted(c for (k, c) in table if k == K)}") from None
 
 
-_SCHEMA = {
-    "mode": str,
-    "scheme": str,
-    "orders": list,
-    "diffusivities": list,
-    "couplings": list,
-    "ic_case": str,
-    "ic_scale": (int, float),
-    "L": (int, float),
-    "T": (int, float),
-    "n_time": int,
-    "n_space": int,
-    "window": list,
-    "stride": int,
-    "output": str,
+def _floats(values) -> tuple:
+    """Nested lists of numbers as nested tuples of floats."""
+    return tuple(_floats(v) if isinstance(v, (list, tuple)) else float(v) for v in values)
+
+
+# JSON type and converter of each RunConfig field, by its annotation's first
+# name (annotations are strings here); "| None" marks the keys where an
+# explicit null means "use the default"
+_FIELD_TYPES = {
+    "tuple": (list, _floats),
+    "float": ((int, float), float),
+    "int": (int, int),
+    "str": (str, str),
 }
 
-_DEFAULTS = {
-    "mode": "pde",
-    "scheme": "semi-implicit",
-    "diffusivities": None,
-    "couplings": None,
-    "ic_scale": 1.0,
-    "L": math.pi,
-    "T": 1000.0,
-    "n_time": 4000,
-    "n_space": 128,
-    "window": None,
-    "stride": 10,
-    "output": None,
-}
+
+def _field_type(f):
+    return _FIELD_TYPES[f.type.split(" | ")[0]]
 
 
 @dataclass(frozen=True)
@@ -99,7 +86,6 @@ class RunConfig:
     orders: tuple
     ic_case: str
     scheme: str = "semi-implicit"
-    mode: str = "pde"
     diffusivities: tuple | None = None
     couplings: tuple | None = None
     ic_scale: float = 1.0
@@ -111,58 +97,18 @@ class RunConfig:
     stride: int = 10
     output: str | None = None
 
-    # keys where an explicit null means "use the default"
-    _NULLABLE = frozenset({"diffusivities", "couplings", "window", "output"})
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        problems = []
-        unknown = sorted(set(raw) - set(_SCHEMA))
-        if unknown:
-            problems.append(f"unknown config keys: {unknown}")
-        raw = {k: v for k, v in raw.items()
-               if not (v is None and k in cls._NULLABLE)}
-        for key, typ in _SCHEMA.items():
-            if key in raw and not isinstance(raw[key], typ):
-                problems.append(f"key {key!r} has wrong type {type(raw[key]).__name__}")
-        if "orders" not in raw:
-            problems.append("missing required key 'orders'")
-        if "ic_case" not in raw:
-            problems.append("missing required key 'ic_case'")
-        if problems:
-            raise ConfigError(problems)
-        merged = dict(_DEFAULTS)
-        merged.update(raw)
-        K = len(merged["orders"])
-        if merged["diffusivities"] is None:
-            merged["diffusivities"] = [1.0] * K
-        if merged["couplings"] is None:
-            merged["couplings"] = _default_couplings(K)
-        cfg = cls(
-            orders=tuple(float(a) for a in merged["orders"]),
-            ic_case=str(merged["ic_case"]),
-            scheme=str(merged["scheme"]),
-            mode=str(merged["mode"]),
-            diffusivities=tuple(float(d) for d in merged["diffusivities"]),
-            couplings=tuple(tuple(float(c) for c in row) for row in merged["couplings"]),
-            ic_scale=float(merged["ic_scale"]),
-            L=float(merged["L"]),
-            T=float(merged["T"]),
-            n_time=int(merged["n_time"]),
-            n_space=int(merged["n_space"]),
-            window=None if merged["window"] is None else
-            (float(merged["window"][0]), float(merged["window"][1])),
-            stride=int(merged["stride"]),
-            output=merged["output"],
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        problems = []
+    def __post_init__(self):
+        """K-dependent defaults, lists as tuples of floats, then every rule checked."""
         K = len(self.orders)
-        if self.mode != "pde":
-            problems.append(f"mode must be 'pde' for run configs, got {self.mode!r}")
+        if self.diffusivities is None:
+            object.__setattr__(self, "diffusivities", [1.0] * K)
+        if self.couplings is None:
+            object.__setattr__(self, "couplings", _default_couplings(K))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                object.__setattr__(self, f.name, _field_type(f)[1](value))
+        problems = []
         if self.scheme not in ("semi-implicit", "fully-implicit"):
             problems.append(f"unknown scheme {self.scheme!r}")
         if K not in (1, 2, 3):
@@ -188,30 +134,41 @@ class RunConfig:
             problems.append("L and T must be positive")
         if self.n_time < 2 or self.n_space < 2:
             problems.append("n_time and n_space must be >= 2")
-        if self.window is not None and not (1.0 <= self.window[0] < self.window[1] <= self.T):
+        if self.window is not None and not (
+                len(self.window) == 2 and 1.0 <= self.window[0] < self.window[1] <= self.T):
             problems.append("window must satisfy 1 <= lo < hi <= T")
         if self.stride < 1:
             problems.append("stride must be >= 1")
         if problems:
             raise ConfigError(problems)
 
+    @classmethod
+    def from_dict(cls, raw: dict) -> "RunConfig":
+        problems = []
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            problems.append(f"unknown config keys: {unknown}")
+        for f in fields(cls):
+            json_type = _field_type(f)[0]
+            if f.name not in raw:
+                if f.default is MISSING:
+                    problems.append(f"missing required key {f.name!r}")
+            elif not (isinstance(raw[f.name], json_type)
+                      or raw[f.name] is None and "| None" in f.type):
+                problems.append(
+                    f"key {f.name!r} has wrong type {type(raw[f.name]).__name__}")
+        if problems:
+            raise ConfigError(problems)
+        try:
+            return cls(**raw)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:  # e.g. a null order, a flat couplings list
+            raise ConfigError(f"malformed config entry: {exc}") from None
+
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "scheme": self.scheme,
-            "orders": list(self.orders),
-            "diffusivities": list(self.diffusivities),
-            "couplings": [list(r) for r in self.couplings],
-            "ic_case": self.ic_case,
-            "ic_scale": self.ic_scale,
-            "L": self.L,
-            "T": self.T,
-            "n_time": self.n_time,
-            "n_space": self.n_space,
-            "window": None if self.window is None else list(self.window),
-            "stride": self.stride,
-            "output": self.output,
-        }
+        """The config as JSON values, tuples written as lists."""
+        return json.loads(json.dumps(asdict(self)))
 
     def system_spec(self) -> subdiff_fd.SystemSpec:
         profiles = _ic_profiles(len(self.orders), self.ic_case)
@@ -272,7 +229,6 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
     Deterministic for a fixed config.  The CSV columns are t, norm_1..K and
     pointwise_exp_1..K (NaN where t <= 1 makes the ratio undefined).
     """
-    config.validate()
     t_start = time.perf_counter()
     spec = config.system_spec()
     grid = config.grid()
@@ -340,20 +296,23 @@ def _fit_window(times, values, window):
     return decay_mod.fit_exponent(series, window)
 
 
+def _pointwise(times, values):
+    """decay.pointwise_exponent where it is defined: t > 1 and value > 0."""
+    mask = (times > 1.0) & (values > 0.0)
+    return mask, decay_mod.pointwise_exponent(decay_mod.NormSeries(times[mask], values[mask]))
+
+
 def _write_series_csv(fh, times, norms):
     K = norms.shape[1]
+    pointwise = np.full(norms.shape, np.nan)
+    for k in range(K):
+        mask, ratio = _pointwise(times, norms[:, k])
+        pointwise[mask, k] = ratio.values
     header = ["t"] + [f"norm_{k + 1}" for k in range(K)] \
         + [f"pointwise_exp_{k + 1}" for k in range(K)]
     fh.write(",".join(header) + "\n")
-    for i, t in enumerate(times):
-        row = [_FMT.format(t)]
-        row += [_FMT.format(v) for v in norms[i]]
-        for k in range(K):
-            if t > 1.0 and norms[i, k] > 0.0:
-                row.append(_FMT.format(math.log(norms[i, k]) / math.log(t)))
-            else:
-                row.append("nan")
-        fh.write(",".join(row) + "\n")
+    for t, row in zip(times, np.hstack([norms, pointwise])):
+        fh.write(",".join(_FMT.format(x) for x in (t, *row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +462,9 @@ def _cmd_decay(args) -> int:
         fit = decay_mod.fit_exponent(series, window)
         print(f"{col}: exponent {fit.exponent:+.6f} intercept {fit.intercept:+.6f} "
               f"rms {fit.rms_residual:.3e} on window [{window[0]:g}, {window[1]:g}]")
-        mask = (times > 1.0) & (vals > 0.0)
-        pw = np.log(vals[mask]) / np.log(times[mask])
+        _, ratio = _pointwise(times, vals)
         print(f"{col}: pointwise ratio series (t, log value / log t):")
-        for t, p in zip(times[mask], pw):
+        for t, p in zip(ratio.times, ratio.values):
             print(f"  {_FMT.format(t)},{_FMT.format(p)}")
     return 0
 

@@ -91,18 +91,20 @@ def fit_exponent(series: NormSeries, window: tuple[float, float]) -> DecayFit:
                     intercept=float(intercept), rms_residual=rms, n_samples=n)
 
 
-def l2_norm(profile, dx: float) -> float:
-    """Composite-trapezoid approximation of the spatial L2 norm.
+def l2_norm(profile, dx: float):
+    """Composite-trapezoid approximation of the spatial L2 norm along the
+    last axis: a float for a 1-D profile, an array of norms otherwise.
 
     ``profile`` samples the function on equispaced nodes including both
     boundary nodes; second-order accurate in dx for smooth profiles.
     """
     u = np.asarray(profile, dtype=float)
-    if u.ndim != 1 or u.size < 2:
-        raise DomainError("profile must be a 1-D array of at least 2 nodes")
+    if u.ndim < 1 or u.shape[-1] < 2:
+        raise DomainError("profile needs at least 2 nodes along its last axis")
     sq = u * u
-    integral = dx * (0.5 * sq[0] + np.sum(sq[1:-1]) + 0.5 * sq[-1])
-    return float(np.sqrt(integral))
+    norms = np.sqrt(dx * (np.sum(sq[..., 1:-1], axis=-1)
+                         + 0.5 * sq[..., 0] + 0.5 * sq[..., -1]))
+    return float(norms) if u.ndim == 1 else norms
 
 
 def log_uniform_indices(times: np.ndarray, lo: float, hi: float, n: int = 50) -> np.ndarray:

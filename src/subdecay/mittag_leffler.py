@@ -24,7 +24,6 @@ by an a-posteriori relative error estimate:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,28 +62,6 @@ def gamma_fn(x: float) -> float:
     if x > 0.0:
         return math.gamma(x)
     return math.pi / (_sinpi(x) * math.gamma(1.0 - x))
-
-
-@dataclass(frozen=True)
-class MLQuery:
-    """Parameters (eta, mu) and argument z for one Mittag-Leffler evaluation.
-
-    eta must be positive; the evaluation domain is restricted to z <= 0
-    (every use downstream is of the form -lambda*t^eta or -c*t^eta).
-    """
-
-    eta: float
-    mu: float
-    z: float
-
-    def __post_init__(self):
-        if not self.eta > 0.0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
-        if self.z > 0.0:
-            raise DomainError(f"z must be <= 0, got {self.z}")
-
-    def evaluate(self) -> float:
-        return ml_eval(self.eta, self.mu, self.z)
 
 
 @lru_cache(maxsize=256)

@@ -49,6 +49,8 @@ from .mittag_leffler import _EPS, _contour_rule, gamma_fn, ml_neg
 
 # nodes s_k and weights w_k at t = 1: the 43-node estimate, the 64-node value
 _RULES = tuple(_contour_rule(1.0, 1.0, n) for n in (43, 64))
+# trapezoid cells of the initial-datum projection on (0, pi)
+_N_QUAD = 16384
 
 
 def _positive_time(t) -> float:
@@ -77,20 +79,20 @@ def eigenfunction(n: int, x: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 / math.pi) * np.sin(n * np.asarray(x, dtype=float))
 
 
-def project_initial(u0, n_modes: int, n_quad: int = 16384) -> np.ndarray:
-    """Coefficients (u0, phi_n) by composite trapezoid on a fine grid."""
-    if not n_modes >= 1:
-        raise DomainError(f"n_modes must be >= 1, got {n_modes}")
-    x = np.linspace(0.0, math.pi, n_quad + 1)
+def project_initial(u0, n_modes: int) -> np.ndarray:
+    """Coefficients (u0, phi_n) by composite trapezoid on a fine grid, all at
+    once: with x_j = j pi / M, sum_j w_j u0(x_j) sin(n x_j) is minus the
+    imaginary part of bin n of the length-2M real FFT of w_j u0(x_j)."""
+    if not 1 <= n_modes <= _N_QUAD:
+        raise DomainError(f"n_modes must lie in [1, {_N_QUAD}], got {n_modes}")
+    x = np.linspace(0.0, math.pi, _N_QUAD + 1)
     vals = np.asarray(u0(x), dtype=float) if callable(u0) else np.asarray(u0, float)
     if not np.all(np.isfinite(vals)):
         raise DomainError("initial datum must be finite")
-    dx = x[1] - x[0]
-    coeffs = np.empty(n_modes)
-    for n in range(1, n_modes + 1):
-        integrand = vals * eigenfunction(n, x)
-        coeffs[n - 1] = dx * (0.5 * integrand[0] + integrand[1:-1].sum()
-                              + 0.5 * integrand[-1])
+    weighted = vals * np.ones_like(x)
+    weighted[[0, -1]] *= 0.5
+    spectrum = np.fft.rfft(weighted, 2 * _N_QUAD)
+    coeffs = -math.sqrt(2.0 / math.pi) * (x[1] - x[0]) * spectrum.imag[1:n_modes + 1]
     # trapezoid noise on exactly-orthogonal modes is pure rounding; zero it
     coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs), initial=0.0)] = 0.0
     return _finite_coeffs(coeffs)

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import rgamma
 
+from .decay import l2_norm
 from .errors import DomainError, SolverError
 
 # relative size of the neglected parts of the L1 memory's exponential sum
@@ -178,7 +179,6 @@ class History:
 
     grid: Grid
     values: np.ndarray
-    scheme: str
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +276,16 @@ def _r_coeffs(spec: SystemSpec, grid: Grid) -> np.ndarray:
         for a, d in zip(spec.orders, spec.diffusivities)])
 
 
-def stability_condition(spec: SystemSpec, grid: Grid | None = None,
-                        time_levels: Sequence[float] | None = None) -> bool:
+def stability_condition(spec: SystemSpec, grid: Grid | None = None) -> bool:
     """Row-dominance of the couplings: c_kk >= sum_{l != k} |c_kl| pointwise.
 
     Constant couplings are checked directly; coefficient functions need a
-    grid (and optionally explicit time levels) to sample.
+    grid to sample at its nodes and time levels.
     """
-    return stability_margin(spec, grid, time_levels) >= 0.0
+    return stability_margin(spec, grid) >= 0.0
 
 
-def stability_margin(spec: SystemSpec, grid: Grid | None = None,
-                     time_levels: Sequence[float] | None = None) -> float:
+def stability_margin(spec: SystemSpec, grid: Grid | None = None) -> float:
     """min over rows/space/time of c_kk - sum_{l != k} |c_kl|; zero margin
     means the Gershgorin disks touch the unit circle (still stable)."""
     K = spec.K
@@ -300,9 +298,8 @@ def stability_margin(spec: SystemSpec, grid: Grid | None = None,
     if grid is None:
         raise DomainError("time/space-dependent couplings need a grid to sample")
     x = grid.x[1:-1]
-    ts = grid.times if time_levels is None else np.asarray(time_levels, float)
     worst = math.inf
-    for t in ts:
+    for t in grid.times:
         for k in range(K):
             diag = spec.coupling_at(k, k, x, float(t))
             off = np.zeros_like(x)
@@ -435,8 +432,7 @@ class _Stepper:
         return banded_solve(matrix, rhs.T.reshape(-1)).reshape(m, K).T
 
 
-def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit",
-             check_diagonal: bool = True) -> History:
+def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit") -> History:
     """Run the chosen scheme over the whole grid and return the History.
 
     Initial profiles are sampled at the nodes with boundary values forced to
@@ -453,7 +449,7 @@ def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit",
         values[0, k, :] = prof
     values[0, :, 0] = 0.0
     values[0, :, -1] = 0.0
-    if check_diagonal and not spec.couplings_constant():
+    if not spec.couplings_constant():
         xs = x[1:-1]
         for k in range(K):
             if np.any(spec.coupling_at(k, k, xs, 0.0) < 0.0):
@@ -461,16 +457,11 @@ def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit",
     stepper = _Stepper(spec, grid, scheme, values[0, :, 1:-1])
     for n in range(grid.N):
         values[n + 1, :, 1:-1] = stepper.step(n, values[n, :, 1:-1])
-    return History(grid=grid, values=values, scheme=scheme)
+    return History(grid=grid, values=values)
 
 
 def norm_history(history: History, stride: int = 1):
     """Times and discrete L2 norms (trapezoid) of every component, strided."""
     grid = history.grid
-    dx = grid.dx
     sel = np.arange(0, grid.N + 1, stride)
-    vals = history.values[sel]
-    sq = vals ** 2
-    integral = dx * (np.sum(sq[..., 1:-1], axis=-1)
-                     + 0.5 * sq[..., 0] + 0.5 * sq[..., -1])
-    return grid.times[sel], np.sqrt(integral)
+    return grid.times[sel], l2_norm(history.values[sel], grid.dx)

@@ -20,9 +20,7 @@ from subdecay.subdiff_fd import Grid, SystemSpec, simulate, norm_history
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
 ZERO = lambda x: np.zeros_like(x)
-PARABOLA = lambda x: x * (np.pi - x)
 C2 = [[1.0, -1.0], [-1.0, 1.0]]
-C3 = [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]]
 SQRT_PI_HALF = math.sqrt(math.pi / 2.0)
 
 
@@ -32,33 +30,22 @@ def _report(criterion, ok, detail):
     assert ok, line
 
 
-def _drive(orders, couplings, initials, T=1000.0, N=4000, I=128,
-           window=(200.0, 1000.0), scheme="semi-implicit"):
-    """Simulate and fit: returns (per-component slopes, summed-norm slope)."""
-    grid = Grid(L=math.pi, I=I, T=T, N=N)
-    spec = SystemSpec(orders=orders, diffusivities=(1.0,) * len(orders),
-                      couplings=couplings, initials=initials)
-    hist = simulate(spec, grid, scheme)
-    times, norms = norm_history(hist)
-    slopes = []
-    for k in range(len(orders)):
-        sel = decay_mod.log_uniform_indices(times, window[0], window[1], 60)
-        fit = decay_mod.fit_exponent(
-            decay_mod.NormSeries(times[sel], norms[sel, k]), window)
-        slopes.append(fit.exponent)
-    sel = decay_mod.log_uniform_indices(times, window[0], window[1], 60)
-    total = decay_mod.fit_exponent(
-        decay_mod.NormSeries(times[sel], norms.sum(axis=1)[sel]), window).exponent
-    return slopes, total
+def _drive(orders, ic_case):
+    """One reference run through ``cli.run`` (default couplings, unit
+    diffusivities, T=1000, N=4000, I=128, fit window [T/5, T]), every time
+    level kept: returns (per-component slopes, summed-norm slope)."""
+    rep = run(RunConfig.from_dict({"orders": list(orders), "ic_case": ic_case,
+                                   "stride": 1}))
+    return [fit.exponent for fit in rep.component_fits], rep.total_fit.exponent
 
 
 class TestCriterion1:
     def test_figure2_rates(self):
         t0 = time.perf_counter()
-        slopes_i, _ = _drive((0.9, 0.5), C2, [np.sin, HAT])
+        slopes_i, _ = _drive((0.9, 0.5), "i")
         el_i = time.perf_counter() - t0
         t0 = time.perf_counter()
-        slopes_ii, _ = _drive((0.9, 0.5), C2, [np.sin, ZERO])
+        slopes_ii, _ = _drive((0.9, 0.5), "ii")
         el_ii = time.perf_counter() - t0
         ok = (all(abs(s + 0.5) <= 0.05 for s in slopes_i)
               and all(abs(s + 0.9) <= 0.05 for s in slopes_ii)
@@ -72,8 +59,8 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_figure3_rates(self):
-        slopes_i, _ = _drive((1.0, 0.5), C2, [np.sin, HAT])
-        slopes_ii, _ = _drive((1.0, 0.5), C2, [np.sin, ZERO])
+        slopes_i, _ = _drive((1.0, 0.5), "i")
+        slopes_ii, _ = _drive((1.0, 0.5), "ii")
         ok = (all(abs(s + 0.5) <= 0.05 for s in slopes_i)
               and all(abs(s + 1.5) <= 0.07 for s in slopes_ii))
         _report(2, ok,
@@ -84,8 +71,8 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_figure4_rates(self):
-        slopes_03, _ = _drive((1.0, 0.3), C2, [np.sin, ZERO])
-        slopes_07, _ = _drive((1.0, 0.7), C2, [np.sin, ZERO])
+        slopes_03, _ = _drive((1.0, 0.3), "ii")
+        slopes_07, _ = _drive((1.0, 0.7), "ii")
         ok = (all(abs(s + 1.3) <= 0.07 for s in slopes_03)
               and all(abs(s + 1.7) <= 0.07 for s in slopes_07))
         _report(3, ok,
@@ -97,9 +84,9 @@ class TestCriterion4:
     def test_figure5_three_component_rates(self):
         # one fitted exponent per case (the tables and figures report a
         # single rate per experiment): fit the summed component norms
-        _, s_i = _drive((0.9, 0.5, 0.3), C3, [PARABOLA, np.sin, HAT])
-        _, s_ii = _drive((0.9, 0.5, 0.3), C3, [np.sin, HAT, ZERO])
-        _, s_iii = _drive((0.9, 0.5, 0.3), C3, [np.sin, ZERO, ZERO])
+        _, s_i = _drive((0.9, 0.5, 0.3), "i")
+        _, s_ii = _drive((0.9, 0.5, 0.3), "ii")
+        _, s_iii = _drive((0.9, 0.5, 0.3), "iii")
         ok = (abs(s_i + 0.3) <= 0.05 and abs(s_ii + 0.5) <= 0.05
               and abs(s_iii + 0.9) <= 0.05)
         _report(4, ok,

@@ -1,9 +1,12 @@
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,31 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({**SMALL, "typo_key": 1})
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['mode'\]"):
+            RunConfig.from_dict({**SMALL, "mode": "pde"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("orders", "0.9"), ("ic_case", 2), ("scheme", 1), ("diffusivities", 1.0),
+        ("couplings", "C2"), ("ic_scale", "1"), ("L", [3.0]), ("T", "50"),
+        ("n_time", 250.0), ("n_space", "24"), ("window", 10.0), ("stride", 1.5),
+        ("output", 3)])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"key '{field}' has wrong type"):
+            RunConfig.from_dict({**SMALL, field: value})
+
+    def test_null_means_default_only_where_documented(self):
+        for key in ("diffusivities", "couplings", "window", "output"):
+            base = {k: v for k, v in SMALL.items() if k != key}
+            assert RunConfig.from_dict({**base, key: None}) == RunConfig.from_dict(base)
+        for key in ("T", "scheme", "n_time", "ic_case"):
+            with pytest.raises(ConfigError, match=f"key '{key}' has wrong type NoneType"):
+                RunConfig.from_dict({**SMALL, key: None})
+
+    @pytest.mark.parametrize("field, value", [
+        ("orders", [0.9, None]), ("couplings", [1.0, -1.0]), ("window", [10.0])])
+    def test_malformed_entries_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({**SMALL, field: value})
 
     def test_missing_required_keys_enumerated(self):
         with pytest.raises(ConfigError) as err:
@@ -58,6 +86,13 @@ class TestRunConfig:
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             RunConfig.from_dict({**SMALL, field: value})
+
+    def test_readme_documents_every_field(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("### PDE run configuration", 1)[1]
+        block = section.split("```json", 1)[1].split("```", 1)[0]
+        keys = re.findall(r'^  "(\w+)":', block, flags=re.MULTILINE)
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
     def test_defaults_fill_in(self):
         cfg = RunConfig.from_dict({"orders": [0.9, 0.5], "ic_case": "i"})

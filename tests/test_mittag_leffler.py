@@ -6,8 +6,7 @@ from scipy.special import erfcx
 
 from subdecay import mittag_leffler
 from subdecay.errors import DomainError, UnsupportedRangeError
-from subdecay.mittag_leffler import (MLQuery, gamma_fn, ml_eval, ml_neg,
-                                     relaxation_kernel)
+from subdecay.mittag_leffler import gamma_fn, ml_eval, ml_neg, relaxation_kernel
 
 from conftest import ml_integral_reference, ml_series_reference
 
@@ -41,20 +40,6 @@ class TestGamma:
                 continue
             ref = float(mpmath.gamma(mpmath.mpf(float(x))))
             assert gamma_fn(float(x)) == pytest.approx(ref, rel=1e-13)
-
-
-class TestMLQuery:
-    def test_rejects_nonpositive_order(self):
-        with pytest.raises(DomainError):
-            MLQuery(eta=0.0, mu=1.0, z=-1.0)
-
-    def test_rejects_positive_argument(self):
-        with pytest.raises(DomainError):
-            MLQuery(eta=0.5, mu=1.0, z=0.5)
-
-    def test_evaluate_matches_function(self):
-        q = MLQuery(eta=0.5, mu=1.0, z=-1.0)
-        assert q.evaluate() == ml_eval(0.5, 1.0, -1.0)
 
 
 class TestMLEval:
@@ -144,6 +129,8 @@ class TestMLEval:
             ml_eval(0.5, 1.0, 0.5)
         with pytest.raises(DomainError):
             ml_eval(-0.5, 1.0, -1.0)
+        with pytest.raises(DomainError):
+            ml_eval(0.0, 1.0, -1.0)
 
     @pytest.mark.parametrize("eta", [0.3, 0.5, 0.7, 0.9, 0.95, 1.0])
     def test_crossover_route_against_series_reference(self, eta):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from subdecay import spectral
 from subdecay.errors import DomainError, QuadratureError
 from subdecay.mittag_leffler import gamma_fn
 from subdecay.spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
@@ -64,6 +65,22 @@ class TestEigensystem:
         coeffs = project_initial(np.sin, 6)
         assert coeffs[0] == pytest.approx(SQRT_PI_HALF, rel=1e-10)
         assert np.all(coeffs[1:] == 0.0)
+
+    @pytest.mark.parametrize("n_modes", [1, 8, 64])
+    def test_projection_against_direct_sum(self, n_modes):
+        # the sine transform against one trapezoid sum per eigenfunction on
+        # the same grid; exp has no vanishing mode, so every entry counts
+        x = np.linspace(0.0, math.pi, spectral._N_QUAD + 1)
+        direct = []
+        for n in range(1, n_modes + 1):
+            f = np.exp(x) * eigenfunction(n, x)
+            direct.append((x[1] - x[0]) * (0.5 * f[0] + f[1:-1].sum() + 0.5 * f[-1]))
+        assert project_initial(np.exp, n_modes) == pytest.approx(direct, rel=1e-13)
+
+    def test_more_modes_than_transform_bins_refused(self):
+        project_initial(np.sin, spectral._N_QUAD)
+        with pytest.raises(DomainError):
+            project_initial(np.sin, spectral._N_QUAD + 1)
 
 
 class TestModeConvolution:
