@@ -120,7 +120,8 @@ class RunConfig:
             problems.append("orders must be non-increasing")
         if len(self.diffusivities) != K:
             problems.append("diffusivities length disagrees with orders")
-        if len(self.couplings) != K or any(len(r) != K for r in self.couplings):
+        if K in (1, 2, 3) and (len(self.couplings) != K
+                               or any(len(r) != K for r in self.couplings)):
             problems.append("couplings must be a K x K matrix")
         for name, vals in (("T", [self.T]), ("L", [self.L]), ("ic_scale", [self.ic_scale]),
                            ("diffusivities", self.diffusivities),

@@ -87,6 +87,9 @@ def project_initial(u0, n_modes: int) -> np.ndarray:
         raise DomainError(f"n_modes must lie in [1, {_N_QUAD}], got {n_modes}")
     x = np.linspace(0.0, math.pi, _N_QUAD + 1)
     vals = np.asarray(u0(x), dtype=float) if callable(u0) else np.asarray(u0, float)
+    if vals.shape not in ((), x.shape):
+        raise DomainError(f"initial datum needs {_N_QUAD + 1} samples on [0, pi] "
+                          f"(or one constant), got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise DomainError("initial datum must be finite")
     weighted = vals * np.ones_like(x)

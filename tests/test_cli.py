@@ -69,6 +69,13 @@ class TestRunConfig:
         msg = str(err.value)
         assert "non-increasing" in msg and "stride" in msg and "positive" in msg
 
+    @pytest.mark.parametrize("orders", [[], [0.9, 0.8, 0.7, 0.6]])
+    def test_unsupported_count_is_the_only_fault(self, orders):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({"orders": orders, "ic_case": "i"})
+        assert err.value.problems == [
+            f"component count {len(orders)} not supported (1, 2 or 3)"]
+
     def test_round_trip_is_fixed_point(self):
         cfg = RunConfig.from_dict(dict(SMALL))
         once = cfg.to_dict()

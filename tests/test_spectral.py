@@ -318,6 +318,12 @@ class TestSpectralInputChecks:
         with pytest.raises(DomainError):
             project_initial(np.sin, 0)
 
+    def test_sampled_datum_of_wrong_length(self):
+        with pytest.raises(DomainError, match=f"{spectral._N_QUAD + 1} samples"):
+            project_initial(np.ones(100), 4)
+        with pytest.raises(DomainError, match=f"{spectral._N_QUAD + 1} samples"):
+            project_initial(lambda x: np.ones(x.size - 1), 4)
+
     def test_non_finite_datum(self):
         with pytest.raises(DomainError):
             project_initial(lambda x: np.where(x > 1.0, math.nan, x), 4)

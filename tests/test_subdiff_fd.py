@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import l1_history_direct
+from conftest import l1_history_direct, l1_weights_reference
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
-from subdecay.subdiff_fd import (BandedMatrix, Grid, SystemSpec, _Stepper,
-                                 assemble_block_matrix, banded_from_dense,
+from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _Stepper,
+                                 _soe_modes, assemble_block_matrix, banded_from_dense,
                                  banded_solve, gershgorin_disks, l1_weights,
                                  norm_history, simulate, stability_condition,
                                  stability_margin)
@@ -49,6 +49,39 @@ class TestWeights:
             l1_weights(0.0, 4)
         with pytest.raises(DomainError):
             l1_weights(1.2, 4)
+
+
+class TestSoeModes:
+    """The sum-of-exponentials fit of the L1 weight differences: a log-s
+    trapezoid with its slowest modes folded into one 8-node Gauss rule."""
+
+    @pytest.mark.parametrize("N", [10, 1000, 16_000])
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.9, 0.99])
+    def test_against_exact_differences(self, gamma, N):
+        decay, weight = _soe_modes(gamma, N)
+        _, d = l1_weights_reference(gamma, N)
+        m = np.arange(1, N)
+        approx = decay[None, :] ** m[:, None] @ weight
+        # the fit to ~6e-15, plus m half-ulps from rounding e^{-s_q} once
+        tol = 6e-15 + m * np.finfo(float).eps / 2
+        assert np.all(np.abs(approx - d[1:]) <= tol * d[1:])
+
+    @pytest.mark.parametrize("N", [2, 10, 1000, 16_000])
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.9, 0.99])
+    def test_positive_weights_and_nodes_in_range(self, gamma, N):
+        decay, weight = _soe_modes(gamma, N)
+        s = -np.log(decay)
+        assert np.all(weight > 0.0)
+        # inside the trapezoid's own range, whose top mode is e^{1/2} -log(tol)
+        assert np.all((s > 0.0) & (s < math.exp(0.5) * -math.log(_SOE_TOL)))
+        # the Gauss nodes replace exactly the modes with s N <= 1/2
+        assert np.count_nonzero(s * N <= 0.5) == 8
+
+    def test_mode_count_ceiling(self):
+        for N in (2, 10, 100, 1000, 4000, 16_000):
+            for gamma in (1e-6, 0.05, 0.5, 0.99):
+                assert _soe_modes(gamma, N)[0].size <= 70
+        assert _soe_modes(1.0, 1000)[0].size == 0
 
 
 class TestBandedSolve:
@@ -345,7 +378,38 @@ class TestStepping:
                     expected = np.linalg.solve(full, memory.T.reshape(-1)).reshape(m, 2).T
                 assert np.allclose(interior[n + 1], expected, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    def test_source_drives_zero_data(self, scheme):
+        """From zero data a time-constant source alone makes level 1:
+        (1 + 2r - r shifts) u^1 = dx^2 r / d f, by a dense solve."""
+        grid = Grid(L=math.pi, I=16, T=1.0, N=4)
+        spec = SystemSpec(orders=(0.5,), diffusivities=(2.0,), couplings=[[0.0]],
+                          initials=[ZERO], sources=[lambda x, t: np.sin(x)])
+        m, x = grid.I - 1, grid.x[1:-1]
+        r = 2.0 * math.gamma(1.5) * grid.dt ** 0.5 / grid.dx ** 2
+        A = (1 + 2 * r) * np.eye(m) - r * (np.eye(m, k=1) + np.eye(m, k=-1))
+        expected = np.linalg.solve(A, grid.dx ** 2 * r / 2.0 * np.sin(x))
+        level1 = simulate(spec, grid, scheme).values[1, 0, 1:-1]
+        assert np.allclose(level1, expected, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    def test_nan_through_factored_matrix_raises(self, scheme):
+        """The constant matrix is factored once per run, and every solve with
+        those factors still runs the residual check."""
+        grid = Grid(L=math.pi, I=8, T=1.0, N=4)
+        spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
+                          couplings=[[1.0, -1.0], [-1.0, 1.0]], initials=[np.sin, HAT])
+        u0 = np.array([np.sin(grid.x[1:-1]), HAT(grid.x[1:-1])])
+        stepper = _Stepper(spec, grid, scheme, u0)
+        factors = stepper.lu
+        u1 = stepper.step(0, u0)
+        assert np.all(np.isfinite(u1)) and stepper.lu is factors
+        u1[1, 3] = math.nan
+        with pytest.raises(SolverError, match="residual"):
+            stepper.step(1, u1)
+
     @settings(max_examples=40, deadline=None)
+    @example(order=5e-324, N=2, seed=0)
     @given(order=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
            N=st.integers(2, 2000), seed=st.integers(0, 2 ** 32 - 1))
     def test_stepper_memory_matches_direct_sum(self, order, N, seed):
