@@ -358,24 +358,29 @@ def report_tables(tolerance: float = 0.07, sink=None) -> str:
 
     Each row reports the fitted exponent of the summed component norms over
     the default window, annotated pass/fail against the conjectured power.
+    Returns the text; with a sink, every line is also written there as it
+    is made.
     """
     out = io.StringIO()
+
+    def emit(line):
+        print(line, file=out)
+        if sink is not None:
+            print(line, file=sink, flush=True)
+
     ic_nonzero = {"ii": (True, True, False), "iii": (True, False, False)}
     for case, title in (("ii", "third component starts at zero"),
                         ("iii", "second and third components start at zero")):
-        print(f"table ({title}):", file=out)
-        print("  alpha  beta  gamma   target   fitted      status", file=out)
+        emit(f"table ({title}):")
+        emit("  alpha  beta  gamma   target   fitted      status")
         for cfg in table_configs(case):
             target = conjectured_rate(cfg.orders, ic_nonzero[case])
             rep = run(cfg)
             fitted = rep.total_fit.exponent
             status = "pass" if abs(fitted - target) <= tolerance else "FAIL"
             a, b, g = cfg.orders
-            line = (f"  {a:5.2f} {b:5.2f} {g:6.2f}   t^{target:+.2f}  "
-                    f"{fitted:+.4f}     {status}")
-            print(line, file=out)
-            if sink is not None:
-                print(line, file=sink, flush=True)
+            emit(f"  {a:5.2f} {b:5.2f} {g:6.2f}   t^{target:+.2f}  "
+                 f"{fitted:+.4f}     {status}")
     return out.getvalue()
 
 

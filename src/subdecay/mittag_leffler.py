@@ -6,19 +6,20 @@ E_{eta,mu}(z) = sum_k z^k / Gamma(eta*k + mu).  Everything downstream
 function evaluated at z <= 0, so the evaluator aims at ~1e-12 relative
 accuracy and refuses to return silently degraded values.
 
-Evaluation strategy per point; every route is vectorised float64 and gated
-by an a-posteriori relative error estimate:
+Evaluation routes for mu > 0, tried in this order; each float64 route is
+vectorised and gated by an a-posteriori relative error estimate:
 
-* |z| < 4: power series with compensated (Kahan) summation;
 * |z| >= 4: the algebraic expansion -sum_{k>=1} z^{-k}/Gamma(mu - eta*k),
   truncated at its smallest term (1/Gamma at a pole contributes exactly 0);
-* the crossover band where neither certifies: for eta < 1 the trapezoid
-  rule on a parabolic Bromwich contour (Weideman & Trefethen, Math. Comp. 76
-  (2007); Garrappa, SIAM J. Numer. Anal. 53 (2015)), for eta = 1 the
-  Kummer-transformed series; E_{1,1} short-circuits to exp;
+* every point the expansion does not certify, |z| < 4 included, goes to the
+  one route of its order: for 0 < eta < 1 the trapezoid rule on a parabolic
+  Bromwich contour (Weideman & Trefethen, Math. Comp. 76 (2007); Garrappa,
+  SIAM J. Numer. Anal. 53 (2015)), for eta = 1 the Kummer-transformed
+  series; E_{1,1} short-circuits to exp;
 * last resort, an extended-precision series (mpmath) for what no float64
   route certifies: points next to a zero of E (mu < eta, or mu < 1 at
-  eta = 1) and, at rtol = 1e-12, mu = eta >= 0.98 with 14 <= |z| <= 38.
+  eta = 1), eta = 1 with mu next to 1 past |z| ~ 709, and, at
+  rtol = 1e-12, mu = eta >= 0.98 with 14 <= |z| <= 38.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.special import gammaln, rgamma
 from .errors import DomainError, NumericalError, UnsupportedRangeError
 
 _EPS = float(np.finfo(float).eps)
-_SERIES_CAP = 2000
+_KUMMER_CAP = 2000
 _ASYMP_CAP = 400
 _CONTOUR_N = 28
 _CONTOUR_CHUNK = 2048
@@ -65,13 +66,6 @@ def gamma_fn(x: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _series_ratios(eta: float, mu: float, cap: int) -> np.ndarray:
-    """Term ratios Gamma(eta*k+mu)/Gamma(eta*(k+1)+mu) for k = 0..cap-1."""
-    k = np.arange(cap, dtype=float)
-    return np.exp(gammaln(eta * k + mu) - gammaln(eta * k + eta + mu))
-
-
-@lru_cache(maxsize=256)
 def _asymp_weights(eta: float, mu: float, cap: int) -> np.ndarray:
     """1/Gamma(mu - eta*k) for k = 1..cap; exactly 0 at the Gamma poles.
 
@@ -88,63 +82,8 @@ def _asymp_weights(eta: float, mu: float, cap: int) -> np.ndarray:
     return w
 
 
-def _lift_mu(route, eta, mu, z):
-    """E_{eta,mu}(z) for mu <= 0 as sum_{k<k0} z^k/Gamma(eta*k + mu) +
-    z^k0 E_{eta,mu+eta*k0}(z), the tail from route at a positive mu, so no
-    series term ratio or Kummer factor (mu-1)/(mu-1+k) meets a Gamma pole."""
-    k0 = int(-mu // eta) + 1
-    head = [z ** k * rgamma(eta * k + mu) for k in range(k0)]
-    tail, est = route(eta, mu + eta * k0, z)
-    total = sum(head) + z ** k0 * tail
-    err = np.abs(z ** k0 * tail) * est + _EPS * sum(np.abs(h) for h in head)
-    return total, err / np.maximum(np.abs(total), 1e-300)
-
-
-def _series_f64(eta, mu, z):
-    """Vectorized power series. Returns (value, relative error estimate).
-
-    The estimate combines rounding loss (condition number of the alternating
-    sum times eps) with the last-term size when the 2000-term cap is hit.
-    Each point converges on its own (two consecutive negligible terms), so
-    one slow point in a batch does not cost the others their certificate.
-    """
-    if mu <= 0.0:
-        return _lift_mu(_series_f64, eta, mu, z)
-    ratios = _series_ratios(float(eta), float(mu), _SERIES_CAP)
-    term = np.full(z.shape, rgamma(mu))
-    total = term.copy()
-    comp = np.zeros_like(z)
-    abssum = np.abs(term)
-    tiny_prev = np.zeros(z.shape, dtype=bool)
-    failed = np.zeros(z.shape, dtype=bool)
-    k_used = np.full(z.shape, _SERIES_CAP)
-    for k in range(_SERIES_CAP):
-        term = term * z * ratios[k]
-        failed |= ~(np.abs(term) <= 1e260)
-        term[failed] = 0.0
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        at = np.abs(term)
-        abssum += at
-        tiny = at <= 0.25 * _EPS * np.abs(total)
-        k_used[tiny & tiny_prev & (k_used == _SERIES_CAP)] = k + 1
-        tiny_prev = tiny
-        if np.all((k_used < _SERIES_CAP) | failed):
-            break
-    scale = np.maximum(np.abs(total), 1e-300)
-    # rounding of the Gamma argument eta*k+mu perturbs term k by about
-    # eps * eta*k * psi(eta*k+mu), which dominates plain summation rounding
-    # once many terms are in play; inflate the estimate accordingly
-    arg = eta * k_used + mu
-    est = abssum / scale * _EPS * (1.0 + arg * np.log(2.0 + arg))
-    est = np.where((k_used < _SERIES_CAP) & ~failed, est, np.inf)
-    return total, est
-
-
 def _asymp_f64(eta, mu, z):
-    """Vectorized large-|z| expansion with per-point optimal truncation.
+    """Vectorized large-|z| expansion with per-point optimal truncation, z < 0.
 
     Sums -z^{-k}/Gamma(mu-eta*k) while the (nonzero) term magnitudes shrink,
     freezing each point once they clearly grow again or fall below rounding
@@ -159,13 +98,11 @@ def _asymp_f64(eta, mu, z):
     nz_idx = np.flatnonzero(weights[:n_usable] != 0.0)
     last_nz = int(nz_idx[-1]) if nz_idx.size else -1
 
-    zinv = np.zeros_like(z)
-    nonzero_z = z != 0.0
-    zinv[nonzero_z] = 1.0 / z[nonzero_z]
+    zinv = 1.0 / z
     power = np.ones_like(z)
     total = np.zeros_like(z)
     best = np.full(z.shape, np.inf)
-    frozen = ~nonzero_z
+    frozen = np.zeros(z.shape, dtype=bool)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for k in range(last_nz + 1):
             power = power * zinv
@@ -181,7 +118,7 @@ def _asymp_f64(eta, mu, z):
                 break
     if eta == 1.0 and not np.all(frozen):
         # ran out of nonzero weights without growth: expansion terminated
-        best[~frozen & nonzero_z] = 0.0
+        best[~frozen] = 0.0
     scale = np.maximum(np.abs(total), 1e-300)
     est = np.where(np.isfinite(best), best, np.inf) / scale * 3.0
     if eta > 2.0 / 3.0:
@@ -192,7 +129,6 @@ def _asymp_f64(eta, mu, z):
             r = np.abs(z) ** (1.0 / eta)
             est = est + 2.0 / eta * r ** (1.0 - mu) * np.exp(
                 np.maximum(r * math.cos(math.pi / eta), -700.0)) / scale
-    est[~nonzero_z] = np.inf
     return total, est
 
 
@@ -237,15 +173,14 @@ def _contour_f64(eta, mu, z):
 
 
 def _kummer_f64(eta, mu, z):
-    """E_{1,mu}(z) = e^z/Gamma(mu) * sum_k (mu-1)/(mu-1+k) (-z)^k/k!.
+    """E_{1,mu}(z) = e^z/Gamma(mu) * sum_k (mu-1)/(mu-1+k) (-z)^k/k!, mu > 0.
 
     Kummer's transformation of 1F1(1; mu; z).  For z <= 0 every term past
     k = 0 has the sign of mu - 1, so the sum cancels only where E itself
     crosses zero (mu < 1), which the estimate reports.  Term k carries about
     k roundings from the recurrence; the estimate weights it accordingly.
+    Past |z| ~ 709 the sum overflows; those points come back uncertified.
     """
-    if mu <= 0.0:
-        return _lift_mu(_kummer_f64, eta, mu, z)
     x = -z
     power = np.ones_like(x)
     total = np.ones_like(x)
@@ -253,7 +188,7 @@ def _kummer_f64(eta, mu, z):
     tiny_prev = np.zeros(x.shape, dtype=bool)
     converged = np.zeros(x.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, _SERIES_CAP):
+        for k in range(1, _KUMMER_CAP):
             power = power * x / k
             term = (mu - 1.0) / (mu - 1.0 + k) * power
             total += term
@@ -264,12 +199,19 @@ def _kummer_f64(eta, mu, z):
             if np.all(converged | ~np.isfinite(total)):
                 break
         est = _EPS * weighted / np.maximum(np.abs(total), 1e-300)
+        value = np.exp(z) * rgamma(mu) * total
     est = np.where(converged & np.isfinite(total), est + 4.0 * _EPS, np.inf)
-    return np.exp(z) * rgamma(mu) * total, est
+    return value, est
 
 
 def _mp_series(eta: float, mu: float, z: float, rtol: float) -> float:
-    """Extended-precision series for one point no float64 route certifies."""
+    """Extended-precision series for one point no float64 route certifies.
+
+    The first precision covers the largest term as if |E| were about 1; the
+    sum is redone with more digits while the largest term it met, measured
+    against the sum, says that the cancellation needs them (E is ~1e-19 at
+    eta = 1, mu next to 1, z = -750).
+    """
     import mpmath
 
     absz = abs(z)
@@ -281,37 +223,35 @@ def _mp_series(eta: float, mu: float, z: float, rtol: float) -> float:
         )
     log10_max = (kstar * math.log(max(absz, 1.0))
                  - float(gammaln(eta * kstar + mu))) / math.log(10.0)
-    dps = int(max(30.0, log10_max + 15.0 - math.log10(rtol)))
-    if dps > 3000:
-        raise NumericalError(
-            f"extended-precision series would need ~{dps} digits at "
-            f"eta={eta:g}, mu={mu:g}, z={z:g}")
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        # Gamma argument must be formed in working precision: forming
-        # eta*k+mu in float64 drifts by k*ulp(eta), which the huge
-        # cancelling terms amplify into O(1) errors of the sum
-        eta_mp = mpmath.mpf(eta)
-        mu_mp = mpmath.mpf(mu)
-        total = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        term_stop = mpmath.mpf(10) ** (-dps)
-        k = 0
-        tiny = 0
-        while k < 500000:
-            term = power / mpmath.gamma(eta_mp * k + mu_mp)
-            total += term
-            if abs(term) <= term_stop * (abs(total) + term_stop):
-                tiny += 1
+    guard = 15.0 - math.log10(rtol)
+    dps = need = int(max(30.0, log10_max + guard))
+    while dps <= 3000:
+        with mpmath.workdps(dps):
+            # Gamma argument must be formed in working precision: forming
+            # eta*k+mu in float64 drifts by k*ulp(eta), which the huge
+            # cancelling terms amplify into O(1) errors of the sum
+            eta_mp, mu_mp, zz = mpmath.mpf(eta), mpmath.mpf(mu), mpmath.mpf(z)
+            total = largest = mpmath.mpf(0)
+            power = mpmath.mpf(1)
+            term_stop = mpmath.mpf(10) ** (-dps)
+            tiny = 0
+            for k in range(500000):
+                term = power / mpmath.gamma(eta_mp * k + mu_mp)
+                total += term
+                largest = max(largest, abs(term))
+                tiny = tiny + 1 if abs(term) <= term_stop * (abs(total) + term_stop) else 0
                 if tiny >= 3:
                     break
+                power *= zz
             else:
-                tiny = 0
-            k += 1
-            power *= zz
-        else:
-            raise NumericalError("extended-precision series did not converge")
-        return float(total)
+                raise NumericalError("extended-precision series did not converge")
+            need = float(mpmath.log10(largest) - mpmath.log10(abs(total))) + guard
+        if need <= dps:
+            return float(total)
+        dps = math.ceil(min(need, 3001.0))
+    raise NumericalError(
+        f"extended-precision series would need ~{need:.0f} digits at "
+        f"eta={eta:g}, mu={mu:g}, z={z:g}")
 
 
 def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
@@ -321,7 +261,8 @@ def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
     public envelope (e.g. large mu in series identities, or z below -1e4
     where the expansion only gets better) come through here.  ``rtol`` is the
     relative error a float64 route must certify before the point falls
-    through to the next route; kernel builders pass 1e-10.
+    through to the next route; kernel builders pass 1e-10.  mu <= 0 raises
+    DomainError: every internal caller has mu >= eta.
     """
     eta = float(eta)
     mu = float(mu)
@@ -332,6 +273,8 @@ def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
     z_arr = np.atleast_1d(z_arr)
     if not (math.isfinite(mu) and np.all(np.isfinite(z_arr))):
         raise DomainError(f"ml_neg needs finite mu and z, got mu={mu}")
+    if not mu > 0.0:
+        raise DomainError(f"ml_neg supports mu > 0, got {mu}")
     if np.any(z_arr > 0.0):
         raise DomainError("ml_neg requires z <= 0")
     out = np.empty_like(z_arr)
@@ -348,20 +291,15 @@ def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
         vals = np.empty_like(zv)
         done = np.zeros(zv.shape, dtype=bool)
 
-        def attempt(method, mask):
-            idx = np.flatnonzero(mask & ~done)
-            if idx.size == 0:
-                return
-            v, e = method(eta, mu, zv[idx])
-            ok = e <= rtol
-            vals[idx[ok]] = v[ok]
-            done[idx[ok]] = True
+        def attempt(route, idx):
+            if idx.size:
+                v, e = route(eta, mu, zv[idx])
+                ok = e <= rtol
+                vals[idx[ok]] = v[ok]
+                done[idx[ok]] = True
 
-        big = np.abs(zv) >= 4.0
-        attempt(_asymp_f64, big)
-        attempt(_series_f64, ~big)
-        # crossover band: what neither the expansion nor the series certified
-        attempt(_kummer_f64 if eta == 1.0 else _contour_f64, ~done)
+        attempt(_asymp_f64, np.flatnonzero(np.abs(zv) >= 4.0))
+        attempt(_kummer_f64 if eta == 1.0 else _contour_f64, np.flatnonzero(~done))
         for i in np.flatnonzero(~done):
             vals[i] = _mp_series(eta, mu, float(zv[i]), rtol)
         out[todo] = vals
@@ -413,8 +351,5 @@ def relaxation_kernel(eta: float, c: float, t):
     t_arr = np.atleast_1d(t_arr)
     if np.any(t_arr <= 0.0):
         raise DomainError("relaxation_kernel requires t > 0")
-    if eta == 1.0:
-        out = np.exp(-c * t_arr)
-    else:
-        out = t_arr ** (eta - 1.0) * ml_neg(eta, eta, -c * t_arr ** eta, rtol=1e-12)
+    out = t_arr ** (eta - 1.0) * ml_neg(eta, eta, -c * t_arr ** eta, rtol=1e-12)
     return float(out[0]) if scalar else out

@@ -155,10 +155,14 @@ class SystemSpec:
         return len(self.orders)
 
     def coupling_at(self, k: int, l: int, x: np.ndarray, t: float) -> np.ndarray:
+        """c_kl at the nodes x and time t; DomainError where c_kk < 0."""
         c = self.couplings[k][l]
-        if callable(c):
-            return np.asarray(c(x, t), dtype=float) * np.ones_like(x)
-        return np.full_like(x, float(c))
+        if not callable(c):
+            return np.full_like(x, float(c))
+        vals = np.asarray(c(x, t), dtype=float) * np.ones_like(x)
+        if k == l and np.any(vals < 0.0):
+            raise DomainError(f"diagonal coupling c[{k}][{k}] negative at t={t:g}")
+        return vals
 
     def source_at(self, k: int, x: np.ndarray, t: float) -> np.ndarray:
         if self.sources is None or self.sources[k] is None:
@@ -350,7 +354,8 @@ def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> Band
     K = spec.K
     m = grid.I - 1
     x = grid.x[1:-1]
-    t = grid.times[time_index]
+    # grid.times[time_index], bit for bit, without building all N+1 levels
+    t = grid.T if time_index == grid.N else time_index * (grid.T / grid.N)
     r = _r_coeffs(spec, grid)
     fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
     n = m * K
@@ -526,11 +531,6 @@ def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit") -> His
         values[0, k, :] = prof
     values[0, :, 0] = 0.0
     values[0, :, -1] = 0.0
-    if not spec.couplings_constant():
-        xs = x[1:-1]
-        for k in range(K):
-            if np.any(spec.coupling_at(k, k, xs, 0.0) < 0.0):
-                raise DomainError(f"diagonal coupling c[{k}][{k}] negative at t=0")
     stepper = _Stepper(spec, grid, scheme, values[0, :, 1:-1])
     for n in range(grid.N):
         values[n + 1, :, 1:-1] = stepper.step(n, values[n, :, 1:-1])

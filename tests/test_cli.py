@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import subdecay
+from subdecay import cli
 from subdecay.cli import (RunConfig, build_parser, conjectured_rate, main, run,
                           table_configs)
 from subdecay.errors import ConfigError, NumericalError
@@ -232,6 +234,18 @@ class TestCommandLine:
         assert main(["decay", str(path), "--window", "10", "1000"]) == 0
         out = capsys.readouterr().out
         assert "exponent -1.5" in out
+
+    def test_report_progress_prints_the_same_text(self, monkeypatch, capsys):
+        fit = types.SimpleNamespace(total_fit=types.SimpleNamespace(exponent=-0.5))
+        monkeypatch.setattr(cli, "run", lambda cfg: fit)
+        printed = []
+        for extra in ([], ["--progress"]):
+            rc = main(["report", "--tables", *extra])
+            printed.append((rc, capsys.readouterr().out))
+        assert printed[0] == printed[1]
+        lines = printed[0][1].splitlines()
+        assert len(lines) == 16 and lines[0].startswith("table (")
+        assert sum(line.lstrip().startswith("alpha") for line in lines) == 2
 
     def test_parser_rejects_missing_subcommand(self):
         with pytest.raises(SystemExit):

@@ -446,3 +446,12 @@ class TestStepping:
                        couplings=[[1.0, math.nan], [0.0, 1.0]], initials=[np.sin, HAT])
         with pytest.raises(DomainError):
             Grid(L=math.pi, I=1, T=1.0, N=4)
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    def test_diagonal_coupling_sign_checked_where_sampled(self, scheme):
+        # c_00 = 1 - 3t turns negative after t = 1/3, inside the run
+        spec = SystemSpec(orders=(0.9,), diffusivities=(1.0,),
+                          couplings=[[lambda x, t: 1.0 - 3.0 * t + 0.0 * x]],
+                          initials=[np.sin])
+        with pytest.raises(DomainError, match=r"c\[0\]\[0\] negative at t=0\.375"):
+            simulate(spec, Grid(L=math.pi, I=8, T=1, N=8), scheme)
