@@ -11,7 +11,7 @@ The system is
 with Caputo derivatives of orders 1 >= alpha >= beta > 0.  Its integral form
 convolves the relaxation kernel t^{eta-1} E_{eta,eta}(-c t^eta) against the
 other component, which is what the Picard sweep discretizes (kernel cell 0
-in closed form, later cells on fixed Gauss and Gauss-Jacobi panels).
+in closed form, later cells on one Gauss panel shared by all cell moments).
 
 The Laplace route writes
 
@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import rgamma
 
 from .errors import DomainError, QuadratureError
 from .mittag_leffler import ml_neg
@@ -81,9 +80,6 @@ class OdeSpec:
                if not math.isfinite(getattr(self, name))]
         if bad:
             raise DomainError(f"{', '.join(bad)} must be finite")
-
-    def coeffs_nonnegative(self) -> bool:
-        return min(self.a, self.b, self.eta1, self.eta2, self.mu1, self.mu2) >= 0.0
 
 
 @dataclass
@@ -138,8 +134,8 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
     singularity, is closed form: the Riemann-Liouville integral
     K_p(t) = int_0^t k(tau) (t-tau)^p dtau = Gamma(p+1) t^{eta+p}
     E_{eta,eta+p+1}(-c t^eta) gives A[0] = K_1(h)/h, B[0] = K_0(h) - K_1(h)/h
-    and M[0] = K_p(h).  Away from the origin the kernel is smooth and fixed
-    Gauss panels suffice.
+    and M[0] = K_p(h).  Away from the origin the kernel is smooth, and one
+    fixed Gauss panel per cell samples it once for A, B and M alike.
 
     layer_exp is the power p of the convolved factor's initial layer
     (W ~ W(0) + c0 t^p); the extra moment M[j] = int k(tau) (t_{j+1}-tau)^p
@@ -163,10 +159,8 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
     vals = kernel(nodes) * 0.5 * h
     A = np.concatenate(([K1 / h], (vals * wa) @ _GAUSS_WEIGHTS))
     B = np.concatenate(([K0 - K1 / h], (vals * (1.0 - wa)) @ _GAUSS_WEIGHTS))
-    # fractional end moment via Gauss-Jacobi (weight absorbs (t_{j+1}-tau)^p)
-    xj, wj = _jacobi_rule(p)
-    kern_j = kernel(times[2:, None] - 0.5 * h * (1.0 - xj[None, :]))
-    M = np.concatenate(([K(p)], (kern_j @ wj) * (0.5 * h) ** (1.0 + p)))
+    # t_{j+1} - tau = (h/2)(1 - x) on the panel, so M takes the same samples
+    M = np.concatenate(([K(p)], (vals @ _end_weights(p)) * (0.5 * h) ** p))
     n_fft = _fft_size(2 * A.size - 1)
     return _KernelWeights(A=A, B=B, layer_corr=M - h ** p * A, layer_exp=p, h=h,
                           n_fft=n_fft, AB_hat=np.fft.rfft(np.stack((A, B)), n_fft))
@@ -178,10 +172,15 @@ def _fft_size(m: int) -> int:
     return min(n for n in (2 ** a * 3 ** b * 5 ** c for a in k for b in k for c in k) if n >= m)
 
 
-@lru_cache(maxsize=64)
-def _jacobi_rule(p: float, n: int = 10):
-    """Gauss-Jacobi nodes/weights for weight (1-x)^p on [-1, 1]."""
-    return roots_jacobi(n, p, 0.0)
+def _end_weights(p: float) -> np.ndarray:
+    """Interpolatory weights on the Gauss nodes for int (1-x)^p f(x) dx over
+    [-1, 1], from mu_k = int (1-x)^p P_k = (-1)^k 2^{p+1} Gamma(p+1)^2 /
+    (Gamma(p+k+2) Gamma(p-k+1)); rgamma is 0 at the poles integer p meets."""
+    k = np.arange(_GAUSS_NODES.size)
+    mu = ((-1.0) ** k * 2.0 ** (p + 1.0) * math.gamma(p + 1.0) ** 2
+          * rgamma(p + k + 2.0) * rgamma(p - k + 1.0))
+    legendre = np.polynomial.legendre.legvander(_GAUSS_NODES, k[-1])
+    return _GAUSS_WEIGHTS * (legendre @ ((k + 0.5) * mu))
 
 
 def _convolve_linear(kw: _KernelWeights, W):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,12 +9,12 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from conftest import branch_cut_quad_reference, ml_series_reference, principal_zero_count
-from subdecay import mittag_leffler
+from subdecay import frac_ode, mittag_leffler
 from subdecay.errors import DomainError, QuadratureError
-from subdecay.frac_ode import (LaplaceSymbol, OdeSpec, _convolve_linear, _cut_integrals,
-                               _kernel_moments, branch_cut_invert, check_decay_assumption, im_parts,
-                               picard_monotonicity, picard_solve, poincare_constant,
-                               q_of_r)
+from subdecay.frac_ode import (_GAUSS_NODES, LaplaceSymbol, OdeSpec, _convolve_linear,
+                               _cut_integrals, _end_weights, _kernel_moments, branch_cut_invert,
+                               check_decay_assumption, im_parts, picard_monotonicity,
+                               picard_solve, poincare_constant, q_of_r)
 
 
 def random_symbol(rng):
@@ -217,14 +218,15 @@ def kernel_cell_reference(eta, c, t0, t1, weight):
 class TestKernelMoments:
     @pytest.mark.parametrize("eta, c, p, T, n", [
         (0.9, 2.0, 0.5, 20.0, 5120), (0.5, 2.0, 0.9, 20.0, 5120),
-        (1.0, 2.0, 0.5, 20.0, 16), (0.3, 1.0, 0.1, 5.0, 64)])
+        (1.0, 2.0, 0.5, 20.0, 16), (0.3, 1.0, 0.1, 5.0, 64),
+        (0.5, 2.0, 1.0, 20.0, 5120)])
     def test_first_cells_against_quadrature(self, eta, c, p, T, n):
-        # cell 0 is closed form, cell 1 the Gauss and Gauss-Jacobi panels
+        # cell 0 is closed form, cells 1 and 2 the Gauss panel shared by A, B and M
         times = np.linspace(0.0, T, n + 1)
         kw = _kernel_moments(eta, c, times, layer_exp=p)
         h = kw.h
         M = kw.layer_corr + h ** p * kw.A
-        for j in (0, 1):
+        for j in (0, 1, 2):
             t0, t1 = times[j], times[j + 1]
             A = kernel_cell_reference(eta, c, t0, t1, lambda tau: (t1 - tau) / h)
             B = kernel_cell_reference(eta, c, t0, t1, lambda tau: (tau - t0) / h)
@@ -232,6 +234,36 @@ class TestKernelMoments:
             assert kw.A[j] == pytest.approx(A, rel=1e-12, abs=0.0)
             assert kw.B[j] == pytest.approx(B, rel=1e-12, abs=0.0)
             assert M[j] == pytest.approx(Mj, rel=1e-12, abs=0.0)
+        if p == 1.0:
+            # the beta-kernel of an alpha = 1 solve: the end moment is h A
+            np.testing.assert_allclose(M, h * kw.A, rtol=1e-13)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.0])
+    def test_end_weights_exact_to_degree_eleven(self, p):
+        # int x^k (1-x)^p over [-1, 1] from the Beta moments of (1+x)^m (1-x)^p,
+        # summed in mpmath because the binomial expansion alternates
+        w = _end_weights(p)
+        with mpmath.workdps(30):
+            exact = [float(mpmath.fsum(
+                mpmath.binomial(k, m) * (-1) ** (k - m) * mpmath.mpf(2) ** (m + p + 1)
+                * mpmath.beta(m + 1, p + 1) for m in range(k + 1))) for k in range(12)]
+        np.testing.assert_allclose([w @ _GAUSS_NODES ** k for k in range(12)], exact,
+                                   rtol=0.0, atol=1e-13)
+        assert w.sum() == pytest.approx(2.0 ** (p + 1.0) / (p + 1.0), rel=1e-14)
+
+    def test_one_kernel_sample_per_gauss_node(self, monkeypatch):
+        # 12 Gauss nodes in each of cells 1..n-1, plus the three closed-form
+        # cell-0 moments; A, B and M all read the same samples
+        points = []
+
+        def counted(eta, mu, z, **kwargs):
+            points.append(np.size(z))
+            return mittag_leffler.ml_neg(eta, mu, z, **kwargs)
+
+        monkeypatch.setattr(frac_ode, "ml_neg", counted)
+        n = 64
+        _kernel_moments(0.8, 2.0, np.linspace(0.0, 20.0, n + 1), layer_exp=0.4)
+        assert sum(points) == 12 * (n - 1) + 3
 
     @pytest.mark.parametrize("n", [16, 1009, 5120])
     def test_fft_convolution_against_direct_sum(self, n):
