@@ -11,7 +11,8 @@ The system is
 with Caputo derivatives of orders 1 >= alpha >= beta > 0.  Its integral form
 convolves the relaxation kernel t^{eta-1} E_{eta,eta}(-c t^eta) against the
 other component, which is what the Picard sweep discretizes (kernel cell 0
-in closed form, later cells on one Gauss panel shared by all cell moments).
+in closed form, each later cell on one Gauss panel shared by all its
+moments, of an order graded by the cell's distance from the origin).
 
 The Laplace route writes
 
@@ -40,7 +41,6 @@ from scipy.special import rgamma
 from .errors import DomainError, QuadratureError
 from .mittag_leffler import ml_neg
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # branch-cut quadrature (see _cut_integrals): its own rule, nothing shared with Picard
 _CUT_NODES, _CUT_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CUT_X, _CUT_BULK, _CUT_GRADE, _CUT_LEVELS = 45.0, 16, 0.15, 20
@@ -125,6 +125,51 @@ class _KernelWeights:
     AB_hat: np.ndarray
 
 
+# Gauss orders of the kernel cells past cell 0, capped at 12 next to the origin
+_CELL_ORDERS = (12, 8, 6, 4)
+_CELL_TOL = 1e-13
+
+
+def _first_cell(n: int) -> int:
+    """First cell j >= 1 on which n Gauss nodes meet rho_j^{-n} <= _CELL_TOL.
+
+    Cell j spans [jh, (j+1)h]; the largest Bernstein ellipse around it that
+    avoids the tau^{eta-1} branch point at 0 has rho_j + 1/rho_j = 2(2j+1).
+    A and B converge like rho_j^{-2n}, but M's interpolatory rule against the
+    (1-x)^p weight only like rho_j^{-n}, and that slower rate sets the order.
+    """
+    r = _CELL_TOL ** (-1.0 / n)
+    return math.ceil(((r + 1.0 / r) / 2.0 - 1.0) / 2.0)
+
+
+# (first cell, Gauss nodes, Gauss weights) per order; the cap holds from cell 1
+_CELL_BANDS = tuple((1 if n == _CELL_ORDERS[0] else _first_cell(n),
+                     *np.polynomial.legendre.leggauss(n)) for n in _CELL_ORDERS)
+
+
+def _cell_bands(eta: float, c: float, h: float, p: float) -> list:
+    """(first cell, nodes, weights, end weights) of each band of _CELL_BANDS
+    whose rule also resolves the kernel's own decay rate.
+
+    The kernel is a mixture of e^{-r tau} with weight proportional to
+    1/|r^eta e^{i eta pi} + c|^2.  For eta > 1/2 that weight peaks at
+    lam = (-c cos eta pi)^{1/eta} (lam = c at eta = 1, a pure exponential),
+    and near the peak the kernel decays like e^{-lam tau} at any distance
+    from the origin.  An order is kept only if its A, B and M of e^{-lam tau}
+    over one cell of width h agree with the 12-node rule's to _CELL_TOL.
+    """
+    lam = (-c * math.cos(math.pi * eta)) ** (1.0 / eta) if eta > 0.5 else 0.0
+    bands = [(first, x, w, _end_weights(p, x, w)) for first, x, w in _CELL_BANDS]
+
+    def exp_moments(_, x, w, end_w):
+        f = np.exp(-0.5 * lam * h * x)
+        return np.array([(f * (1.0 - x)) @ w, (f * (1.0 + x)) @ w, f @ end_w])
+
+    cap = exp_moments(*bands[0])
+    return [band for band in bands
+            if np.all(np.abs(exp_moments(*band) - cap) <= _CELL_TOL * cap)]
+
+
 def _kernel_moments(eta: float, c: float, times: np.ndarray,
                     layer_exp: float) -> _KernelWeights:
     """Moments of the kernel k(tau) = tau^{eta-1} E_{eta,eta}(-c tau^eta).
@@ -134,8 +179,11 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
     singularity, is closed form: the Riemann-Liouville integral
     K_p(t) = int_0^t k(tau) (t-tau)^p dtau = Gamma(p+1) t^{eta+p}
     E_{eta,eta+p+1}(-c t^eta) gives A[0] = K_1(h)/h, B[0] = K_0(h) - K_1(h)/h
-    and M[0] = K_p(h).  Away from the origin the kernel is smooth, and one
-    fixed Gauss panel per cell samples it once for A, B and M alike.
+    and M[0] = K_p(h).  Away from the origin the kernel is smooth, and each
+    later cell samples it once, on one Gauss panel, for A, B and M alike.
+    The panel's order falls with the distance from the origin (12 nodes on
+    cells 1-10, 8, 6, then 4 from cell 445 on; see _cell_bands), one ml_neg
+    call per band.
 
     layer_exp is the power p of the convolved factor's initial layer
     (W ~ W(0) + c0 t^p); the extra moment M[j] = int k(tau) (t_{j+1}-tau)^p
@@ -144,43 +192,62 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
     """
     h = times[1] - times[0]
     p = float(layer_exp)
+    n_cells = times.size - 1
 
     def K(q):
         E = ml_neg(eta, eta + q + 1.0, -c * h ** eta, rtol=1e-11)
         return math.gamma(q + 1.0) * h ** (eta + q) * E
 
-    def kernel(tau):
-        return tau ** (eta - 1.0) * ml_neg(eta, eta, -c * tau.ravel() ** eta,
-                                           rtol=1e-10).reshape(tau.shape)
-
     K0, K1 = K(0.0), K(1.0)
-    nodes = (times[1:-1] + 0.5 * h)[:, None] + 0.5 * h * _GAUSS_NODES[None, :]
-    wa = (times[2:, None] - nodes) / h
-    vals = kernel(nodes) * 0.5 * h
-    A = np.concatenate(([K1 / h], (vals * wa) @ _GAUSS_WEIGHTS))
-    B = np.concatenate(([K0 - K1 / h], (vals * (1.0 - wa)) @ _GAUSS_WEIGHTS))
-    # t_{j+1} - tau = (h/2)(1 - x) on the panel, so M takes the same samples
-    M = np.concatenate(([K(p)], (vals @ _end_weights(p)) * (0.5 * h) ** p))
+    A, B, M = [[K1 / h]], [[K0 - K1 / h]], [[K(p)]]
+    bands = _cell_bands(eta, c, h, p)
+    stops = [band[0] for band in bands[1:]] + [n_cells]
+    for (first, x, w, end_w), stop in zip(bands, stops):
+        lo, hi = min(first, n_cells), min(stop, n_cells)
+        if lo == hi:
+            continue
+        nodes = (times[lo:hi] + 0.5 * h)[:, None] + 0.5 * h * x
+        wa = (times[lo + 1:hi + 1, None] - nodes) / h
+        vals = nodes ** (eta - 1.0) * ml_neg(eta, eta, -c * nodes.ravel() ** eta,
+                                             rtol=1e-10).reshape(nodes.shape) * 0.5 * h
+        A.append((vals * wa) @ w)
+        B.append((vals * (1.0 - wa)) @ w)
+        # t_{j+1} - tau = (h/2)(1 - x) on the panel, so M takes the same samples
+        M.append((vals @ end_w) * (0.5 * h) ** p)
+    A, B, M = (np.concatenate(parts) for parts in (A, B, M))
     n_fft = _fft_size(2 * A.size - 1)
     return _KernelWeights(A=A, B=B, layer_corr=M - h ** p * A, layer_exp=p, h=h,
                           n_fft=n_fft, AB_hat=np.fft.rfft(np.stack((A, B)), n_fft))
 
 
 def _fft_size(m: int) -> int:
-    """Smallest 2^a 3^b 5^c >= m: numpy's FFT is slow at large prime factors."""
-    k = range(m.bit_length() + 1)
-    return min(n for n in (2 ** a * 3 ** b * 5 ** c for a in k for b in k for c in k) if n >= m)
+    """Smallest 2^a 3^b 5^c >= m: numpy's FFT is slow at large prime factors.
+
+    Walks the products 3^b 5^c below the best size so far and raises each by
+    the fewest doublings that reach m.
+    """
+    best = 1 << max(m - 1, 0).bit_length()
+    f5 = 1
+    while f5 < best:
+        f = f5
+        while f < best:
+            # f * 2^a >= m  <=>  2^a >= ceil(m / f)
+            best = min(best, f << (-(-m // f) - 1).bit_length())
+            f *= 3
+        f5 *= 5
+    return best
 
 
-def _end_weights(p: float) -> np.ndarray:
-    """Interpolatory weights on the Gauss nodes for int (1-x)^p f(x) dx over
-    [-1, 1], from mu_k = int (1-x)^p P_k = (-1)^k 2^{p+1} Gamma(p+1)^2 /
-    (Gamma(p+k+2) Gamma(p-k+1)); rgamma is 0 at the poles integer p meets."""
-    k = np.arange(_GAUSS_NODES.size)
+def _end_weights(p: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Interpolatory weights on the Gauss rule (nodes, weights) for
+    int (1-x)^p f(x) dx over [-1, 1], from mu_k = int (1-x)^p P_k =
+    (-1)^k 2^{p+1} Gamma(p+1)^2 / (Gamma(p+k+2) Gamma(p-k+1)); rgamma is 0
+    at the poles integer p meets."""
+    k = np.arange(nodes.size)
     mu = ((-1.0) ** k * 2.0 ** (p + 1.0) * math.gamma(p + 1.0) ** 2
           * rgamma(p + k + 2.0) * rgamma(p - k + 1.0))
-    legendre = np.polynomial.legendre.legvander(_GAUSS_NODES, k[-1])
-    return _GAUSS_WEIGHTS * (legendre @ ((k + 0.5) * mu))
+    legendre = np.polynomial.legendre.legvander(nodes, k[-1])
+    return weights * (legendre @ ((k + 0.5) * mu))
 
 
 def _convolve_linear(kw: _KernelWeights, W):

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import mpmath
@@ -11,10 +12,11 @@ from scipy.special import erfcx
 from conftest import branch_cut_quad_reference, ml_series_reference, principal_zero_count
 from subdecay import frac_ode, mittag_leffler
 from subdecay.errors import DomainError, QuadratureError
-from subdecay.frac_ode import (_GAUSS_NODES, LaplaceSymbol, OdeSpec, _convolve_linear,
-                               _cut_integrals, _end_weights, _kernel_moments, branch_cut_invert,
-                               check_decay_assumption, im_parts, picard_monotonicity,
-                               picard_solve, poincare_constant, q_of_r)
+from subdecay.frac_ode import (_CELL_BANDS, LaplaceSymbol, OdeSpec, _cell_bands,
+                               _convolve_linear, _cut_integrals, _end_weights, _fft_size,
+                               _kernel_moments, branch_cut_invert, check_decay_assumption,
+                               im_parts, picard_monotonicity, picard_solve, poincare_constant,
+                               q_of_r)
 
 
 def random_symbol(rng):
@@ -202,17 +204,39 @@ class TestPicard:
         assert path.iterations == 3
 
 
-def kernel_cell_reference(eta, c, t0, t1, weight):
-    """int_{t0}^{t1} k(tau) weight(tau) dtau for the relaxation kernel
-    k(tau) = tau^{eta-1} E_{eta,eta}(-c tau^eta), by QUADPACK under
+def kernel_cell_reference(eta, c, t0, t1, weight, end_power=0.0):
+    """int_{t0}^{t1} k(tau) weight(tau - t0, t1 - tau) (t1 - tau)^end_power
+    dtau for the relaxation kernel k(tau) = tau^{eta-1} E_{eta,eta}(-c tau^eta),
+    by QUADPACK over the mpmath series of E.  On cell 0 the variable is
     sigma = tau^eta (k dtau = E(-c sigma)/eta dsigma, no singular factor
-    left) over the mpmath series of E."""
-    def f(sig):
-        return ml_series_reference(eta, eta, -c * sig) / eta * weight(sig ** (1.0 / eta))
+    left).  On later cells it is the offset s = tau - t0, so that both
+    distances to the cell ends are formed without cancelling against tau
+    (t1 - sigma^{1/eta} at tau ~ 20 loses about 1e-12 of a 5120-step cell),
+    and QUADPACK's algebraic weight takes (t1 - tau)^end_power."""
+    if t0 == 0.0:
+        def f(sig):
+            tau = sig ** (1.0 / eta)
+            return (ml_series_reference(eta, eta, -c * sig) / eta
+                    * weight(tau, t1 - tau) * (t1 - tau) ** end_power)
 
-    val, err = quad(f, t0 ** eta, t1 ** eta, epsabs=0.0, epsrel=2e-14, limit=200)
+        val, err = quad(f, 0.0, t1 ** eta, epsabs=0.0, epsrel=2e-14, limit=200)
+    else:
+        def f(s):
+            tau = t0 + s
+            return (tau ** (eta - 1.0) * ml_series_reference(eta, eta, -c * tau ** eta)
+                    * weight(s, (t1 - t0) - s))
+
+        val, err = quad(f, 0.0, t1 - t0, weight="alg", wvar=(0.0, end_power),
+                        epsabs=0.0, epsrel=2e-14, limit=200)
     assert err <= 1e-13 * abs(val)
     return val
+
+
+def band_edges(bands, n):
+    """Cell 0 and the first and last cell of each Gauss band of an n-cell table."""
+    firsts = [min(band[0], n) for band in bands] + [n]
+    return sorted({0} | {j for lo, hi in zip(firsts, firsts[1:]) if lo < hi
+                         for j in (lo, hi - 1)})
 
 
 class TestKernelMoments:
@@ -221,16 +245,18 @@ class TestKernelMoments:
         (1.0, 2.0, 0.5, 20.0, 16), (0.3, 1.0, 0.1, 5.0, 64),
         (0.5, 2.0, 1.0, 20.0, 5120)])
     def test_first_cells_against_quadrature(self, eta, c, p, T, n):
-        # cell 0 is closed form, cells 1 and 2 the Gauss panel shared by A, B and M
+        # cell 0 is closed form; later cells the Gauss panel of their band,
+        # shared by A, B and M, checked where each band starts and ends
+        # (16 and 64 steps cut the bands short)
         times = np.linspace(0.0, T, n + 1)
         kw = _kernel_moments(eta, c, times, layer_exp=p)
         h = kw.h
         M = kw.layer_corr + h ** p * kw.A
-        for j in (0, 1, 2):
+        for j in band_edges(_cell_bands(eta, c, h, p), n):
             t0, t1 = times[j], times[j + 1]
-            A = kernel_cell_reference(eta, c, t0, t1, lambda tau: (t1 - tau) / h)
-            B = kernel_cell_reference(eta, c, t0, t1, lambda tau: (tau - t0) / h)
-            Mj = kernel_cell_reference(eta, c, t0, t1, lambda tau: (t1 - tau) ** p)
+            A = kernel_cell_reference(eta, c, t0, t1, lambda left, right: right / h)
+            B = kernel_cell_reference(eta, c, t0, t1, lambda left, right: left / h)
+            Mj = kernel_cell_reference(eta, c, t0, t1, lambda left, right: 1.0, end_power=p)
             assert kw.A[j] == pytest.approx(A, rel=1e-12, abs=0.0)
             assert kw.B[j] == pytest.approx(B, rel=1e-12, abs=0.0)
             assert M[j] == pytest.approx(Mj, rel=1e-12, abs=0.0)
@@ -238,22 +264,53 @@ class TestKernelMoments:
             # the beta-kernel of an alpha = 1 solve: the end moment is h A
             np.testing.assert_allclose(M, h * kw.A, rtol=1e-13)
 
+    @pytest.mark.parametrize("eta, p, n", [(0.3, 0.1, 5120), (0.9, 0.5, 5120),
+                                           (0.5, 1.0, 5120), (1.0, 0.5, 512)])
+    def test_graded_rule_matches_twelve_nodes(self, eta, p, n, monkeypatch):
+        # the graded bands against 12 nodes on every cell.  0.3/0.1 is the
+        # pair a ladder that drops to 4 nodes from cell 8 on breaks; at
+        # eta = 1 with 512 steps, c h = 0.078 is too coarse for 4 nodes.
+        # Both builds sample the kernel at rtol 1e-12: at the tables' 1e-10
+        # the large-argument expansion is certified with errors up to 1e-11,
+        # which two node sets sample differently, and this compares rules
+        def sharper(eta, mu, z, rtol):
+            return mittag_leffler.ml_neg(eta, mu, z, rtol=min(rtol, 1e-12))
+
+        monkeypatch.setattr(frac_ode, "ml_neg", sharper)
+        times = np.linspace(0.0, 20.0, n + 1)
+        graded = _kernel_moments(eta, 2.0, times, layer_exp=p)
+        monkeypatch.setattr(frac_ode, "_CELL_BANDS",
+                            ((1, *np.polynomial.legendre.leggauss(12)),))
+        ref = _kernel_moments(eta, 2.0, times, layer_exp=p)
+        np.testing.assert_allclose(graded.A, ref.A, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(graded.B, ref.B, rtol=1e-13, atol=0.0)
+        # relative to the end moment M = layer_corr + h^p A it corrects:
+        # at p = 1 the correction itself is rounding around zero
+        M = ref.layer_corr + ref.h ** p * ref.A
+        assert np.all(np.abs(graded.layer_corr - ref.layer_corr) <= 1e-13 * np.abs(M))
+
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.0])
     def test_end_weights_exact_to_degree_eleven(self, p):
         # int x^k (1-x)^p over [-1, 1] from the Beta moments of (1+x)^m (1-x)^p,
-        # summed in mpmath because the binomial expansion alternates
-        w = _end_weights(p)
+        # summed in mpmath because the binomial expansion alternates; each
+        # n-node rule of the ladder is exact to degree n - 1 (eleven at the cap)
         with mpmath.workdps(30):
             exact = [float(mpmath.fsum(
                 mpmath.binomial(k, m) * (-1) ** (k - m) * mpmath.mpf(2) ** (m + p + 1)
                 * mpmath.beta(m + 1, p + 1) for m in range(k + 1))) for k in range(12)]
-        np.testing.assert_allclose([w @ _GAUSS_NODES ** k for k in range(12)], exact,
-                                   rtol=0.0, atol=1e-13)
-        assert w.sum() == pytest.approx(2.0 ** (p + 1.0) / (p + 1.0), rel=1e-14)
+        for _, x, gw in _CELL_BANDS:
+            w = _end_weights(p, x, gw)
+            np.testing.assert_allclose([w @ x ** k for k in range(x.size)], exact[:x.size],
+                                       rtol=0.0, atol=1e-13)
+            assert w.sum() == pytest.approx(2.0 ** (p + 1.0) / (p + 1.0), rel=1e-14)
 
     def test_one_kernel_sample_per_gauss_node(self, monkeypatch):
-        # 12 Gauss nodes in each of cells 1..n-1, plus the three closed-form
-        # cell-0 moments; A, B and M all read the same samples
+        # order n of 12, 8, 6, 4 starts at the first cell j whose Bernstein
+        # ellipse, rho_j = (2j+1) + sqrt((2j+1)^2 - 1), gives rho_j^-n <= 1e-13
+        starts = [next(j for j in range(1, 10 ** 4)
+                       if ((2 * j + 1) + math.sqrt((2 * j + 1) ** 2 - 1)) ** -n <= 1e-13)
+                  for n in (8, 6, 4)]
+        assert [first for first, _, _ in _CELL_BANDS] == [1, *starts] == [1, 11, 37, 445]
         points = []
 
         def counted(eta, mu, z, **kwargs):
@@ -261,9 +318,23 @@ class TestKernelMoments:
             return mittag_leffler.ml_neg(eta, mu, z, **kwargs)
 
         monkeypatch.setattr(frac_ode, "ml_neg", counted)
-        n = 64
-        _kernel_moments(0.8, 2.0, np.linspace(0.0, 20.0, n + 1), layer_exp=0.4)
-        assert sum(points) == 12 * (n - 1) + 3
+        # three closed-form cell-0 moments, then one sample per node that A,
+        # B and M all read: at 5120 steps 12 nodes on cells 1-10, 8 on 11-36,
+        # 6 on 37-444 and 4 on 445-5119; at 64 steps (h = 0.3125, lam = 1.83)
+        # the kernel's decay rate rules out 6 and 4, so 8 nodes on 11-63
+        for n, expected in ((5120, 3 + 12 * 10 + 8 * 26 + 6 * 408 + 4 * 4675),
+                            (64, 3 + 12 * 10 + 8 * 53)):
+            points.clear()
+            _kernel_moments(0.8, 2.0, np.linspace(0.0, 20.0, n + 1), layer_exp=0.4)
+            assert sum(points) == expected
+
+    def test_fft_size_against_brute_force(self):
+        # every 2^a 3^b 5^c up to 2^14, then the smallest one >= m
+        k = range(15)
+        smooth = sorted(n for n in (2 ** a * 3 ** b * 5 ** c for a in k for b in k for c in k)
+                        if n <= 2 ** 14)
+        for m in [*range(5001), 8191, 10239]:
+            assert _fft_size(m) == smooth[bisect.bisect_left(smooth, m)], m
 
     @pytest.mark.parametrize("n", [16, 1009, 5120])
     def test_fft_convolution_against_direct_sum(self, n):
