@@ -33,30 +33,30 @@ from .errors import ConfigError, DomainError, NumericalError, SubdecayError
 _FMT = "{:.17g}"
 
 
-def _ic_profiles(K: int, case: str):
-    """The paper-style initial-condition cases.
+def _hat(x):
+    return np.pi / 2.0 - np.abs(x - np.pi / 2.0)
 
-    K=2: (i) u0 = sin x, v0 = hat;  (ii) u0 = sin x, v0 = 0.
-    K=3: (i) u0 = x(pi-x), v0 = sin x, w0 = hat;
-         (ii) u0 = sin x, v0 = hat, w0 = 0;
-         (iii) u0 = sin x, v0 = w0 = 0.
-    """
-    hat = lambda x: np.pi / 2.0 - np.abs(x - np.pi / 2.0)
-    zero = lambda x: np.zeros_like(x)
-    parabola = lambda x: x * (np.pi - x)
-    table = {
-        (2, "i"): [np.sin, hat],
-        (2, "ii"): [np.sin, zero],
-        (3, "i"): [parabola, np.sin, hat],
-        (3, "ii"): [np.sin, hat, zero],
-        (3, "iii"): [np.sin, zero, zero],
-    }
-    try:
-        return table[(K, case)]
-    except KeyError:
-        raise ConfigError(
-            f"ic_case {case!r} undefined for K={K}; valid: "
-            f"{sorted(c for (k, c) in table if k == K)}") from None
+
+def _zero(x):
+    return np.zeros_like(x)
+
+
+def _parabola(x):
+    return x * (np.pi - x)
+
+
+# The paper-style initial-condition cases, by (K, ic_case).
+# K=2: (i) u0 = sin x, v0 = hat;  (ii) u0 = sin x, v0 = 0.
+# K=3: (i) u0 = x(pi-x), v0 = sin x, w0 = hat;
+#      (ii) u0 = sin x, v0 = hat, w0 = 0;
+#      (iii) u0 = sin x, v0 = w0 = 0.
+_IC_PROFILES = {
+    (2, "i"): [np.sin, _hat],
+    (2, "ii"): [np.sin, _zero],
+    (3, "i"): [_parabola, np.sin, _hat],
+    (3, "ii"): [np.sin, _hat, _zero],
+    (3, "iii"): [np.sin, _zero, _zero],
+}
 
 
 def _floats(values) -> tuple:
@@ -111,8 +111,11 @@ class RunConfig:
         problems = []
         if self.scheme not in ("semi-implicit", "fully-implicit"):
             problems.append(f"unknown scheme {self.scheme!r}")
-        if K not in (1, 2, 3):
-            problems.append(f"component count {K} not supported (1, 2 or 3)")
+        if K not in (2, 3):
+            problems.append(f"component count {K} not supported (2 or 3)")
+        elif (K, self.ic_case) not in _IC_PROFILES:
+            problems.append(f"ic_case {self.ic_case!r} undefined for K={K}; valid: "
+                            f"{sorted(c for (k, c) in _IC_PROFILES if k == K)}")
         for a in self.orders:
             if not 0.0 < a <= 1.0:
                 problems.append(f"order {a} outside (0, 1]")
@@ -120,8 +123,8 @@ class RunConfig:
             problems.append("orders must be non-increasing")
         if len(self.diffusivities) != K:
             problems.append("diffusivities length disagrees with orders")
-        if K in (1, 2, 3) and (len(self.couplings) != K
-                               or any(len(r) != K for r in self.couplings)):
+        if K in (2, 3) and (len(self.couplings) != K
+                            or any(len(r) != K for r in self.couplings)):
             problems.append("couplings must be a K x K matrix")
         for name, vals in (("T", [self.T]), ("L", [self.L]), ("ic_scale", [self.ic_scale]),
                            ("diffusivities", self.diffusivities),
@@ -172,7 +175,7 @@ class RunConfig:
         return json.loads(json.dumps(asdict(self)))
 
     def system_spec(self) -> subdiff_fd.SystemSpec:
-        profiles = _ic_profiles(len(self.orders), self.ic_case)
+        profiles = _IC_PROFILES[(len(self.orders), self.ic_case)]
         scale = self.ic_scale
         initials = [(lambda x, f=f: scale * f(x)) for f in profiles]
         return subdiff_fd.SystemSpec(
@@ -184,8 +187,6 @@ class RunConfig:
 
 
 def _default_couplings(K: int):
-    if K == 1:
-        return [[0.0]]
     if K == 2:
         return [[1.0, -1.0], [-1.0, 1.0]]
     return [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]]
@@ -235,7 +236,7 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
     grid = config.grid()
     history = subdiff_fd.simulate(spec, grid, config.scheme)
     times, norms = subdiff_fd.norm_history(history, stride=config.stride)
-    margin = subdiff_fd.stability_margin(spec, grid)
+    margin = subdiff_fd.stability_margin(spec)
     # without sources a row-dominant system stays bounded: growth is instability
     total = norms.sum(axis=1)
     if not (np.all(np.isfinite(norms))
@@ -333,6 +334,9 @@ def conjectured_rate(orders, ic_nonzero) -> float:
     return -(1.0 + min(orders))
 
 
+# largest |fitted - target| a table row may show and still pass
+_TABLE_TOLERANCE = 0.07
+
 TABLE_ORDER_ROWS = [
     (1.0, 0.5, 0.3),
     (1.0, 0.5, 0.5),
@@ -353,11 +357,12 @@ def table_configs(case: str):
             for rows in TABLE_ORDER_ROWS]
 
 
-def report_tables(tolerance: float = 0.07, sink=None) -> str:
+def report_tables(sink=None) -> str:
     """Run the twelve table configurations and print fitted vs target rates.
 
     Each row reports the fitted exponent of the summed component norms over
-    the default window, annotated pass/fail against the conjectured power.
+    the default window, annotated pass/fail against the conjectured power
+    within _TABLE_TOLERANCE.
     Returns the text; with a sink, every line is also written there as it
     is made.
     """
@@ -377,7 +382,7 @@ def report_tables(tolerance: float = 0.07, sink=None) -> str:
             target = conjectured_rate(cfg.orders, ic_nonzero[case])
             rep = run(cfg)
             fitted = rep.total_fit.exponent
-            status = "pass" if abs(fitted - target) <= tolerance else "FAIL"
+            status = "pass" if abs(fitted - target) <= _TABLE_TOLERANCE else "FAIL"
             a, b, g = cfg.orders
             emit(f"  {a:5.2f} {b:5.2f} {g:6.2f}   t^{target:+.2f}  "
                  f"{fitted:+.4f}     {status}")

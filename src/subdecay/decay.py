@@ -40,20 +40,14 @@ class NormSeries:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Fitted power law value ~ exp(intercept) * t**exponent on a window."""
+    """Fitted power law value ~ exp(intercept) * t**exponent on a window, as
+    made by fit_exponent, which checks the window and the sample count."""
 
     window: tuple[float, float]
     exponent: float
     intercept: float
     rms_residual: float
     n_samples: int
-
-    def __post_init__(self):
-        lo, hi = self.window
-        if not (lo >= 1.0 and hi > lo):
-            raise DomainError(f"fit window must satisfy 1 <= lo < hi, got {self.window}")
-        if self.n_samples < 10:
-            raise DomainError(f"fit needs >= 10 samples, got {self.n_samples}")
 
 
 def pointwise_exponent(series: NormSeries) -> NormSeries:
@@ -107,7 +101,7 @@ def l2_norm(profile, dx: float):
     return float(norms) if u.ndim == 1 else norms
 
 
-def log_uniform_indices(times: np.ndarray, lo: float, hi: float, n: int = 50) -> np.ndarray:
+def log_uniform_indices(times: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
     """Indices of samples nearest to n log-uniform targets in [lo, hi],
     deduplicated and sorted. Used to thin dense uniform grids before fitting."""
     targets = np.exp(np.linspace(np.log(lo), np.log(hi), n))

@@ -55,9 +55,9 @@ _CUT_TOL, _CUT_BUDGET, _CUT_CHUNK = 1e-13, 2000, 16
 class OdeSpec:
     """Coefficients of the coupled fractional ODE system.
 
-    F and G are source terms: None (zero), a callable of t, or an array
-    sampled on the solver grid.  Nonnegative data (a, b, coefficients and
-    sources all >= 0) is what the maximum principle assumes.
+    F and G are source terms: None (zero) or a callable of t.  Nonnegative
+    data (a, b, coefficients and sources all >= 0) is what the maximum
+    principle assumes.
     """
 
     alpha: float
@@ -80,6 +80,8 @@ class OdeSpec:
                if not math.isfinite(getattr(self, name))]
         if bad:
             raise DomainError(f"{', '.join(bad)} must be finite")
+        if not all(src is None or callable(src) for src in (self.F, self.G)):
+            raise DomainError("sources F and G must be None or callables of t")
 
 
 @dataclass
@@ -97,13 +99,7 @@ class OdePath:
 def _sample_source(src, times):
     if src is None:
         return None
-    if callable(src):
-        return np.asarray([float(src(t)) for t in times], dtype=float)
-    arr = np.asarray(src, dtype=float)
-    if arr.shape != times.shape:
-        raise DomainError(
-            f"sampled source length {arr.shape} does not match grid {times.shape}")
-    return arr
+    return np.asarray([float(src(t)) for t in times], dtype=float)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Two-parameter Mittag-Leffler function E_{eta,mu}(z) on the negative real
-axis, plus the Gamma function at arbitrary non-pole arguments.
+axis.
 
 E_{eta,mu}(z) = sum_k z^k / Gamma(eta*k + mu).  Everything downstream
 (relaxation kernels, Picard iterations, spectral solutions) reduces to this
@@ -10,16 +10,17 @@ Evaluation routes for mu > 0, tried in this order; each float64 route is
 vectorised and gated by an a-posteriori relative error estimate:
 
 * |z| >= 4: the algebraic expansion -sum_{k>=1} z^{-k}/Gamma(mu - eta*k),
-  truncated at its smallest term (1/Gamma at a pole contributes exactly 0);
+  truncated at its smallest term (1/Gamma at a pole contributes exactly 0;
+  at eta = 1 the weights next to a pole come from the reflection formula,
+  so mu one ulp from an integer keeps its tiny terms);
 * every point the expansion does not certify, |z| < 4 included, goes to the
   one route of its order: for 0 < eta < 1 the trapezoid rule on a parabolic
   Bromwich contour (Weideman & Trefethen, Math. Comp. 76 (2007); Garrappa,
   SIAM J. Numer. Anal. 53 (2015)), for eta = 1 the Kummer-transformed
   series; E_{1,1} short-circuits to exp;
-* last resort, an extended-precision series (mpmath) for what no float64
-  route certifies: points next to a zero of E (mu < eta, or mu < 1 at
-  eta = 1), eta = 1 with mu next to 1 past |z| ~ 709, and, at
-  rtol = 1e-12, mu = eta >= 0.98 with 14 <= |z| <= 38.
+* an extended-precision series (mpmath) for what no float64 route
+  certifies: points next to a zero of E (mu < eta, or mu < 1 at eta = 1)
+  and, at rtol = 1e-12, mu = eta >= 0.98 with 14 <= |z| <= 38.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, rgamma
+from scipy.special import gamma, gammaln, rgamma
 
 from .errors import DomainError, NumericalError, UnsupportedRangeError
 
@@ -43,37 +44,28 @@ _MU_RANGE = (0.1, 3.0)
 _Z_MIN = -1.0e4
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with exact argument reduction (no pi*x rounding blowup)."""
-    r = x - round(x)
-    s = math.sin(math.pi * r)
-    return s if round(x) % 2 == 0 else -s
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x that is not a non-positive integer.
-
-    Positive arguments go straight to the platform gamma; negative ones use
-    the reflection formula Gamma(x)Gamma(1-x) = pi/sin(pi*x).  Relative error
-    is a few ulp for |x| <= 20.
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma_fn pole at x={x:g} (non-positive integer)")
-    if x > 0.0:
-        return math.gamma(x)
-    return math.pi / (_sinpi(x) * math.gamma(1.0 - x))
-
-
 @lru_cache(maxsize=256)
 def _asymp_weights(eta: float, mu: float, cap: int) -> np.ndarray:
     """1/Gamma(mu - eta*k) for k = 1..cap; exactly 0 at the Gamma poles.
 
-    Arguments within a few ulps of a non-positive integer are snapped onto
-    the pole: rounding of mu - eta*k otherwise yields ghost weights ~1e-15
-    whose terms wreck the optimal-truncation error estimate.
+    At eta = 1 the arguments are n + delta, n = round(mu) - k, with the
+    exact delta = mu - round(mu); for n <= 0 the weight is the reflection
+    (-1)^n sin(pi delta) Gamma(1 - n - delta) / pi, zero only at delta = 0.
+    (Formed as mu - k, a delta of one ulp rounds away and leaves a pole.)
+    For eta < 1, arguments within a few ulps of a non-positive integer are
+    snapped onto the pole: rounding of mu - eta*k otherwise yields ghost
+    weights ~1e-15 whose terms wreck the optimal-truncation error estimate.
     """
     k = np.arange(1, cap + 1, dtype=float)
+    if eta == 1.0:
+        n = round(mu) - k
+        delta = mu - round(mu)
+        w = rgamma(n + delta)
+        if delta != 0.0:
+            left = n <= 0.0
+            w[left] = ((-1.0) ** n[left] * (math.sin(math.pi * delta) / math.pi)
+                       * gamma(1.0 - n[left] - delta))
+        return w
     a = mu - eta * k
     w = rgamma(a)
     nearest = np.round(a)
@@ -332,24 +324,3 @@ def ml_eval(eta: float, mu: float, z: float) -> float:
         raise UnsupportedRangeError(f"z={z:g} below validated minimum {_Z_MIN:g}")
     return float(ml_neg(eta, mu, z, rtol=1e-12))
 
-
-def relaxation_kernel(eta: float, c: float, t):
-    """t^{eta-1} * E_{eta,eta}(-c t^eta), the relaxation kernel of a damped
-    fractional mode.
-
-    Strictly positive for t > 0, with the integrable t^{eta-1} singularity
-    at the origin.  For eta = 1 this is exactly exp(-c t).
-    """
-    eta = float(eta)
-    c = float(c)
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"relaxation_kernel needs 0 < eta <= 1, got {eta}")
-    if c < 0.0:
-        raise DomainError(f"damping must be >= 0, got {c}")
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr <= 0.0):
-        raise DomainError("relaxation_kernel requires t > 0")
-    out = t_arr ** (eta - 1.0) * ml_neg(eta, eta, -c * t_arr ** eta, rtol=1e-12)
-    return float(out[0]) if scalar else out

@@ -43,9 +43,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import rgamma
 
 from .errors import DomainError, QuadratureError
-from .mittag_leffler import _EPS, _contour_rule, gamma_fn, ml_neg
+from .mittag_leffler import _EPS, _contour_rule, ml_neg
 
 # nodes s_k and weights w_k at t = 1: the 43-node estimate, the 64-node value
 _RULES = tuple(_contour_rule(1.0, 1.0, n) for n in (43, 64))
@@ -210,14 +211,14 @@ def asymptotic_v(u0_coeffs, beta: float, t: float) -> np.ndarray:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     coeffs = _finite_coeffs(u0_coeffs)
     lam = eigenvalues(coeffs.size)
-    lead = coeffs / lam ** 3 * t ** (-(1.0 + beta)) / (-gamma_fn(-beta))
-    nxt = coeffs / lam ** 4 * t ** (-(2.0 + beta)) / gamma_fn(-1.0 - beta)
+    lead = coeffs / lam ** 3 * t ** (-(1.0 + beta)) * -rgamma(-beta)
+    nxt = coeffs / lam ** 4 * t ** (-(2.0 + beta)) * rgamma(-1.0 - beta)
     return lead + nxt
 
 
 @dataclass
 class SpectralSolution:
-    """Eigenmode solution wrapper: initial coefficients, norms, tail bound."""
+    """Eigenmode solution wrapper: initial coefficients and the v norms."""
 
     beta: float
     n_modes: int = 64
@@ -235,35 +236,11 @@ class SpectralSolution:
             self.u0_coeffs = _finite_coeffs(self.u0_coeffs)
             self.n_modes = self.u0_coeffs.size
 
-    def u_coeffs(self, t: float) -> np.ndarray:
-        t = _positive_time(t)
-        with np.errstate(under="ignore"):
-            return np.exp(-eigenvalues(self.n_modes) * t) * self.u0_coeffs
-
     def v_coeffs(self, t: float) -> np.ndarray:
         return decoupled_solve(self.u0_coeffs, self.beta, t)[1]
-
-    def v_coeffs_asymptotic(self, t: float) -> np.ndarray:
-        return asymptotic_v(self.u0_coeffs, self.beta, t)
-
-    def u_norm(self, t: float) -> float:
-        return float(np.linalg.norm(self.u_coeffs(t)))
 
     def v_norm(self, t: float) -> float:
         return float(np.linalg.norm(self.v_coeffs(t)))
 
     def v_norm_asymptotic(self, t: float) -> float:
-        return float(np.linalg.norm(self.v_coeffs_asymptotic(t)))
-
-    def tail_estimate(self, t: float) -> float:
-        """Crude bound on the truncated modes: the u part is below
-        e^{-lam_{n+1} t} |u0|, the v part below the lam^{-3} tail of the
-        limit-pattern coefficients."""
-        t = _positive_time(t)
-        lam_next = float((self.n_modes + 1) ** 2)
-        u0_scale = float(np.max(np.abs(self.u0_coeffs), initial=0.0))
-        with np.errstate(under="ignore"):
-            u_tail = math.exp(-min(lam_next * t, 700.0)) * u0_scale
-        v_tail = u0_scale * lam_next ** -3 * t ** (-(1.0 + self.beta)) \
-            / (-gamma_fn(-self.beta))
-        return u_tail + v_tail
+        return float(np.linalg.norm(asymptotic_v(self.u0_coeffs, self.beta, t)))

@@ -98,14 +98,14 @@ def l1_weights(gamma: float, n: int) -> np.ndarray:
 
 CouplingEntry = float | Callable[[np.ndarray, float], np.ndarray]
 SourceEntry = Callable[[np.ndarray, float], np.ndarray] | None
-InitialEntry = Callable[[np.ndarray], np.ndarray] | np.ndarray
+InitialEntry = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Coefficients of the coupled system: orders, diffusivities, the coupling
     matrix c[k][l] (constants or callables of (x, t)), per-component sources
-    (None means zero) and initial profiles (callables of x or sampled arrays).
+    (None means zero) and initial profiles (callables of x).
     K = 2 and 3 are the validated component counts; K = 1 is the degenerate
     single-equation case used by convergence studies."""
 
@@ -145,6 +145,8 @@ class SystemSpec:
                 ckk = self.couplings[k][k]
                 if not callable(ckk) and float(ckk) < 0.0:
                     problems.append(f"diagonal coupling c[{k}][{k}] = {ckk} < 0")
+                if not callable(self.initials[k]):
+                    problems.append(f"initial profile {k} must be a callable of x")
         if self.sources is not None and len(self.sources) != K:
             problems.append("sources length disagrees with component count")
         if problems:
@@ -168,17 +170,6 @@ class SystemSpec:
         if self.sources is None or self.sources[k] is None:
             return np.zeros_like(x)
         return np.asarray(self.sources[k](x, t), dtype=float) * np.ones_like(x)
-
-    def initial_profile(self, k: int, x: np.ndarray) -> np.ndarray:
-        u0 = self.initials[k]
-        if callable(u0):
-            vals = np.asarray(u0(x), dtype=float)
-        else:
-            vals = np.asarray(u0, dtype=float)
-            if vals.shape != x.shape:
-                raise DomainError(
-                    f"initial profile {k} has {vals.shape}, grid has {x.shape}")
-        return vals
 
     def couplings_constant(self) -> bool:
         return all(not callable(c) for row in self.couplings for c in row)
@@ -230,19 +221,6 @@ class BandedMatrix:
         return y
 
 
-def banded_from_dense(dense: np.ndarray) -> BandedMatrix:
-    dense = np.asarray(dense, dtype=float)
-    n = dense.shape[0]
-    if dense.shape != (n, n):
-        raise DomainError("matrix must be square")
-    nz = np.nonzero(dense)
-    lower = int(np.max(nz[0] - nz[1], initial=0))
-    upper = int(np.max(nz[1] - nz[0], initial=0))
-    ab = np.zeros((lower + upper + 1, n))
-    ab[upper + nz[0] - nz[1], nz[1]] = dense[nz]
-    return BandedMatrix(lower=lower, upper=upper, ab=ab)
-
-
 class _BandedLU:
     """LU factors of a banded matrix by LAPACK gbtrf (partial pivoting), kept
     with the matrix for the residual check of every solve.  Built once per
@@ -275,25 +253,19 @@ class _BandedLU:
         return x
 
 
-def banded_solve(matrix: BandedMatrix | np.ndarray | _BandedLU,
-                 rhs: np.ndarray) -> np.ndarray:
+def banded_solve(matrix: BandedMatrix | _BandedLU, rhs: np.ndarray) -> np.ndarray:
     """Solve a banded system by LAPACK banded LU with partial pivoting
     (gbtrf, then gbtrs); an already factored matrix skips the factoring.
     The relative residual is checked against 1e-12, which also catches
     non-finite input; a singular or unusable system raises SolverError."""
-    if isinstance(matrix, np.ndarray):
-        matrix = banded_from_dense(matrix)
     lu = matrix if isinstance(matrix, _BandedLU) else _BandedLU(matrix)
     return lu.solve(rhs)
 
 
-def gershgorin_disks(matrix: BandedMatrix | np.ndarray):
+def gershgorin_disks(matrix: BandedMatrix):
     """One (center, radius) pair per row: center the diagonal entry, radius
     the absolute off-diagonal row sum."""
-    dense = matrix.to_dense() if isinstance(matrix, BandedMatrix) else np.asarray(matrix, float)
-    n = dense.shape[0]
-    if dense.shape != (n, n):
-        raise DomainError("matrix must be square")
+    dense = matrix.to_dense()
     centers = np.diag(dense)
     radii = np.sum(np.abs(dense), axis=1) - np.abs(centers)
     return [(float(c), float(r)) for c, r in zip(centers, radii)]
@@ -310,38 +282,19 @@ def _r_coeffs(spec: SystemSpec, grid: Grid) -> np.ndarray:
         for a, d in zip(spec.orders, spec.diffusivities)])
 
 
-def stability_condition(spec: SystemSpec, grid: Grid | None = None) -> bool:
-    """Row-dominance of the couplings: c_kk >= sum_{l != k} |c_kl| pointwise.
-
-    Constant couplings are checked directly; coefficient functions need a
-    grid to sample at its nodes and time levels.
-    """
-    return stability_margin(spec, grid) >= 0.0
-
-
-def stability_margin(spec: SystemSpec, grid: Grid | None = None) -> float:
-    """min over rows/space/time of c_kk - sum_{l != k} |c_kl|; zero margin
-    means the Gershgorin disks touch the unit circle (still stable)."""
+def stability_margin(spec: SystemSpec) -> float:
+    """min over rows of c_kk - sum_{l != k} |c_kl| for constant couplings;
+    the couplings are row-dominant (the stability condition) iff it is >= 0,
+    and a zero margin means the Gershgorin disks touch the unit circle
+    (still stable)."""
+    if not spec.couplings_constant():
+        raise DomainError("the stability margin needs constant couplings")
     K = spec.K
-    if spec.couplings_constant():
-        margins = []
-        for k in range(K):
-            row = [float(spec.couplings[k][l]) for l in range(K)]
-            margins.append(row[k] - sum(abs(row[l]) for l in range(K) if l != k))
-        return float(min(margins))
-    if grid is None:
-        raise DomainError("time/space-dependent couplings need a grid to sample")
-    x = grid.x[1:-1]
-    worst = math.inf
-    for t in grid.times:
-        for k in range(K):
-            diag = spec.coupling_at(k, k, x, float(t))
-            off = np.zeros_like(x)
-            for l in range(K):
-                if l != k:
-                    off += np.abs(spec.coupling_at(k, l, x, float(t)))
-            worst = min(worst, float(np.min(diag - off)))
-    return worst
+    margins = []
+    for k in range(K):
+        row = [float(spec.couplings[k][l]) for l in range(K)]
+        margins.append(row[k] - sum(abs(row[l]) for l in range(K) if l != k))
+    return float(min(margins))
 
 
 def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> BandedMatrix:
@@ -527,8 +480,7 @@ def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit") -> His
     values = np.zeros((grid.N + 1, K, grid.I + 1))
     x = grid.x
     for k in range(K):
-        prof = spec.initial_profile(k, x)
-        values[0, k, :] = prof
+        values[0, k, :] = spec.initials[k](x)
     values[0, :, 0] = 0.0
     values[0, :, -1] = 0.0
     stepper = _Stepper(spec, grid, scheme, values[0, :, 1:-1])

@@ -15,7 +15,7 @@ from scipy.special import erfcx
 from subdecay import decay as decay_mod
 from subdecay import frac_ode, spectral, subdiff_fd
 from subdecay.cli import RunConfig, conjectured_rate, run, table_configs
-from subdecay.mittag_leffler import gamma_fn, ml_neg
+from subdecay.mittag_leffler import ml_neg
 from subdecay.subdiff_fd import Grid, SystemSpec, simulate, norm_history
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
@@ -222,7 +222,7 @@ class TestCriterion10:
         grid = Grid(L=math.pi, I=16, T=2000.0, N=200)  # dt = 10, dx = pi/16
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=C2, initials=[np.sin, HAT])
-        assert subdiff_fd.stability_condition(spec)
+        assert subdiff_fd.stability_margin(spec) >= 0.0
         hist = simulate(spec, grid, "fully-implicit")
         _, norms = norm_history(hist)
         growth = float(np.max(norms / norms[0]))
@@ -248,7 +248,7 @@ class TestCriterion11:
             ok = ok and bool(np.all(np.diff(e1) <= 1e-15))
             for mu in (0.1, 1.0, 2.0, 3.0):
                 ok = ok and abs(float(ml_neg(eta, mu, 0.0))
-                                - 1.0 / gamma_fn(mu)) <= 1e-13 / gamma_fn(mu)
+                                - 1.0 / math.gamma(mu)) <= 1e-13 / math.gamma(mu)
         _report("11-ml", ok,
                 "positivity, bound, monotonicity and normalization grids clean")
 

@@ -71,12 +71,12 @@ class TestRunConfig:
         msg = str(err.value)
         assert "non-increasing" in msg and "stride" in msg and "positive" in msg
 
-    @pytest.mark.parametrize("orders", [[], [0.9, 0.8, 0.7, 0.6]])
+    @pytest.mark.parametrize("orders", [[], [0.9, 0.8, 0.7, 0.6], [0.9]])
     def test_unsupported_count_is_the_only_fault(self, orders):
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict({"orders": orders, "ic_case": "i"})
         assert err.value.problems == [
-            f"component count {len(orders)} not supported (1, 2 or 3)"]
+            f"component count {len(orders)} not supported (2 or 3)"]
 
     def test_round_trip_is_fixed_point(self):
         cfg = RunConfig.from_dict(dict(SMALL))
@@ -85,8 +85,9 @@ class TestRunConfig:
         assert once == again
 
     def test_unknown_case_for_k(self):
-        with pytest.raises(ConfigError, match="ic_case"):
-            RunConfig.from_dict({**SMALL, "ic_case": "iii"}).system_spec()
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**SMALL, "ic_case": "iii"})
+        assert err.value.problems == ["ic_case 'iii' undefined for K=2; valid: ['i', 'ii']"]
 
     @pytest.mark.parametrize("field, value", [
         ("T", math.inf), ("L", math.nan), ("ic_scale", math.inf),

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from subdecay.decay import (DecayFit, NormSeries, fit_exponent, l2_norm,
-                            log_uniform_indices, pointwise_exponent)
+from subdecay.decay import (NormSeries, fit_exponent, l2_norm, log_uniform_indices,
+                            pointwise_exponent)
 from subdecay.errors import DomainError
 
 
@@ -88,9 +88,6 @@ class TestFitExponent:
         t = np.logspace(1, 3, 30)
         with pytest.raises(DomainError):
             fit_exponent(NormSeries(t, t ** -1.0), (0.5, 1000.0))
-        with pytest.raises(DomainError):
-            DecayFit(window=(0.5, 2.0), exponent=-1.0, intercept=0.0,
-                     rms_residual=0.0, n_samples=50)
 
 
 class TestL2Norm:

@@ -188,6 +188,9 @@ class TestPicard:
         with pytest.raises(DomainError):
             OdeSpec(alpha=0.5, beta=0.9, a=1.0, b=0.0,
                     eta1=1.0, eta2=1.0, mu1=0.0, mu2=0.0)
+        with pytest.raises(DomainError, match="callables of t"):
+            OdeSpec(alpha=0.5, beta=0.5, a=1.0, b=0.0,
+                    eta1=1.0, eta2=1.0, mu1=0.0, mu2=0.0, F=np.zeros(65))
 
     @pytest.mark.parametrize("name", ["a", "b", "eta1", "eta2", "mu1", "mu2"])
     def test_non_finite_coefficient_rejected(self, name):

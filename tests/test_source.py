@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import subdecay
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "subdecay"
 
 
@@ -35,3 +37,8 @@ def test_unused_import_detected():
     tree = ast.parse("import os\nfrom functools import lru_cache\nfrom math import pi\n"
                      "__all__ = ['pi']\nos.getcwd()\n")
     assert unused_imports(tree) == ["lru_cache (line 2)"]
+
+
+def test_every_export_resolves():
+    # a deleted name left in __all__ breaks `from subdecay import *`
+    assert [name for name in subdecay.__all__ if not hasattr(subdecay, name)] == []

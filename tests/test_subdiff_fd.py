@@ -9,9 +9,8 @@ from conftest import l1_history_direct, l1_weights_reference
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
 from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _Stepper,
-                                 _soe_modes, assemble_block_matrix, banded_from_dense,
-                                 banded_solve, gershgorin_disks, l1_weights,
-                                 norm_history, simulate, stability_condition,
+                                 _soe_modes, assemble_block_matrix, banded_solve,
+                                 gershgorin_disks, l1_weights, norm_history, simulate,
                                  stability_margin)
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
@@ -91,39 +90,39 @@ class TestBandedSolve:
         assert np.array_equal(banded_solve(eye, rhs), rhs)
 
     def test_two_by_two_closed_form(self):
-        dense = np.array([[2.0, 1.0], [1.0, 3.0]])
+        # [[2, 1], [1, 3]]
+        matrix = BandedMatrix(lower=1, upper=1, ab=np.array([[0.0, 1.0], [2.0, 3.0],
+                                                              [1.0, 0.0]]))
         rhs = np.array([5.0, 10.0])
-        x = banded_solve(dense, rhs)
+        x = banded_solve(matrix, rhs)
         assert x == pytest.approx([1.0, 3.0], rel=1e-14)
 
     def test_random_tridiagonal_against_dense(self, rng):
         for _ in range(25):
             n = 5
-            dense = np.zeros((n, n))
-            for i in range(n):
-                for j in range(max(0, i - 1), min(n, i + 2)):
-                    dense[i, j] = rng.uniform(-1.0, 1.0)
-                dense[i, i] = 3.0 + abs(dense[i, i])
+            ab = rng.uniform(-1.0, 1.0, size=(3, n))
+            ab[1] = 3.0 + np.abs(ab[1])
+            matrix = BandedMatrix(lower=1, upper=1, ab=ab)
             rhs = rng.uniform(-1, 1, size=n)
-            x = banded_solve(dense, rhs)
-            ref = np.linalg.solve(dense, rhs)
+            x = banded_solve(matrix, rhs)
+            ref = np.linalg.solve(matrix.to_dense(), rhs)
             assert np.max(np.abs(x - ref)) < 1e-12
 
     def test_wider_band_against_dense(self, rng):
         n = 40
-        dense = np.zeros((n, n))
-        for i in range(n):
-            for j in range(max(0, i - 3), min(n, i + 3)):
-                dense[i, j] = rng.uniform(-1, 1)
-            dense[i, i] = 8.0
+        ab = rng.uniform(-1, 1, size=(6, n))
+        ab[2] = 8.0
+        matrix = BandedMatrix(lower=3, upper=2, ab=ab)
         rhs = rng.uniform(-1, 1, size=n)
-        x = banded_solve(banded_from_dense(dense), rhs)
-        assert np.max(np.abs(dense @ x - rhs)) < 1e-12 * np.abs(rhs).max() * 100
+        x = banded_solve(matrix, rhs)
+        assert np.max(np.abs(matrix.to_dense() @ x - rhs)) < 1e-12 * np.abs(rhs).max() * 100
 
     def test_singular_raises(self):
-        dense = np.array([[1.0, 1.0], [1.0, 1.0]])
+        # [[1, 1], [1, 1]]
+        matrix = BandedMatrix(lower=1, upper=1, ab=np.array([[0.0, 1.0], [1.0, 1.0],
+                                                              [1.0, 0.0]]))
         with pytest.raises(SolverError):
-            banded_solve(dense, np.array([1.0, 2.0]))
+            banded_solve(matrix, np.array([1.0, 2.0]))
 
     def test_shape_mismatch(self):
         eye = BandedMatrix(lower=0, upper=0, ab=np.ones((1, 4)))
@@ -193,7 +192,7 @@ class TestAssembly:
     def test_diagonal_dominance_under_stability_condition(self):
         grid = self.grid(I=12)
         spec = self.spec2()
-        assert stability_condition(spec)
+        assert stability_margin(spec) >= 0.0
         A = assemble_block_matrix(spec, grid, 0).to_dense()
         for i in range(A.shape[0]):
             off = np.sum(np.abs(A[i])) - abs(A[i, i])
@@ -202,7 +201,7 @@ class TestAssembly:
 
 class TestGershgorin:
     def test_identity_disks(self):
-        disks = gershgorin_disks(np.eye(4))
+        disks = gershgorin_disks(BandedMatrix(lower=0, upper=0, ab=np.ones((1, 4))))
         assert disks == [(1.0, 0.0)] * 4
 
     def test_interior_row_formulas(self):
@@ -232,7 +231,6 @@ class TestStabilityCondition:
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=[[1.0, -1.0], [-1.0, 1.0]],
                           initials=[np.sin, HAT])
-        assert stability_condition(spec)
         assert stability_margin(spec) == 0.0  # equality case, flagged marginal
 
     def test_reference_three_component_setup(self):
@@ -240,21 +238,20 @@ class TestStabilityCondition:
                           couplings=[[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5],
                                      [-0.5, -0.5, 1.0]],
                           initials=[np.sin, HAT, ZERO])
-        assert stability_condition(spec)
+        assert stability_margin(spec) >= 0.0
 
     def test_violating_coupling(self):
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=[[0.0, 1.0], [0.0, 1.0]],
                           initials=[np.sin, HAT])
-        assert not stability_condition(spec)
+        assert stability_margin(spec) < 0.0
 
-    def test_time_dependent_requires_grid(self):
+    def test_time_dependent_couplings_refused(self):
         spec = SystemSpec(orders=(0.9,), diffusivities=(1.0,),
                           couplings=[[lambda x, t: 1.0 + 0.0 * x]],
                           initials=[np.sin])
-        with pytest.raises(DomainError):
-            stability_condition(spec)
-        assert stability_condition(spec, Grid(L=math.pi, I=8, T=1.0, N=4))
+        with pytest.raises(DomainError, match="constant couplings"):
+            stability_margin(spec)
 
 
 class TestStepping:
@@ -444,6 +441,9 @@ class TestStepping:
         with pytest.raises(DomainError, match="finite"):
             SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                        couplings=[[1.0, math.nan], [0.0, 1.0]], initials=[np.sin, HAT])
+        with pytest.raises(DomainError, match="callable"):
+            SystemSpec(orders=(0.9,), diffusivities=(1.0,), couplings=[[0.0]],
+                       initials=[np.zeros(9)])
         with pytest.raises(DomainError):
             Grid(L=math.pi, I=1, T=1.0, N=4)
 
