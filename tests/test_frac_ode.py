@@ -351,6 +351,21 @@ class TestKernelMoments:
         np.testing.assert_allclose(_convolve_linear(kw, W), direct, rtol=0.0,
                                    atol=1e-14 * np.max(np.abs(direct)))
 
+    @pytest.mark.parametrize("eta, p, n", [(0.9, 0.5, 700), (0.4, 0.8, 1009)])
+    def test_single_transform_against_direct_sum(self, eta, p, n):
+        # entry i of A W[1:] + B W[:-1] summed directly over cells j < i, plus
+        # the end-cell layer correction, on random samples W
+        times = np.linspace(0.0, 20.0, n + 1)
+        kw = _kernel_moments(eta, 2.0, times, layer_exp=p)
+        W = np.random.default_rng(11).uniform(0.5, 1.5, n + 1)
+        direct = np.zeros(n + 1)
+        for i in range(1, n + 1):
+            direct[i] = kw.A[:i] @ W[i:0:-1] + kw.B[:i] @ W[i - 1::-1]
+        direct[1:] += (W[1] - W[0]) / kw.h ** p * kw.layer_corr
+        got = _convolve_linear(kw, W)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, direct, rtol=1e-13, atol=0.0)
+
 
 def cut_reference(sym, t):
     return np.array([[branch_cut_quad_reference(sym, tv, n) for tv in t]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx, rgamma
 
-from subdecay import mittag_leffler
+from subdecay import frac_ode, mittag_leffler
 from subdecay.errors import DomainError, UnsupportedRangeError
 from subdecay.mittag_leffler import ml_eval, ml_neg
 
@@ -179,6 +179,69 @@ class TestMLEval:
         assert ml_eval(0.8, 0.7, z) == pytest.approx(ref, rel=1e-10)
         assert reached
 
+    def test_kernel_table_points_near_the_expansion_switch(self):
+        # the eta = 0.5 kernel cells 1828, 1880 and 1938 (c = 2, T = 20, 5120
+        # steps): the expansion certifies them at rtol 1e-10 with errors of
+        # 6e-12 to 3.4e-11, so its a-priori floor sends them to the contour
+        for z in (-5.35, -5.42, -5.50):
+            ref = ml_series_reference(0.5, 0.5, z)
+            got = float(ml_neg(0.5, 0.5, z, rtol=1e-10))
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0), z
+
+    @pytest.mark.parametrize("route, eta, mu", [
+        ("_contour_f64", 0.5, 0.5), ("_contour_f64", 0.9, 1.0), ("_contour_f64", 0.3, 2.0),
+        ("_asymp_f64", 0.5, 0.5), ("_asymp_f64", 0.9, 1.0), ("_asymp_f64", 1.0, 1.5)])
+    def test_route_value_independent_of_batch(self, route, eta, mu):
+        # a point alone gives bitwise the value and estimate it gets inside a
+        # batch that crosses a contour block boundary or freezes unevenly
+        f = getattr(mittag_leffler, route)
+        rng = np.random.default_rng(7)
+        n = mittag_leffler._CONTOUR_CHUNK + 3
+        z = -np.concatenate([rng.uniform(0.0, 40.0, n - 3), [4.0, 1e3, 1e-3]])
+        values, estimates = f(eta, mu, z)
+        for i in [0, n // 2 - 1, n - 4, n - 3, n - 2, n - 1]:
+            alone = f(eta, mu, z[i:i + 1])
+            assert alone[0][0] == values[i] and alone[1][0] == estimates[i], i
+        tail = f(eta, mu, z[-4:])
+        assert np.array_equal(tail[0], values[-4:]) and np.array_equal(tail[1], estimates[-4:])
+
+    @pytest.mark.parametrize("eta", [0.1, 0.4, 0.5, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 1.0000000000000002, 2.5])
+    def test_expansion_matches_masked_loop(self, eta, mu):
+        # dropping frozen points from the working arrays changes no digit
+        z = -np.logspace(0.0, 4.0, 301)
+        got = mittag_leffler._asymp_f64(eta, mu, z)
+        ref = asymp_masked_reference(eta, mu, z)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_expansion_tried_where_it_certifies(self, monkeypatch):
+        # over the kernel lines of the ode-sweep benchmark's three solves, at
+        # most 10 % of the points the expansion is tried on fail its
+        # certificate and go on to the contour
+        tried, failed, rtols = [], [], []
+        expansion, ml_neg_ = mittag_leffler._asymp_f64, frac_ode.ml_neg
+
+        def counted(eta, mu, z):
+            value, est = expansion(eta, mu, z)
+            tried.append(z.size)
+            failed.append(int(np.sum(est > rtols[-1])))
+            return value, est
+
+        def with_rtol(eta, mu, z, rtol):
+            rtols.append(rtol)
+            return ml_neg_(eta, mu, z, rtol=rtol)
+
+        monkeypatch.setattr(mittag_leffler, "_asymp_f64", counted)
+        monkeypatch.setattr(frac_ode, "ml_neg", with_rtol)
+        coupled = dict(b=0.0, eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
+        for spec, T, n in [(frac_ode.OdeSpec(alpha=0.9, beta=0.5, a=1.0, **coupled), 20.0, 5120),
+                           (frac_ode.OdeSpec(alpha=0.8, beta=0.4, a=1.0, **coupled), 20.0, 5120),
+                           (frac_ode.OdeSpec(alpha=0.5, beta=0.5, a=1.0, b=0.0, eta1=1.0,
+                                             eta2=1.0, mu1=0.0, mu2=0.0), 10.0, 4096)]:
+            frac_ode.picard_solve(spec, T=T, n_steps=n)
+        assert sum(tried) > 10_000
+        assert sum(failed) <= 0.1 * sum(tried)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -191,6 +254,44 @@ class TestMLEval:
             ml_neg(0.5, 1.0, np.array([-1.0, bad]))
         with pytest.raises(DomainError):
             ml_neg(0.5, bad, -1.0)
+
+
+def asymp_masked_reference(eta, mu, z):
+    """The expansion with every point kept in the arrays and masked once
+    frozen: the plain loop that _asymp_f64 must reproduce bit for bit."""
+    weights = mittag_leffler._asymp_weights(float(eta), float(mu), mittag_leffler._ASYMP_CAP)
+    finite = np.isfinite(weights)
+    n_usable = int(np.argmax(~finite)) if not finite.all() else weights.size
+    nz_idx = np.flatnonzero(weights[:n_usable] != 0.0)
+    eps = mittag_leffler._EPS
+    zinv = 1.0 / z
+    power = np.ones_like(z)
+    total = np.zeros_like(z)
+    best = np.full(z.shape, np.inf)
+    frozen = np.zeros(z.shape, dtype=bool)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for k in range(int(nz_idx[-1]) + 1 if nz_idx.size else 0):
+            power = power * zinv
+            if weights[k] == 0.0:
+                continue
+            a = -power * weights[k]
+            mag = np.abs(a)
+            frozen |= mag > 2.0 * best
+            total = np.where(frozen, total, total + a)
+            best = np.where((mag < best) & ~frozen, mag, best)
+            frozen |= mag <= 0.25 * eps * np.abs(total)
+            if np.all(frozen):
+                break
+    if eta == 1.0:
+        best[~frozen] = 0.0
+    scale = np.maximum(np.abs(total), 1e-300)
+    est = np.where(np.isfinite(best), best, np.inf) / scale * 3.0
+    if eta > 2.0 / 3.0:
+        with np.errstate(divide="ignore", under="ignore"):
+            r = np.abs(z) ** (1.0 / eta)
+            est = est + 2.0 / eta * r ** (1.0 - mu) * np.exp(
+                np.maximum(r * math.cos(math.pi / eta), -700.0)) / scale
+    return total, est
 
 
 def relaxation_kernel(eta, c, t):
