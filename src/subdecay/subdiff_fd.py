@@ -13,8 +13,13 @@ One stepper per run carries the L1 memory as a sum of exponentials (after
 Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21 (2017) 650-678), so
 every step costs the same.  Its modes are a log-s trapezoid rule for the
 fast part and, for the slow modes with s N <= 1/2, the 8-node Gauss rule of
-their own discrete measure: 29-66 modes per order for N from 2 to 16,000,
-all components' states in one array.  Each step makes one LAPACK banded solve
+their own discrete measure: 29-66 modes per order for N from 2 to 16,000.
+Each order's states are carried scaled by e^{lag s_q}, so a step reads them
+out with one matrix-vector product and folds the new level in with one BLAS
+rank-1 update, from tables of exact-rate exponentials; each mode is
+renormalised at least every 64 steps, often enough that no scale factor
+leaves 2^+-20 and data near either end of the float range steps finitely.
+Each step makes one LAPACK banded solve
 (gbtrf/gbtrs, with a 1e-12 residual check).  The semi-implicit scheme lags
 the coupling and source one level, so the K components decouple into one
 block-diagonal tridiagonal system, factored once per run.  The fully
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import rgamma
 
@@ -42,6 +48,10 @@ from .errors import DomainError, SolverError
 _SOE_TOL = 1e-15
 # nodes of the Gauss rule that stands in for the memory's slowest modes
 _GAUSS_NODES = 8
+# longest renormalisation period of the memory's scaled states, in steps,
+# and the largest exponent lag * s_q a scale factor may reach (2^20)
+_PERIOD = 64
+_SCALE_LOG = 20.0 * math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +109,13 @@ def l1_weights(gamma: float, n: int) -> np.ndarray:
 CouplingEntry = float | Callable[[np.ndarray, float], np.ndarray]
 SourceEntry = Callable[[np.ndarray, float], np.ndarray] | None
 InitialEntry = Callable[[np.ndarray], np.ndarray]
+
+
+def _at_nodes(values, x: np.ndarray) -> np.ndarray:
+    """A coefficient callable's return as floats of the nodes' shape: node
+    arrays as they are, scalars broadcast."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == x.shape else values * np.ones_like(x)
 
 
 @dataclass(frozen=True)
@@ -161,7 +178,7 @@ class SystemSpec:
         c = self.couplings[k][l]
         if not callable(c):
             return np.full_like(x, float(c))
-        vals = np.asarray(c(x, t), dtype=float) * np.ones_like(x)
+        vals = _at_nodes(c(x, t), x)
         if k == l and np.any(vals < 0.0):
             raise DomainError(f"diagonal coupling c[{k}][{k}] negative at t={t:g}")
         return vals
@@ -169,7 +186,7 @@ class SystemSpec:
     def source_at(self, k: int, x: np.ndarray, t: float) -> np.ndarray:
         if self.sources is None or self.sources[k] is None:
             return np.zeros_like(x)
-        return np.asarray(self.sources[k](x, t), dtype=float) * np.ones_like(x)
+        return _at_nodes(self.sources[k](x, t), x)
 
     def couplings_constant(self) -> bool:
         return all(not callable(c) for row in self.couplings for c in row)
@@ -305,27 +322,22 @@ def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> Band
     cross-component couplings at the same node: (dx^2 r_k / d_k) c_kl.
     """
     K = spec.K
-    m = grid.I - 1
-    x = grid.x[1:-1]
-    # grid.times[time_index], bit for bit, without building all N+1 levels
+    n = (grid.I - 1) * K
+    # grid.x[1:-1] and grid.times[time_index], bit for bit, without
+    # building every node and all N+1 levels
+    x = np.arange(1, grid.I) * grid.dx
     t = grid.T if time_index == grid.N else time_index * (grid.T / grid.N)
     r = _r_coeffs(spec, grid)
     fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
-    n = m * K
     ab = np.zeros((2 * K + 1, n))
-    upper = K
     for k in range(K):
-        rows = np.arange(m) * K + k
         for l in range(K):
-            c = spec.coupling_at(k, l, x, float(t))
-            if l == k:
-                ab[upper, rows] = 1.0 + 2.0 * r[k] + fac[k] * c
-            else:
-                cols = rows + (l - k)
-                ab[upper + (k - l), cols] = fac[k] * c
+            # A[i*K + k, i*K + l] is stored at ab[K + k - l, i*K + l]
+            ab[K + k - l, l::K] = fac[k] * spec.coupling_at(k, l, x, float(t))
+        ab[K, k::K] += 1.0 + 2.0 * r[k]
         # spatial neighbours: columns shifted by +-K
-        ab[0, rows[1:]] = -r[k]          # A[i, i+K] stored at ab[u - K, j]
-        ab[2 * K, rows[:-1]] = -r[k]     # A[i, i-K]
+        ab[0, K + k::K] = -r[k]          # A[i, i+K] stored at ab[0, i+K]
+        ab[2 * K, k:n - K:K] = -r[k]     # A[i, i-K] stored at ab[2K, i-K]
     return BandedMatrix(lower=K, upper=K, ab=ab)
 
 
@@ -353,8 +365,8 @@ def _gauss_rule(s: np.ndarray, w: np.ndarray, n: int):
 
 
 def _soe_modes(gamma: float, N: int):
-    """Decay factors e^{-s_q} and weights w_q with b^m - b^{m+1} =
-    sum_q w_q e^{-m s_q} to ~1e-15 relative for 1 <= m <= N.
+    """Rates s_q and weights w_q with b^m - b^{m+1} = sum_q w_q e^{-m s_q}
+    to ~1e-15 relative for 1 <= m <= N.
 
     The exact form is b^m - b^{m+1} = int_0^inf e^{-ms} (1-gamma)/Gamma(gamma)
     (1-e^{-s})^2 s^{gamma-2} ds.  The trapezoid rule, step 1/4 in log s, cut
@@ -378,7 +390,7 @@ def _soe_modes(gamma: float, N: int):
         nodes, weights = _gauss_rule(s[low], w[low], _GAUSS_NODES)
         s = np.concatenate((nodes, s[~low]))
         w = np.concatenate((weights, w[~low]))
-    return np.exp(-s), w
+    return s, w
 
 
 class _Stepper:
@@ -386,10 +398,25 @@ class _Stepper:
 
     The memory of step n -> n+1 is b^n u^0 + sum_{m=0}^{n-1} (b^m - b^{m+1})
     u^{n-m}.  The u^0 and m = 0 terms are direct; the tail m >= 1 is a sum
-    of exponentials whose states z_q = sum_{m>=1} e^{-m s_q} u^{n-m} advance
-    by z_q <- e^{-s_q} (z_q + u^n), so a step costs O(modes), not O(n).  The
-    modes of all components share one state array, read through one block
-    weight matrix.  A constant system matrix is factored here, once.
+    of exponentials over the states z_q = sum_{m>=1} e^{-m s_q} u^{n-m},
+    which advance by z_q <- e^{-s_q} (z_q + u^n), so a step costs O(modes),
+    not O(n).
+
+    Each order keeps its states scaled, as the columns of one (I-1, Q)
+    array y with z_q = e^{-lag s_q} y_q, where lag counts the steps since
+    mode q was last renormalised.  A step reads the memory out as
+    y @ (w e^{-lag s}) and folds u^n in by one in-place rank-1 update
+    y += u^n (e^{lag s})^T, from 64 x Q tables built here from the exact
+    rates, and defers the decay.  Every R_q = min(64, 2^floor(log2(L/s_q)))
+    steps (at least 1; 64 for a zero rate), with L = 20 ln 2, mode q is
+    renormalised, y_q <- e^{-R_q s_q} y_q, and its lag restarts at 0.  With
+    the modes sorted by rate, R_q falls as s_q grows, so the modes due at
+    one phase are a suffix.  The bound keeps every table factor within
+    2^+-20, so data near either end of the float range steps finitely:
+    with factors up to e^300, states of data of size 1e300 overflow.
+    Rounding enters at each renormalisation instead of each step, so the
+    memory's error does not grow with the lag as powers of a rounded
+    e^{-s_q} would.  A constant system matrix is factored here, once.
     """
 
     def __init__(self, spec: SystemSpec, grid: Grid, scheme: str, u0: np.ndarray):
@@ -400,13 +427,24 @@ class _Stepper:
         self.u0 = np.array(u0, dtype=float)
         self.b = np.array([l1_weights(a, grid.N) for a in spec.orders])
         self.d0 = -2.0 * np.expm1(-math.log(2.0) * np.array(spec.orders))  # b^0 - b^1
-        modes = [_soe_modes(a, grid.N) for a in spec.orders]
-        self.decay = np.concatenate([decay for decay, _ in modes])[:, None]
-        self.owner = np.repeat(np.arange(K), [decay.size for decay, _ in modes])
-        self.weights = np.zeros((K, self.owner.size))
-        self.weights[self.owner, np.arange(self.owner.size)] = \
-            np.concatenate([weight for _, weight in modes])
-        self.states = np.zeros((self.owner.size, m))
+        # per order with modes: (k, y, readout, grow, renorm, start), where
+        # row p of the tables serves the step at phase p = (n-1) mod 64 and
+        # start[p] is the first mode renormalised after it
+        self.memories = []
+        phase = np.arange(_PERIOD)
+        due = (phase + 1) & -(phase + 1)  # largest power of 2 dividing p+1
+        for k, a in enumerate(spec.orders):
+            s, w = _soe_modes(a, grid.N)
+            if s.size == 0:
+                continue
+            by_rate = np.argsort(s)
+            s, w = s[by_rate], w[by_rate]
+            _, e = np.frexp(_SCALE_LOG / np.maximum(s, _SCALE_LOG / _PERIOD))
+            period = 2 ** np.maximum(e - 1, 0)
+            lag = phase[:, None] % period * s
+            self.memories.append((k, np.zeros((m, s.size), order="F"), w * np.exp(-lag),
+                                  np.exp(lag), np.exp(-period * s),
+                                  np.count_nonzero(period > due[:, None], axis=1)))
         r = _r_coeffs(spec, grid)
         self.fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
         self.couplings = (np.array(spec.couplings, dtype=float)
@@ -434,9 +472,11 @@ class _Stepper:
         if n == 0:
             return out
         out += self.d0[:, None] * u
-        out += self.weights @ self.states
-        self.states += u[self.owner]
-        self.states *= self.decay
+        p = (n - 1) % _PERIOD
+        for k, y, readout, grow, renorm, start in self.memories:
+            out[k] += y @ readout[p]
+            dger(1.0, u[k], grow[p], a=y, overwrite_a=True)
+            y[:, start[p]:] *= renorm[start[p]:]
         return out
 
     def _coupled(self, t: float, u: np.ndarray) -> np.ndarray:

@@ -57,19 +57,16 @@ class TestSoeModes:
     @pytest.mark.parametrize("N", [10, 1000, 16_000])
     @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.9, 0.99])
     def test_against_exact_differences(self, gamma, N):
-        decay, weight = _soe_modes(gamma, N)
+        rate, weight = _soe_modes(gamma, N)
         _, d = l1_weights_reference(gamma, N)
         m = np.arange(1, N)
-        approx = decay[None, :] ** m[:, None] @ weight
-        # the fit to ~6e-15, plus m half-ulps from rounding e^{-s_q} once
-        tol = 6e-15 + m * np.finfo(float).eps / 2
-        assert np.all(np.abs(approx - d[1:]) <= tol * d[1:])
+        approx = np.exp(-m[:, None] * rate[None, :]) @ weight
+        assert np.all(np.abs(approx - d[1:]) <= 6e-15 * d[1:])
 
     @pytest.mark.parametrize("N", [2, 10, 1000, 16_000])
     @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.9, 0.99])
     def test_positive_weights_and_nodes_in_range(self, gamma, N):
-        decay, weight = _soe_modes(gamma, N)
-        s = -np.log(decay)
+        s, weight = _soe_modes(gamma, N)
         assert np.all(weight > 0.0)
         # inside the trapezoid's own range, whose top mode is e^{1/2} -log(tol)
         assert np.all((s > 0.0) & (s < math.exp(0.5) * -math.log(_SOE_TOL)))
@@ -79,7 +76,8 @@ class TestSoeModes:
     def test_mode_count_ceiling(self):
         for N in (2, 10, 100, 1000, 4000, 16_000):
             for gamma in (1e-6, 0.05, 0.5, 0.99):
-                assert _soe_modes(gamma, N)[0].size <= 70
+                rate, weight = _soe_modes(gamma, N)
+                assert rate.size == weight.size <= 70
         assert _soe_modes(1.0, 1000)[0].size == 0
 
 
@@ -405,8 +403,45 @@ class TestStepping:
         with pytest.raises(SolverError, match="residual"):
             stepper.step(1, u1)
 
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9])
+    def test_stepper_impulse_response_at_every_lag(self, gamma):
+        """One unit level u^1 and zeros after it: the memory of step n is
+        the weight difference b^{n-1} - b^n at every lag up to N - 2, as
+        exactly as the exponential fit itself."""
+        N = 16_000
+        _, d = l1_weights_reference(gamma, N)
+        spec = SystemSpec(orders=(gamma,), diffusivities=(1.0,), couplings=[[0.0]],
+                          initials=[ZERO])
+        stepper = _Stepper(spec, Grid(L=math.pi, I=2, T=1.0, N=N), "semi-implicit",
+                           np.zeros((1, 1)))
+        stepper.memory(0, np.zeros((1, 1)))
+        stepper.memory(1, np.ones((1, 1)))
+        response = np.array([stepper.memory(n, np.zeros((1, 1)))[0, 0] for n in range(2, N)])
+        assert np.all(np.abs(response - d[1:N - 1]) <= 1e-14 * d[1:N - 1])
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    def test_runs_at_the_ends_of_the_float_range(self, scheme):
+        """The solution is linear in the data: initial data scaled by 1e-300
+        or 1e300 steps finitely to the unit run times the scale, so the
+        memory's scaled states stay inside the float range."""
+        grid = Grid(L=math.pi, I=32, T=100.0, N=2000)
+
+        def run(scale):
+            spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
+                              couplings=[[1.0, -0.5], [-0.5, 1.0]],
+                              initials=[lambda x: scale * np.sin(x),
+                                        lambda x: scale * HAT(x)])
+            return simulate(spec, grid, scheme).values
+
+        unit = run(1.0)
+        for scale in (1e-300, 1e300):
+            values = run(scale)
+            assert np.all(np.isfinite(values))
+            assert np.abs(values / scale - unit).max() <= 1e-12 * np.abs(unit).max()
+
     @settings(max_examples=40, deadline=None)
     @example(order=5e-324, N=2, seed=0)
+    @example(order=1e-323, N=23, seed=0)
     @given(order=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
            N=st.integers(2, 2000), seed=st.integers(0, 2 ** 32 - 1))
     def test_stepper_memory_matches_direct_sum(self, order, N, seed):
