@@ -74,8 +74,8 @@ def fit_exponent(series: NormSeries, window: tuple[float, float]) -> DecayFit:
         raise DomainError(f"only {n} samples inside window {window}; need >= 10")
     t = series.times[mask]
     v = series.values[mask]
-    if np.any(v <= 0.0):
-        raise DomainError("zero or negative values inside the fit window")
+    if not np.all(np.isfinite(v) & (v > 0.0)):
+        raise DomainError("non-finite, zero or negative values inside the fit window")
     x = np.log(t)
     y = np.log(v)
     slope, intercept = np.polyfit(x, y, 1)

@@ -1,12 +1,12 @@
 """Coupled two-component fractional relaxation system, solved two independent
 ways: Picard iteration on the Volterra integral form, and branch-cut
 inversion of the Laplace-domain symbols for the special constant system
-(initial data (1, 0), no sources, symmetric damping/coupling).
+(initial data (1, 0), symmetric damping/coupling).
 
 The system is
 
-    d^alpha(U - a) + eta1*U - mu1*V = F,
-    d^beta (V - b) + eta2*V - mu2*U = G      on t > 0,
+    d^alpha(U - a) + eta1*U - mu1*V = 0,
+    d^beta (V - b) + eta2*V - mu2*U = 0      on t > 0,
 
 with Caputo derivatives of orders 1 >= alpha >= beta > 0.  Its integral form
 convolves the relaxation kernel t^{eta-1} E_{eta,eta}(-c t^eta) against the
@@ -45,6 +45,8 @@ from .mittag_leffler import ml_neg
 _CUT_NODES, _CUT_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CUT_X, _CUT_BULK, _CUT_GRADE, _CUT_LEVELS = 45.0, 16, 0.15, 20
 _CUT_TOL, _CUT_BUDGET, _CUT_CHUNK = 1e-13, 2000, 16
+# Picard stops once a sweep changes U and V by less than _PICARD_TOL
+_PICARD_TOL, _MAX_SWEEPS = 1e-12, 200
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +55,9 @@ _CUT_TOL, _CUT_BUDGET, _CUT_CHUNK = 1e-13, 2000, 16
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """Coefficients of the coupled fractional ODE system.
-
-    F and G are source terms: None (zero) or a callable of t.  Nonnegative
-    data (a, b, coefficients and sources all >= 0) is what the maximum
-    principle assumes.
+    """Coefficients of the coupled fractional ODE system.  Nonnegative data
+    (a, b and the coefficients all >= 0) is what the maximum principle
+    assumes.
     """
 
     alpha: float
@@ -68,8 +68,6 @@ class OdeSpec:
     eta2: float
     mu1: float
     mu2: float
-    F: object = None
-    G: object = None
 
     def __post_init__(self):
         if not (0.0 < self.beta <= self.alpha <= 1.0):
@@ -80,8 +78,6 @@ class OdeSpec:
                if not math.isfinite(getattr(self, name))]
         if bad:
             raise DomainError(f"{', '.join(bad)} must be finite")
-        if not all(src is None or callable(src) for src in (self.F, self.G)):
-            raise DomainError("sources F and G must be None or callables of t")
 
 
 @dataclass
@@ -94,12 +90,6 @@ class OdePath:
     iterations: int
     converged: bool
     iterates: list | None = field(default=None, repr=False)
-
-
-def _sample_source(src, times):
-    if src is None:
-        return None
-    return np.asarray([float(src(t)) for t in times], dtype=float)
 
 
 @dataclass
@@ -270,20 +260,18 @@ def _convolve_linear(kw: _KernelWeights, W):
     return out
 
 
-def picard_solve(spec: OdeSpec, T: float, n_steps: int, tol: float = 1e-12,
-                 max_iter: int = 200, record_iterates: bool = False) -> OdePath:
+def picard_solve(spec: OdeSpec, T: float, n_steps: int,
+                 record_iterates: bool = False) -> OdePath:
     """Fixed point of the Volterra integral map on a uniform grid over [0, T].
 
     Starts from the zero pair, so with nonnegative data the recorded iterates
     increase monotonically toward the solution.  Non-convergence within
-    max_iter returns the last iterate with converged=False.
+    _MAX_SWEEPS returns the last iterate with converged=False.
     """
     if not T > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
     if n_steps < 16:
         raise DomainError(f"n_steps must be >= 16, got {n_steps}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     times = np.linspace(0.0, T, n_steps + 1)
     tpos = times[1:]
 
@@ -298,21 +286,15 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int, tol: float = 1e-12,
     kA = _kernel_moments(spec.alpha, spec.eta1, times, layer_exp=spec.beta)
     kB = _kernel_moments(spec.beta, spec.eta2, times, layer_exp=spec.alpha)
 
-    Fs = _sample_source(spec.F, times)
-    Gs = _sample_source(spec.G, times)
     U1 = spec.a * EA1
-    if Fs is not None:
-        U1 = U1 + _convolve_linear(kA, Fs)
     V1 = spec.b * EB1
-    if Gs is not None:
-        V1 = V1 + _convolve_linear(kB, Gs)
 
     U = np.zeros(n_steps + 1)
     V = np.zeros(n_steps + 1)
     iterates = [(U.copy(), V.copy())] if record_iterates else None
     converged = False
     sweeps = 0
-    for m in range(max_iter):
+    for m in range(_MAX_SWEEPS):
         Unew = U1 + spec.mu1 * _convolve_linear(kA, V)
         Vnew = V1 + spec.mu2 * _convolve_linear(kB, U)
         diff = max(np.max(np.abs(Unew - U)), np.max(np.abs(Vnew - V)))
@@ -320,23 +302,23 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int, tol: float = 1e-12,
         sweeps = m + 1
         if record_iterates:
             iterates.append((U.copy(), V.copy()))
-        if diff < tol:
+        if diff < _PICARD_TOL:
             converged = True
             break
     return OdePath(times=times, U=U, V=V, iterations=sweeps,
                    converged=converged, iterates=iterates)
 
 
-def picard_monotonicity(iterates, rtol: float = 1e-12) -> bool:
+def picard_monotonicity(iterates) -> bool:
     """True iff the recorded iterate pairs are pointwise non-decreasing.
 
     Valid only for runs with nonnegative data, where successive differences
     are convolutions of nonnegative kernels against nonnegative differences.
-    A small floating-point slack proportional to the iterate scale is allowed.
+    A floating-point slack of 1e-12 of the iterate scale is allowed.
     """
     for (U0, V0), (U1, V1) in zip(iterates, iterates[1:]):
-        slack_u = rtol * max(1.0, float(np.max(np.abs(U1))))
-        slack_v = rtol * max(1.0, float(np.max(np.abs(V1))))
+        slack_u = 1e-12 * max(1.0, float(np.max(np.abs(U1))))
+        slack_v = 1e-12 * max(1.0, float(np.max(np.abs(V1))))
         if np.any(U1 - U0 < -slack_u) or np.any(V1 - V0 < -slack_v):
             return False
     return True

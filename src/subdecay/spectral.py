@@ -33,14 +33,14 @@ enters.  Each mode takes one of two integrands, by lam * t:
   error at lam = 4096, t = 1e4, beta = 0.99).
 
 The estimate |I_43 - I_64| + eps sum |terms| (43 against 64 nodes, plus
-rounding) raises QuadratureError past rtol.  Against 40-digit Talbot
+rounding) raises QuadratureError past _RTOL.  Against 40-digit Talbot
 inversion (beta 0.05-0.99, lam 1-4096, t 1e-8-1e4) the worst error is 5e-12.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import rgamma
@@ -52,6 +52,8 @@ from .mittag_leffler import _EPS, _contour_rule, ml_neg
 _RULES = tuple(_contour_rule(1.0, 1.0, n) for n in (43, 64))
 # trapezoid cells of the initial-datum projection on (0, pi)
 _N_QUAD = 16384
+# relative error the mode convolution's estimate must meet
+_RTOL = 1e-10
 
 
 def _positive_time(t) -> float:
@@ -75,11 +77,6 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     return np.arange(1, n_modes + 1, dtype=float) ** 2
 
 
-def eigenfunction(n: int, x: np.ndarray) -> np.ndarray:
-    """phi_n(x) = sqrt(2/pi) sin(n x), orthonormal in L2(0, pi)."""
-    return math.sqrt(2.0 / math.pi) * np.sin(n * np.asarray(x, dtype=float))
-
-
 def project_initial(u0, n_modes: int) -> np.ndarray:
     """Coefficients (u0, phi_n) by composite trapezoid on a fine grid, all at
     once: with x_j = j pi / M, sum_j w_j u0(x_j) sin(n x_j) is minus the
@@ -87,7 +84,7 @@ def project_initial(u0, n_modes: int) -> np.ndarray:
     if not 1 <= n_modes <= _N_QUAD:
         raise DomainError(f"n_modes must lie in [1, {_N_QUAD}], got {n_modes}")
     x = np.linspace(0.0, math.pi, _N_QUAD + 1)
-    vals = np.asarray(u0(x), dtype=float) if callable(u0) else np.asarray(u0, float)
+    vals = np.asarray(u0(x), dtype=float)
     if vals.shape not in ((), x.shape):
         raise DomainError(f"initial datum needs {_N_QUAD + 1} samples on [0, pi] "
                           f"(or one constant), got shape {vals.shape}")
@@ -102,7 +99,7 @@ def project_initial(u0, n_modes: int) -> np.ndarray:
     return _finite_coeffs(coeffs)
 
 
-def mode_convolution(lam, beta: float, t: float, rtol: float = 1e-10):
+def mode_convolution(lam, beta: float, t: float):
     """int_0^t tau^{beta-1} E_{beta,beta}(-lam tau^beta) e^{-lam (t-tau)} dtau
     for a scalar or an array of eigenvalues lam >= 0, positive for t > 0.
 
@@ -128,7 +125,7 @@ def mode_convolution(lam, beta: float, t: float, rtol: float = 1e-10):
         sums.append(terms.sum(axis=0))
     rough, total = sums
     err = np.abs(rough - total) + _EPS * np.abs(terms).sum(axis=0)
-    bad = np.flatnonzero(~(err <= rtol * np.abs(total)))
+    bad = np.flatnonzero(~(err <= _RTOL * np.abs(total)))
     if bad.size:
         raise QuadratureError(f"mode convolution at lam={lp[bad[0]]:g}, t={t:g}: error "
                               f"{err[bad[0]]:.2e} vs value {total[bad[0]]:.6e}")
@@ -218,23 +215,18 @@ def asymptotic_v(u0_coeffs, beta: float, t: float) -> np.ndarray:
 
 @dataclass
 class SpectralSolution:
-    """Eigenmode solution wrapper: initial coefficients and the v norms."""
+    """Eigenmode solution wrapper: the initial datum u0 (a callable of x),
+    its n_modes projected coefficients u0_coeffs and the v norms."""
 
     beta: float
+    u0: object
     n_modes: int = 64
-    u0_coeffs: np.ndarray | None = None
-    u0: object = None
+    u0_coeffs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
             raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.u0_coeffs is None:
-            if self.u0 is None:
-                raise DomainError("need u0 or u0_coeffs")
-            self.u0_coeffs = project_initial(self.u0, self.n_modes)
-        else:
-            self.u0_coeffs = _finite_coeffs(self.u0_coeffs)
-            self.n_modes = self.u0_coeffs.size
+        self.u0_coeffs = project_initial(self.u0, self.n_modes)
 
     def v_coeffs(self, t: float) -> np.ndarray:
         return decoupled_solve(self.u0_coeffs, self.beta, t)[1]

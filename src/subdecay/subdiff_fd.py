@@ -19,15 +19,14 @@ out with one matrix-vector product and folds the new level in with one BLAS
 rank-1 update, from tables of exact-rate exponentials; each mode is
 renormalised at least every 64 steps, often enough that no scale factor
 leaves 2^+-20 and data near either end of the float range steps finitely.
-Each step makes one LAPACK banded solve
-(gbtrf/gbtrs, with a 1e-12 residual check).  The semi-implicit scheme lags
-the coupling and source one level, so the K components decouple into one
-block-diagonal tridiagonal system, factored once per run.  The fully
-implicit scheme keeps the couplings at the new level and solves one banded
-system in node-interleaved ordering (bandwidth K each side), factored once
-per run when the couplings are constant and at every step otherwise;
-Gershgorin disks of that matrix drive the stability check
-c_kk >= sum_{l != k} |c_kl|.
+Each step makes one LAPACK banded solve (gbtrf/gbtrs), whose 1e-12 residual
+check takes A x from BLAS gbmv.  The semi-implicit scheme lags the coupling
+and source one level, so the K components decouple into one block-diagonal
+tridiagonal system, factored once per run.  The fully implicit scheme keeps
+the couplings at the new level and solves one banded system in
+node-interleaved ordering (bandwidth K each side), factored once per run
+when the couplings are constant and at every step otherwise; Gershgorin
+disks of that matrix drive the stability check c_kk >= sum_{l != k} |c_kl|.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgbmv, dger
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import rgamma
 
@@ -207,7 +206,8 @@ class History:
 
 @dataclass
 class BandedMatrix:
-    """Band storage in LAPACK layout: ab[u + i - j, j] = A[i, j]."""
+    """Band storage in LAPACK layout: ab[u + i - j, j] = A[i, j].  BLAS reads
+    a Fortran-ordered ab in place and copies any other, once per product."""
 
     lower: int
     upper: int
@@ -217,25 +217,15 @@ class BandedMatrix:
     def n(self) -> int:
         return self.ab.shape[1]
 
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        dense = np.zeros((n, n))
-        band, j = np.indices(self.ab.shape)
-        i = band - self.upper + j
-        inside = (i >= 0) & (i < n)
-        dense[i[inside], j[inside]] = self.ab[inside]
-        return dense
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        n = self.n
-        y = np.zeros(n)
-        for d in range(-self.lower, self.upper + 1):
-            # diagonal d holds A[i, i+d] = ab[upper-d, i+d]
-            i0 = max(0, -d)
-            i1 = n - max(0, d)
-            if i1 > i0:
-                y[i0:i1] += self.ab[self.upper - d, i0 + d:i1 + d] * x[i0 + d:i1 + d]
-        return y
+def _band_product(matrix: BandedMatrix, ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x by BLAS gbmv for the band ab, laid out and shaped as matrix.ab.
+    scipy's wrapper refuses fewer than lower + upper + 1 rows, so A is
+    taken with at least that many: the rows past n read only the band's
+    unused corner, and are dropped."""
+    n = matrix.n
+    rows = max(n, matrix.lower + matrix.upper + 1)
+    return dgbmv(rows, n, matrix.lower, matrix.upper, 1.0, ab, x)[:n]
 
 
 class _BandedLU:
@@ -264,7 +254,7 @@ class _BandedLU:
         if info != 0:
             raise SolverError(f"banded solve failed: gbtrs info {info}")
         scale = self.ab_max * max(np.abs(x).max(), 1.0) + np.abs(rhs).max()
-        resid = np.abs(matrix.matvec(x) - rhs).max()
+        resid = np.abs(_band_product(matrix, matrix.ab, x) - rhs).max()
         if not resid <= 1e-12 * max(scale, 1.0):
             raise SolverError(f"banded solve residual {resid:.2e} exceeds tolerance")
         return x
@@ -281,10 +271,9 @@ def banded_solve(matrix: BandedMatrix | _BandedLU, rhs: np.ndarray) -> np.ndarra
 
 def gershgorin_disks(matrix: BandedMatrix):
     """One (center, radius) pair per row: center the diagonal entry, radius
-    the absolute off-diagonal row sum."""
-    dense = matrix.to_dense()
-    centers = np.diag(dense)
-    radii = np.sum(np.abs(dense), axis=1) - np.abs(centers)
+    the absolute off-diagonal row sum, |A| times ones less |center|."""
+    centers = matrix.ab[matrix.upper]
+    radii = _band_product(matrix, np.abs(matrix.ab), np.ones(matrix.n)) - np.abs(centers)
     return [(float(c), float(r)) for c, r in zip(centers, radii)]
 
 
@@ -329,7 +318,7 @@ def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> Band
     t = grid.T if time_index == grid.N else time_index * (grid.T / grid.N)
     r = _r_coeffs(spec, grid)
     fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
-    ab = np.zeros((2 * K + 1, n))
+    ab = np.zeros((2 * K + 1, n), order="F")
     for k in range(K):
         for l in range(K):
             # A[i*K + k, i*K + l] is stored at ab[K + k - l, i*K + l]
@@ -452,7 +441,7 @@ class _Stepper:
         self.sourced = [k for k in range(K)
                         if spec.sources is not None and spec.sources[k] is not None]
         if scheme == "semi-implicit":
-            ab = np.zeros((3, K * m))
+            ab = np.zeros((3, K * m), order="F")
             ab[0] = ab[2] = -np.repeat(r, m)
             ab[1] = 1.0 + 2.0 * np.repeat(r, m)
             ab[0, ::m] = 0.0          # A[j, j+1] at ab[0, j+1]: none across blocks

@@ -97,6 +97,18 @@ def l1_history_direct(gamma: float, levels: np.ndarray, n: int) -> np.ndarray:
     return b[n] * levels[0] + np.tensordot(d[:n], levels[n:0:-1], axes=1)
 
 
+def band_to_dense(matrix) -> np.ndarray:
+    """The dense n x n matrix of a BandedMatrix, ab[upper + i - j, j] =
+    A[i, j]: the band's oracle, entry by entry, with no BLAS."""
+    n = matrix.n
+    dense = np.zeros((n, n))
+    band, j = np.indices(matrix.ab.shape)
+    i = band - matrix.upper + j
+    inside = (i >= 0) & (i < n)
+    dense[i[inside], j[inside]] = matrix.ab[inside]
+    return dense
+
+
 def branch_cut_quad_reference(sym, t: float, numerator: str) -> float:
     """(1/pi) int_0^{45/t} e^{-rt} r^{alpha-1} n(r)/|q(r)|^2 dr by scalar
     QUADPACK (the algebraic-weight rule qawse, epsrel 1e-11), n = im_p for

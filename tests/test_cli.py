@@ -236,6 +236,18 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "exponent -1.5" in out
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_decay_non_finite_norm_exit_one(self, tmp_path, capsys, bad):
+        t = np.logspace(0.5, 3, 60)
+        values = [f"{float(v):.17g}" for v in 2.0 * t ** -1.5]
+        values[50] = bad  # t = 416, inside the window
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n" + "".join(f"{float(tv):.17g},{v}\n"
+                                               for tv, v in zip(t, values)))
+        assert main(["decay", str(path), "--window", "10", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "exponent" not in captured.out
+
     def test_report_progress_prints_the_same_text(self, monkeypatch, capsys):
         fit = types.SimpleNamespace(total_fit=types.SimpleNamespace(exponent=-0.5))
         monkeypatch.setattr(cli, "run", lambda cfg: fit)

@@ -84,6 +84,14 @@ class TestFitExponent:
         with pytest.raises(DomainError):
             fit_exponent(NormSeries(t, v), (10.0, 1000.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_in_window(self, bad):
+        t = np.logspace(1, 3, 30)
+        v = t ** -1.0
+        v[15] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            fit_exponent(NormSeries(t, v), (10.0, 1000.0))
+
     def test_window_validation(self):
         t = np.logspace(1, 3, 30)
         with pytest.raises(DomainError):

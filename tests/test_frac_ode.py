@@ -148,8 +148,7 @@ class TestPicard:
 
     def test_nonnegative_data_gives_nonnegative_solution(self):
         spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.2,
-                       eta1=1.0, eta2=0.5, mu1=0.6, mu2=0.8,
-                       F=lambda t: 0.1 * math.exp(-t), G=lambda t: 0.05)
+                       eta1=1.0, eta2=0.5, mu1=0.6, mu2=0.8)
         path = picard_solve(spec, T=8.0, n_steps=512)
         assert path.converged
         assert np.all(path.U >= 0.0) and np.all(path.V >= 0.0)
@@ -184,13 +183,8 @@ class TestPicard:
         with pytest.raises(DomainError):
             picard_solve(spec, T=1.0, n_steps=8)
         with pytest.raises(DomainError):
-            picard_solve(spec, T=1.0, n_steps=64, tol=0.0)
-        with pytest.raises(DomainError):
             OdeSpec(alpha=0.5, beta=0.9, a=1.0, b=0.0,
                     eta1=1.0, eta2=1.0, mu1=0.0, mu2=0.0)
-        with pytest.raises(DomainError, match="callables of t"):
-            OdeSpec(alpha=0.5, beta=0.5, a=1.0, b=0.0,
-                    eta1=1.0, eta2=1.0, mu1=0.0, mu2=0.0, F=np.zeros(65))
 
     @pytest.mark.parametrize("name", ["a", "b", "eta1", "eta2", "mu1", "mu2"])
     def test_non_finite_coefficient_rejected(self, name):
@@ -199,10 +193,11 @@ class TestPicard:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             OdeSpec(**{**fields, name: math.nan})
 
-    def test_nonconvergence_reported_not_raised(self):
+    def test_nonconvergence_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(frac_ode, "_MAX_SWEEPS", 3)
         spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.0,
                        eta1=0.0, eta2=0.0, mu1=4.0, mu2=4.0)
-        path = picard_solve(spec, T=20.0, n_steps=64, max_iter=3)
+        path = picard_solve(spec, T=20.0, n_steps=64)
         assert not path.converged
         assert path.iterations == 3
 

@@ -1,13 +1,15 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import subdecay
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "subdecay"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "subdecay"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -37,6 +39,53 @@ def test_unused_import_detected():
     tree = ast.parse("import os\nfrom functools import lru_cache\nfrom math import pi\n"
                      "__all__ = ['pi']\nos.getcwd()\n")
     assert unused_imports(tree) == ["lru_cache (line 2)"]
+
+
+def _references(tree: ast.AST) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_public(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """Public top-level functions and classes, and public methods, of the
+    modules whose name no Name or Attribute reads, neither in the modules
+    (outside the definition itself) nor in the readers."""
+    inside = sum((_references(tree) for tree in modules.values()), Counter())
+    outside = sum((_references(tree) for tree in readers), Counter())
+    unread = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            named = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                named += [(item, f"{node.name}.{item.name}") for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+            for defn, label in named:
+                if outside[defn.name] == 0 and inside[defn.name] <= _references(defn)[defn.name]:
+                    unread.append(f"{module}.{label}")
+    return unread
+
+
+def test_no_test_only_public_surface():
+    # what only tests call is not library code: the commands, the acceptance
+    # gates and the benchmark workloads are the library's callers
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SRC.glob("*.py"))}
+    readers = [ast.parse(path.read_text(), filename=str(path))
+               for path in [*sorted((ROOT / "perfbench").glob("*.py")),
+                            ROOT / "tests" / "test_acceptance.py"]]
+    assert unreferenced_public(modules, readers) == []
+
+
+def test_test_only_public_surface_detected():
+    modules = {"m": ast.parse("def used(): pass\ndef unused(n): return unused(n - 1)\n"
+                              "class C:\n    def read(self): pass\n    def unread(self): pass\n"
+                              "    def _private(self): pass\n"
+                              "class _Hidden:\n    def method(self): pass\n"
+                              "def _helper(): return used()\n")}
+    readers = [ast.parse("import m\nm.C().read()\n")]
+    assert unreferenced_public(modules, readers) == ["m.unused", "m.C.unread"]
 
 
 def test_every_export_resolves():

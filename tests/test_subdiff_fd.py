@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import l1_history_direct, l1_weights_reference
+from conftest import band_to_dense, l1_history_direct, l1_weights_reference
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
 from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _Stepper,
@@ -103,7 +103,7 @@ class TestBandedSolve:
             matrix = BandedMatrix(lower=1, upper=1, ab=ab)
             rhs = rng.uniform(-1, 1, size=n)
             x = banded_solve(matrix, rhs)
-            ref = np.linalg.solve(matrix.to_dense(), rhs)
+            ref = np.linalg.solve(band_to_dense(matrix), rhs)
             assert np.max(np.abs(x - ref)) < 1e-12
 
     def test_wider_band_against_dense(self, rng):
@@ -113,7 +113,7 @@ class TestBandedSolve:
         matrix = BandedMatrix(lower=3, upper=2, ab=ab)
         rhs = rng.uniform(-1, 1, size=n)
         x = banded_solve(matrix, rhs)
-        assert np.max(np.abs(matrix.to_dense() @ x - rhs)) < 1e-12 * np.abs(rhs).max() * 100
+        assert np.max(np.abs(band_to_dense(matrix) @ x - rhs)) < 1e-12 * np.abs(rhs).max() * 100
 
     def test_singular_raises(self):
         # [[1, 1], [1, 1]]
@@ -148,7 +148,7 @@ class TestAssembly:
     def test_hand_expanded_two_by_two_blocks(self):
         grid = self.grid(I=3)
         spec = self.spec2()
-        A = assemble_block_matrix(spec, grid, 0).to_dense()
+        A = band_to_dense(assemble_block_matrix(spec, grid, 0))
         dt, dx = grid.dt, grid.dx
         r = [d * math.gamma(2.0 - a) * dt ** a / dx ** 2
              for a, d in zip(spec.orders, spec.diffusivities)]
@@ -172,7 +172,7 @@ class TestAssembly:
         spec = single_component(0.7)
         m = assemble_block_matrix(spec, grid, 0)
         assert m.lower == 1 and m.upper == 1
-        dense = m.to_dense()
+        dense = band_to_dense(m)
         r = spec.diffusivities[0] * math.gamma(1.3) * grid.dt ** 0.7 / grid.dx ** 2
         assert np.allclose(np.diag(dense), 1 + 2 * r)
         assert np.allclose(np.diag(dense, 1), -r)
@@ -191,7 +191,7 @@ class TestAssembly:
         grid = self.grid(I=12)
         spec = self.spec2()
         assert stability_margin(spec) >= 0.0
-        A = assemble_block_matrix(spec, grid, 0).to_dense()
+        A = band_to_dense(assemble_block_matrix(spec, grid, 0))
         for i in range(A.shape[0]):
             off = np.sum(np.abs(A[i])) - abs(A[i, i])
             assert abs(A[i, i]) >= off + 1.0 - 1e-12
@@ -214,6 +214,18 @@ class TestGershgorin:
         interior = disks[2]  # node 1 (interior), component 1
         assert interior[0] == pytest.approx(1 + 2 * r1 + fac1 * 1.0, rel=1e-14)
         assert interior[1] == pytest.approx(2 * r1 + fac1 * 1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("lower, upper, n", [
+        (1, 1, 2), (2, 1, 2), (1, 3, 3), (3, 2, 4), (0, 2, 5), (2, 0, 5), (3, 1, 40)])
+    def test_random_bands_against_dense_row_sums(self, rng, lower, upper, n):
+        # n < lower + upper + 1 in the first four: fewer rows than the band
+        matrix = BandedMatrix(lower=lower, upper=upper,
+                              ab=rng.uniform(-1.0, 1.0, size=(lower + upper + 1, n)))
+        dense = band_to_dense(matrix)
+        centers, radii = np.array(gershgorin_disks(matrix)).T
+        assert np.array_equal(centers, np.diag(dense))
+        np.testing.assert_allclose(radii, np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense)),
+                                   rtol=1e-14, atol=1e-15)
 
     def test_disks_outside_unit_ball_when_stable(self):
         grid = Grid(L=math.pi, I=16, T=2000.0, N=200)
@@ -342,7 +354,7 @@ class TestStepping:
         rhs = np.array([l1_history_direct(a, interior[:, k], n)
                         for k, a in enumerate(spec.orders)])
         sol = interior[n + 1].T.reshape(-1)
-        resid = np.max(np.abs(A.matvec(sol) - rhs.T.reshape(-1)))
+        resid = np.max(np.abs(band_to_dense(A) @ sol - rhs.T.reshape(-1)))
         assert resid < 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_stepper_levels_match_direct_solve(self):
@@ -357,7 +369,7 @@ class TestStepping:
         r = [d * math.gamma(2.0 - a) * grid.dt ** a / grid.dx ** 2
              for a, d in zip(spec.orders, spec.diffusivities)]
         fac = [grid.dx ** 2 * r[k] / spec.diffusivities[k] for k in range(2)]
-        full = assemble_block_matrix(spec, grid, 0).to_dense()
+        full = band_to_dense(assemble_block_matrix(spec, grid, 0))
         for scheme in ("semi-implicit", "fully-implicit"):
             interior = simulate(spec, grid, scheme).values[..., 1:-1]
             for n in range(grid.N):
@@ -386,6 +398,17 @@ class TestStepping:
         expected = np.linalg.solve(A, grid.dx ** 2 * r / 2.0 * np.sin(x))
         level1 = simulate(spec, grid, scheme).values[1, 0, 1:-1]
         assert np.allclose(level1, expected, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    @pytest.mark.parametrize("K, I", [(2, 2), (3, 2), (3, 3)])
+    def test_smallest_grids_stay_finite(self, scheme, K, I):
+        """n = K (I - 1) unknowns, below the bandwidth: the residual's band
+        product still runs, and the run stays finite."""
+        couplings = [[1.0 if k == l else -0.5 / (K - 1) for l in range(K)] for k in range(K)]
+        spec = SystemSpec(orders=(0.9, 0.5, 0.3)[:K], diffusivities=(1.0,) * K,
+                          couplings=couplings, initials=[np.sin, HAT, np.sin][:K])
+        values = simulate(spec, Grid(L=math.pi, I=I, T=1.0, N=8), scheme).values
+        assert np.all(np.isfinite(values)) and np.any(values[-1] != 0.0)
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
     def test_nan_through_factored_matrix_raises(self, scheme):
