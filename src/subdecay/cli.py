@@ -20,6 +20,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -31,6 +32,9 @@ from . import frac_ode, mittag_leffler, spectral, subdiff_fd
 from .errors import ConfigError, DomainError, NumericalError, SubdecayError
 
 _FMT = "{:.17g}"
+# physical memory in GB, which a run's history must fit (inf where unknown)
+_MEMORY_GB = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 1e9
+              if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}) else math.inf)
 
 
 def _hat(x):
@@ -138,6 +142,10 @@ class RunConfig:
             problems.append("L and T must be positive")
         if self.n_time < 2 or self.n_space < 2:
             problems.append("n_time and n_space must be >= 2")
+        history_gb = 8 * (self.n_time + 1) * K * (self.n_space + 1) / 1e9
+        if history_gb > _MEMORY_GB:
+            problems.append(f"n_time and n_space need a {history_gb:.3g} GB history, more "
+                            f"than the {_MEMORY_GB:.3g} GB of physical memory")
         if self.window is not None and not (
                 len(self.window) == 2 and 1.0 <= self.window[0] < self.window[1] <= self.T):
             problems.append("window must satisfy 1 <= lo < hi <= T")

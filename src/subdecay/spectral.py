@@ -92,7 +92,9 @@ def project_initial(u0, n_modes: int) -> np.ndarray:
         raise DomainError("initial datum must be finite")
     weighted = vals * np.ones_like(x)
     weighted[[0, -1]] *= 0.5
-    spectrum = np.fft.rfft(weighted, 2 * _N_QUAD)
+    # huge finite data overflows here; _finite_coeffs refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft(weighted, 2 * _N_QUAD)
     coeffs = -math.sqrt(2.0 / math.pi) * (x[1] - x[0]) * spectrum.imag[1:n_modes + 1]
     # trapezoid noise on exactly-orthogonal modes is pure rounding; zero it
     coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs), initial=0.0)] = 0.0

@@ -19,14 +19,16 @@ out with one matrix-vector product and folds the new level in with one BLAS
 rank-1 update, from tables of exact-rate exponentials; each mode is
 renormalised at least every 64 steps, often enough that no scale factor
 leaves 2^+-20 and data near either end of the float range steps finitely.
-Each step makes one LAPACK banded solve (gbtrf/gbtrs), whose 1e-12 residual
-check takes A x from BLAS gbmv.  The semi-implicit scheme lags the coupling
-and source one level, so the K components decouple into one block-diagonal
-tridiagonal system, factored once per run.  The fully implicit scheme keeps
-the couplings at the new level and solves one banded system in
-node-interleaved ordering (bandwidth K each side), factored once per run
-when the couplings are constant and at every step otherwise; Gershgorin
-disks of that matrix drive the stability check c_kk >= sum_{l != k} |c_kl|.
+Each step makes one banded solve: LAPACK gbtrf factors, and two BLAS band
+sweeps (tbsv) solve, or gbtrs where pivoting interchanged rows.  Its 1e-12
+residual check takes A x from BLAS gbmv and forms its scale only past 1e-12.
+The semi-implicit scheme lags the coupling and source one level, so the K
+components decouple into one block-diagonal tridiagonal system, factored
+once per run.  The fully implicit scheme keeps the couplings at the new
+level and solves one banded system in node-interleaved ordering (bandwidth
+K each side), factored once per run when the couplings are constant and at
+every step otherwise; Gershgorin disks of that matrix drive the stability
+check c_kk >= sum_{l != k} |c_kl|.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dger
+from scipy.linalg.blas import dgbmv, dger, dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import rgamma
 
@@ -231,40 +233,53 @@ def _band_product(matrix: BandedMatrix, ab: np.ndarray, x: np.ndarray) -> np.nda
 class _BandedLU:
     """LU factors of a banded matrix by LAPACK gbtrf (partial pivoting), kept
     with the matrix for the residual check of every solve.  Built once per
-    run for a constant matrix, once per step for a time-varying one."""
+    run for a constant matrix, once per step for a time-varying one.  gbtrf
+    factors in place, in a flat buffer with kl + ku spare entries at its end;
+    from entry kl + ku on, at gbtrf's leading dimension, it is L's band.
+    Factors without row interchanges solve by two BLAS band sweeps (tbsv),
+    the arithmetic of gbtrs without its call per column."""
 
     def __init__(self, matrix: BandedMatrix):
-        kl, ku = matrix.lower, matrix.upper
+        kl, ku, n = matrix.lower, matrix.upper, matrix.n
+        rows = 2 * kl + ku + 1
+        buf = np.zeros(rows * n + kl + ku)
         # gbtrf wants kl spare rows above the band for the fill-in of pivoting
-        ab = np.zeros((2 * kl + ku + 1, matrix.n), order="F")
+        ab = buf[:rows * n].reshape((rows, n), order="F")
         ab[kl:] = matrix.ab
         self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info != 0:
             raise SolverError(f"banded solve failed: gbtrf info {info}"
                               + (" (singular matrix)" if info > 0 else ""))
+        self.l_band = (buf[kl + ku:].reshape((rows, n), order="F")
+                      if np.array_equal(self.piv, np.arange(n)) else None)
         self.matrix = matrix
-        self.ab_max = np.abs(matrix.ab).max()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         matrix = self.matrix
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (matrix.n,):
             raise DomainError(f"rhs shape {rhs.shape} does not match n={matrix.n}")
-        x, info = dgbtrs(self.lu, matrix.lower, matrix.upper, rhs, self.piv)
-        if info != 0:
-            raise SolverError(f"banded solve failed: gbtrs info {info}")
-        scale = self.ab_max * max(np.abs(x).max(), 1.0) + np.abs(rhs).max()
+        if self.l_band is not None:
+            x = dtbsv(matrix.lower + matrix.upper, self.lu,
+                      dtbsv(matrix.lower, self.l_band, rhs, lower=1, diag=1), overwrite_x=1)
+        else:
+            x, info = dgbtrs(self.lu, matrix.lower, matrix.upper, rhs, self.piv)
+            if info != 0:
+                raise SolverError(f"banded solve failed: gbtrs info {info}")
         resid = np.abs(_band_product(matrix, matrix.ab, x) - rhs).max()
-        if not resid <= 1e-12 * max(scale, 1.0):
+        # the bound is never below 1e-12, so its scale is formed only past that
+        if not resid <= 1e-12 and not resid <= 1e-12 * max(
+                np.abs(matrix.ab).max() * max(np.abs(x).max(), 1.0) + np.abs(rhs).max(), 1.0):
             raise SolverError(f"banded solve residual {resid:.2e} exceeds tolerance")
         return x
 
 
 def banded_solve(matrix: BandedMatrix | _BandedLU, rhs: np.ndarray) -> np.ndarray:
-    """Solve a banded system by LAPACK banded LU with partial pivoting
-    (gbtrf, then gbtrs); an already factored matrix skips the factoring.
-    The relative residual is checked against 1e-12, which also catches
-    non-finite input; a singular or unusable system raises SolverError."""
+    """Solve a banded system by LAPACK banded LU with partial pivoting (gbtrf,
+    then two BLAS band sweeps, or gbtrs after row interchanges); an already
+    factored matrix skips the factoring.  A singular system, or a residual
+    above 1e-12 max(1, max|A| max(|x|, 1) + max|b|), raises SolverError, as
+    non-finite input always does; the scale is formed only past 1e-12."""
     lu = matrix if isinstance(matrix, _BandedLU) else _BandedLU(matrix)
     return lu.solve(rhs)
 
@@ -322,8 +337,8 @@ def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> Band
     for k in range(K):
         for l in range(K):
             # A[i*K + k, i*K + l] is stored at ab[K + k - l, i*K + l]
-            ab[K + k - l, l::K] = fac[k] * spec.coupling_at(k, l, x, float(t))
-        ab[K, k::K] += 1.0 + 2.0 * r[k]
+            entry = fac[k] * spec.coupling_at(k, l, x, float(t))
+            ab[K + k - l, l::K] = entry + (1.0 + 2.0 * r[k]) if k == l else entry
         # spatial neighbours: columns shifted by +-K
         ab[0, K + k::K] = -r[k]          # A[i, i+K] stored at ab[0, i+K]
         ab[2 * K, k:n - K:K] = -r[k]     # A[i, i-K] stored at ab[2K, i-K]
@@ -416,9 +431,9 @@ class _Stepper:
         self.u0 = np.array(u0, dtype=float)
         self.b = np.array([l1_weights(a, grid.N) for a in spec.orders])
         self.d0 = -2.0 * np.expm1(-math.log(2.0) * np.array(spec.orders))  # b^0 - b^1
-        # per order with modes: (k, y, readout, grow, renorm, start), where
-        # row p of the tables serves the step at phase p = (n-1) mod 64 and
-        # start[p] is the first mode renormalised after it
+        # per order with modes: (k, y, readout, grow, renorms); row p of the
+        # tables serves the step at phase p = (n-1) mod 64, and renorms[p] is
+        # the modes renormalised then, as views of y and of its factors
         self.memories = []
         phase = np.arange(_PERIOD)
         due = (phase + 1) & -(phase + 1)  # largest power of 2 dividing p+1
@@ -431,9 +446,12 @@ class _Stepper:
             _, e = np.frexp(_SCALE_LOG / np.maximum(s, _SCALE_LOG / _PERIOD))
             period = 2 ** np.maximum(e - 1, 0)
             lag = phase[:, None] % period * s
-            self.memories.append((k, np.zeros((m, s.size), order="F"), w * np.exp(-lag),
-                                  np.exp(lag), np.exp(-period * s),
-                                  np.count_nonzero(period > due[:, None], axis=1)))
+            # the factors are laid out as y, so a multiply is one contiguous pass
+            y = np.zeros((m, s.size), order="F")
+            renorm = np.asfortranarray(np.broadcast_to(np.exp(-period * s), y.shape))
+            start = np.count_nonzero(period > due[:, None], axis=1)
+            self.memories.append((k, y, w * np.exp(-lag), np.exp(lag),
+                                  [(y[:, q:], renorm[:, q:]) for q in start]))
         r = _r_coeffs(spec, grid)
         self.fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
         self.couplings = (np.array(spec.couplings, dtype=float)
@@ -462,10 +480,11 @@ class _Stepper:
             return out
         out += self.d0[:, None] * u
         p = (n - 1) % _PERIOD
-        for k, y, readout, grow, renorm, start in self.memories:
+        for k, y, readout, grow, renorms in self.memories:
             out[k] += y @ readout[p]
             dger(1.0, u[k], grow[p], a=y, overwrite_a=True)
-            y[:, start[p]:] *= renorm[start[p]:]
+            states, renorm = renorms[p]
+            np.multiply(states, renorm, out=states)
         return out
 
     def _coupled(self, t: float, u: np.ndarray) -> np.ndarray:

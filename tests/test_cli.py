@@ -97,6 +97,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             RunConfig.from_dict({**SMALL, field: value})
 
+    def test_history_beyond_physical_memory_refused(self, monkeypatch):
+        """n_time = 10**9 plans a 2 TB history: refused, naming the size,
+        before anything is allocated."""
+        assert 0.0 < cli._MEMORY_GB < math.inf
+        monkeypatch.setattr(cli, "_MEMORY_GB", 16.0)
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**SMALL, "n_time": 10**9, "n_space": 128})
+        assert err.value.problems == [
+            "n_time and n_space need a 2.06e+03 GB history, more than the "
+            "16 GB of physical memory"]
+        RunConfig.from_dict({**SMALL, "n_time": 10**6, "n_space": 128})  # 2.06 GB
+
     def test_readme_documents_every_field(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text().split("### PDE run configuration", 1)[1]

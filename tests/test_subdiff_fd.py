@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgbtrs
 
 from conftest import band_to_dense, l1_history_direct, l1_weights_reference
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
-from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _Stepper,
-                                 _soe_modes, assemble_block_matrix, banded_solve,
+from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _BandedLU,
+                                 _Stepper, _soe_modes, assemble_block_matrix, banded_solve,
                                  gershgorin_disks, l1_weights, norm_history, simulate,
                                  stability_margin)
 
@@ -114,6 +115,56 @@ class TestBandedSolve:
         rhs = rng.uniform(-1, 1, size=n)
         x = banded_solve(matrix, rhs)
         assert np.max(np.abs(band_to_dense(matrix) @ x - rhs)) < 1e-12 * np.abs(rhs).max() * 100
+
+    @staticmethod
+    def _random_band(rng, lower, upper, n, dominant):
+        ab = rng.uniform(-1.0, 1.0, size=(lower + upper + 1, n))
+        if dominant:
+            ab[upper] = (lower + upper + 1) * np.sign(ab[upper]) + ab[upper]
+        return BandedMatrix(lower=lower, upper=upper, ab=ab)
+
+    def test_pivoting_bands_take_gbtrs(self, rng):
+        """Factors with row interchanges solve by gbtrs, against a dense solve;
+        two band sweeps would ignore the interchanges."""
+        # [[1e-3, 1], [1, 1]]: partial pivoting swaps the rows
+        bands = [BandedMatrix(lower=1, upper=1, ab=np.array([[0.0, 1.0], [1e-3, 1.0],
+                                                             [1.0, 0.0]]))]
+        bands += [self._random_band(rng, lower, upper, n, dominant=False)
+                  for lower, upper, n in [(1, 1, 6), (2, 1, 9), (1, 3, 12), (3, 2, 40)]]
+        for matrix in bands:
+            lu = _BandedLU(matrix)
+            assert lu.l_band is None and not np.array_equal(lu.piv, np.arange(matrix.n))
+            rhs = rng.uniform(-1.0, 1.0, size=matrix.n)
+            np.testing.assert_allclose(banded_solve(lu, rhs),
+                                       np.linalg.solve(band_to_dense(matrix), rhs),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lower", range(4))
+    @pytest.mark.parametrize("upper", range(4))
+    def test_dominant_bands_sweep_as_gbtrs(self, rng, lower, upper):
+        """Diagonally dominant bands factor without interchanges and solve by
+        two band sweeps, as gbtrs does with the same factors; n runs below
+        lower + upper + 1 too."""
+        for n in (1, 2, 3, 5, 40):
+            matrix = self._random_band(rng, lower, upper, n, dominant=True)
+            lu = _BandedLU(matrix)
+            assert lu.l_band is not None
+            # the sweep reads L through a view of gbtrf's buffer: in place
+            assert np.array_equal(lu.l_band[1:lower + 1], lu.lu[lower + upper + 1:])
+            rhs = rng.uniform(-1.0, 1.0, size=n)
+            x = banded_solve(lu, rhs)
+            reference, info = dgbtrs(lu.lu, lower, upper, rhs, lu.piv)
+            assert info == 0
+            assert np.abs(x - reference).max() <= 1e-14 * np.abs(reference).max()
+            assert np.abs(band_to_dense(matrix) @ x - rhs).max() <= 1e-12
+
+    @pytest.mark.parametrize("rhs", [np.zeros(3), np.array([1.0, 0.0, -1.0])])
+    def test_nan_in_matrix_raises(self, rhs):
+        matrix = BandedMatrix(lower=1, upper=1, ab=np.array([[0.0, 1.0, 1.0],
+                                                             [4.0, np.nan, 4.0],
+                                                             [1.0, 1.0, 0.0]]))
+        with pytest.raises(SolverError, match="residual"):
+            banded_solve(matrix, rhs)
 
     def test_singular_raises(self):
         # [[1, 1], [1, 1]]
