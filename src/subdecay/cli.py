@@ -417,7 +417,12 @@ def _cmd_ode(args) -> int:
         path = frac_ode.picard_solve(spec, T=args.t_max, n_steps=args.n_steps)
         times, U, V = path.times, path.U, path.V
         if not path.converged:
-            print("warning: picard iteration did not converge", file=sys.stderr)
+            stop = (f"picard iteration did not converge: {path.iterations} sweeps, "
+                    f"last increment {path.increment:.3e}")
+            # a slope of an unconverged path would read as a decay exponent
+            if args.fit_window:
+                raise NumericalError(stop)
+            print(f"warning: {stop}", file=sys.stderr)
     else:
         times = np.logspace(0.0, math.log10(args.t_max), args.n_steps)
         U, V = frac_ode.branch_cut_invert(sym, times)

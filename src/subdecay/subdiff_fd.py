@@ -112,11 +112,17 @@ SourceEntry = Callable[[np.ndarray, float], np.ndarray] | None
 InitialEntry = Callable[[np.ndarray], np.ndarray]
 
 
-def _at_nodes(values, x: np.ndarray) -> np.ndarray:
+def _at_nodes(values, x: np.ndarray, name: str, t: float) -> np.ndarray:
     """A coefficient callable's return as floats of the nodes' shape: node
-    arrays as they are, scalars broadcast."""
+    arrays as they are, scalars broadcast.  DomainError, naming the
+    coefficient and t, where a sample is NaN or infinite."""
     values = np.asarray(values, dtype=float)
-    return values if values.shape == x.shape else values * np.ones_like(x)
+    if values.shape != x.shape:
+        values = values * np.ones_like(x)
+    # count_nonzero is the cheapest full reduction of the mask
+    if np.count_nonzero(np.isfinite(values)) < values.size:
+        raise DomainError(f"{name} not finite at t={t:g}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -175,19 +181,22 @@ class SystemSpec:
         return len(self.orders)
 
     def coupling_at(self, k: int, l: int, x: np.ndarray, t: float) -> np.ndarray:
-        """c_kl at the nodes x and time t; DomainError where c_kk < 0."""
+        """c_kl at the nodes x and time t; DomainError where a sample is not
+        finite or c_kk < 0."""
         c = self.couplings[k][l]
         if not callable(c):
             return np.full_like(x, float(c))
-        vals = _at_nodes(c(x, t), x)
-        if k == l and np.any(vals < 0.0):
+        vals = _at_nodes(c(x, t), x, f"coupling c[{k}][{l}]", t)
+        if k == l and vals.min() < 0.0:
             raise DomainError(f"diagonal coupling c[{k}][{k}] negative at t={t:g}")
         return vals
 
     def source_at(self, k: int, x: np.ndarray, t: float) -> np.ndarray:
+        """Source k at the nodes x and time t; DomainError where a sample is
+        not finite."""
         if self.sources is None or self.sources[k] is None:
             return np.zeros_like(x)
-        return _at_nodes(self.sources[k](x, t), x)
+        return _at_nodes(self.sources[k](x, t), x, f"source[{k}]", t)
 
     def couplings_constant(self) -> bool:
         return all(not callable(c) for row in self.couplings for c in row)

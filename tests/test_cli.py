@@ -211,6 +211,21 @@ class TestCommandLine:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 66  # header + 65 grid points
 
+    def test_ode_unconverged_picard_refuses_fit(self, monkeypatch, capsys):
+        monkeypatch.setattr(subdecay.frac_ode, "_MAX_SWEEPS", 3)
+        argv = ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
+                "--t-max", "20", "--method", "picard", "--n-steps", "64"]
+        assert main(argv + ["--fit-window", "5", "20"]) == 2
+        captured = capsys.readouterr()
+        assert re.search(r"numerical failure: picard iteration did not converge: "
+                         r"3 sweeps, last increment \d\.\d{3}e[-+]\d\d", captured.err)
+        assert "slope" not in captured.err and captured.out == ""
+        # without a fit the path is still written, under a warning naming the stop
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "warning: picard iteration did not converge: 3 sweeps" in captured.err
+        assert len(captured.out.strip().splitlines()) == 66
+
     def test_pde_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(SMALL))

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
@@ -200,6 +200,70 @@ class TestPicard:
         path = picard_solve(spec, T=20.0, n_steps=64)
         assert not path.converged
         assert path.iterations == 3
+        assert path.increment >= frac_ode._PICARD_TOL
+
+    def test_exit_satisfies_discrete_map(self):
+        # Gauss-Seidel sweeps: the 0.9/0.5 pair converges in at most 18, and
+        # at exit both halves of the discrete map hold to the stop tolerance
+        spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.0,
+                       eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
+        path = picard_solve(spec, T=20.0, n_steps=5120)
+        assert path.converged and path.iterations <= 18
+        assert path.increment < 1e-12
+        t = path.times
+        U1 = np.append(1.0, mittag_leffler.ml_neg(0.9, 1.0, -2.0 * t[1:] ** 0.9, rtol=1e-10))
+        kA = _kernel_moments(0.9, 2.0, t, layer_exp=0.5)
+        kB = _kernel_moments(0.5, 2.0, t, layer_exp=0.9)
+        assert np.max(np.abs(path.U - (U1 + _convolve_linear(kA, path.V)))) <= 1e-12
+        assert np.max(np.abs(path.V - _convolve_linear(kB, path.U))) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.1, 1.0), beta_share=st.floats(0.0, 1.0),
+           a=st.floats(0.0, 2.0), b=st.floats(0.0, 2.0),
+           eta1=st.floats(0.0, 3.0), eta2=st.floats(0.0, 3.0),
+           mu1_share=st.floats(0.0, 1.0), mu2_share=st.floats(0.0, 1.0),
+           T=st.floats(0.5, 10.0))
+    def test_iterates_monotone_for_random_nonnegative_data(self, alpha, beta_share, a, b,
+                                                          eta1, eta2, mu1_share,
+                                                          mu2_share, T):
+        # couplings at most the damping keep the solution within max(a, b),
+        # where the 1e-12 stop is reachable; a growing solution stalls at
+        # its rounding floor and its last iterates jitter by that much
+        beta = 0.1 + beta_share * (alpha - 0.1)
+        spec = OdeSpec(alpha=alpha, beta=beta, a=a, b=b, eta1=eta1, eta2=eta2,
+                       mu1=mu1_share * eta1, mu2=mu2_share * eta2)
+        path = picard_solve(spec, T=T, n_steps=64, record_iterates=True)
+        assert path.converged
+        assert len(path.iterates) == path.iterations + 1
+        assert picard_monotonicity(path.iterates)
+
+    @pytest.fixture
+    def ml_calls(self, monkeypatch):
+        """(eta, mu) of every ml_neg call picard_solve makes."""
+        calls = []
+
+        def counted(eta, mu, z, **kwargs):
+            calls.append((eta, mu))
+            return mittag_leffler.ml_neg(eta, mu, z, **kwargs)
+
+        monkeypatch.setattr(frac_ode, "ml_neg", counted)
+        return calls
+
+    def test_decoupled_solve_tabulates_only_the_datum(self, ml_calls):
+        spec = OdeSpec(alpha=0.5, beta=0.5, a=1.0, b=0.0,
+                       eta1=1.0, eta2=1.0, mu1=0.0, mu2=0.0)
+        path = picard_solve(spec, T=10.0, n_steps=512)
+        assert ml_calls == [(0.5, 1.0)]
+        assert path.converged and path.iterations == 2
+        assert np.all(path.V == 0.0)
+
+    def test_zero_slow_datum_skips_its_table(self, ml_calls):
+        spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.0,
+                       eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
+        picard_solve(spec, T=5.0, n_steps=256)
+        # E_alpha for U's datum and the two kernels' tables, no E_beta table
+        assert (0.9, 1.0) in ml_calls and (0.5, 1.0) not in ml_calls
+        assert {eta for eta, _ in ml_calls} == {0.9, 0.5}
 
 
 def kernel_cell_reference(eta, c, t0, t1, weight, end_power=0.0):
@@ -401,13 +465,22 @@ class TestBranchCutInversion:
     @given(alpha=st.floats(0.2, 1.0), beta_share=st.floats(0.0, 1.0),
            c2=st.floats(0.05, 3.0), ratio=st.floats(1.01, 4.0),
            log_t=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3))
+    # beta = 1 - 1e-16: QUADPACK cannot reach its error target there
+    @example(alpha=1.0, beta_share=0.9999999999999999, c2=1.0, ratio=2.0, log_t=[0.0])
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_cut_integrals_against_quadpack(self, alpha, beta_share, c2, ratio, log_t):
         beta = 0.05 + beta_share * (alpha - 0.05)
         # the corner alpha = beta = 1 has no cut, and LaplaceSymbol refuses it
         assume(beta < 1.0)
         sym = LaplaceSymbol(c1=ratio * c2, c2=c2, alpha=alpha, beta=beta)
         t = 10.0 ** np.array(log_t)
-        ref = cut_reference(sym, t)
+        try:
+            ref = cut_reference(sym, t)
+        except ValueError:
+            # where the reference cannot certify a value, no value may be returned
+            with pytest.raises(QuadratureError):
+                _cut_integrals(sym, t)
+            return
         np.testing.assert_allclose(_cut_integrals(sym, t), ref, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("c1, c2", [(1e200, 1.0), (1e-150, 1e-160)])

@@ -564,3 +564,20 @@ class TestStepping:
                           initials=[np.sin])
         with pytest.raises(DomainError, match=r"c\[0\]\[0\] negative at t=0\.375"):
             simulate(spec, Grid(L=math.pi, I=8, T=1, N=8), scheme)
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["coupling", "source"])
+    def test_non_finite_samples_refused_as_input(self, scheme, bad, where):
+        # a callable coefficient turns non-finite at t = 0.5: bad input, not a
+        # failed solve, named with the coefficient and the time
+        def turns_bad(x, t):
+            return np.full_like(x, bad if t >= 0.5 else 0.1)
+
+        couplings = [[1.0, turns_bad if where == "coupling" else 0.1], [0.1, 1.0]]
+        sources = [turns_bad, None] if where == "source" else None
+        spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0), couplings=couplings,
+                          initials=[np.sin, HAT], sources=sources)
+        name = r"coupling c\[0\]\[1\]" if where == "coupling" else r"source\[0\]"
+        with pytest.raises(DomainError, match=rf"{name} not finite at t=0\.5"):
+            simulate(spec, Grid(L=math.pi, I=8, T=1.0, N=4), scheme)
