@@ -440,7 +440,8 @@ def _cmd_ode(args) -> int:
         mask = times > 0
         fit = decay_mod.fit_exponent(decay_mod.NormSeries(times[mask], (U + V)[mask]),
                                      (lo, hi))
-        print(f"slope of U+V on [{lo:g}, {hi:g}]: {fit.exponent:+.4f} "
+        trend = "growth" if fit.growing else "slope"
+        print(f"{trend} of U+V on [{lo:g}, {hi:g}]: {fit.exponent:+.4f} "
               f"(rms {fit.rms_residual:.2e})", file=sys.stderr)
     return 0
 
@@ -484,7 +485,8 @@ def _cmd_decay(args) -> int:
         series = decay_mod.NormSeries(times, vals)
         window = tuple(args.window) if args.window else (times[-1] / 5.0, times[-1])
         fit = decay_mod.fit_exponent(series, window)
-        print(f"{col}: exponent {fit.exponent:+.6f} intercept {fit.intercept:+.6f} "
+        trend = "growing, slope" if fit.growing else "exponent"
+        print(f"{col}: {trend} {fit.exponent:+.6f} intercept {fit.intercept:+.6f} "
               f"rms {fit.rms_residual:.3e} on window [{window[0]:g}, {window[1]:g}]")
         _, ratio = _pointwise(times, vals)
         print(f"{col}: pointwise ratio series (t, log value / log t):")

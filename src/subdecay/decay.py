@@ -49,6 +49,11 @@ class DecayFit:
     rms_residual: float
     n_samples: int
 
+    @property
+    def growing(self) -> bool:
+        """A positive slope: the series grows, and the slope is no decay exponent."""
+        return self.exponent > 0.0
+
 
 def pointwise_exponent(series: NormSeries) -> NormSeries:
     """log(value)/log(t) at each sample (natural logs; ratio is base-free)."""

@@ -17,9 +17,10 @@ convolves the relaxation kernel k_eta(t) = t^{eta-1} E_{eta,eta}(-c t^eta)
 against the other component, which is what the Picard sweep discretizes
 (kernel cell 0 in closed form, each later cell on one Gauss panel shared by
 all its moments, of an order graded by the cell's distance from the
-origin).  A sweep updates U from the previous V and then V from the new U
-(Gauss-Seidel order), and a zero datum or coupling costs no Mittag-Leffler
-table: its term is exactly zero.
+origin).  The kernel and the datum E_eta(-c t^eta) each come from one
+Chebyshev table.  A sweep updates U from the previous V and then V from
+the new U (Gauss-Seidel order), and a zero datum or coupling costs no
+Mittag-Leffler table: its term is exactly zero.
 
 The Laplace route writes
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import rgamma
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, NumericalError, QuadratureError
 from .mittag_leffler import ml_neg
 
 # branch-cut quadrature (see _cut_integrals): its own rule, nothing shared with Picard
@@ -143,6 +144,11 @@ _CELL_BANDS = tuple((1 if n == _CELL_ORDERS[0] else _first_cell(n),
                      *np.polynomial.legendre.leggauss(n)) for n in _CELL_ORDERS)
 
 
+def _decay_rate(eta: float, c: float) -> float:
+    """lam = (-c cos eta pi)^{1/eta} of _cell_bands, 0 for eta <= 1/2 or c <= 0."""
+    return (-c * math.cos(math.pi * eta)) ** (1.0 / eta) if eta > 0.5 and c > 0.0 else 0.0
+
+
 def _cell_bands(eta: float, c: float, h: float, p: float) -> list:
     """(first cell, nodes, weights, end weights) of each band of _CELL_BANDS
     whose rule also resolves the kernel's own decay rate.
@@ -154,16 +160,72 @@ def _cell_bands(eta: float, c: float, h: float, p: float) -> list:
     from the origin.  An order is kept only if its A, B and M of e^{-lam tau}
     over one cell of width h agree with the 12-node rule's to _CELL_TOL.
     """
-    lam = (-c * math.cos(math.pi * eta)) ** (1.0 / eta) if eta > 0.5 else 0.0
     bands = [(first, x, w, _end_weights(p, x, w)) for first, x, w in _CELL_BANDS]
 
     def exp_moments(_, x, w, end_w):
-        f = np.exp(-0.5 * lam * h * x)
+        f = np.exp(-0.5 * _decay_rate(eta, c) * h * x)
         return np.array([(f * (1.0 - x)) @ w, (f * (1.0 + x)) @ w, f @ end_w])
 
     cap = exp_moments(*bands[0])
     return [band for band in bands
             if np.all(np.abs(exp_moments(*band) - cap) <= _CELL_TOL * cap)]
+
+
+# Chebyshev tables (see _cheb_table): _CHEB_N first-kind points cos theta_j, their
+# barycentric weights, and the DCT rows a_k = (2/N) sum_j f_j cos(k theta_j), k >= N-4
+_CHEB_N, _CHEB_WIDTH, _CHEB_RTOL = 24, 64, 1e-10
+_CHEB_THETA = np.pi * (np.arange(_CHEB_N) + 0.5) / _CHEB_N
+_CHEB_X, _CHEB_BARY = np.cos(_CHEB_THETA), (-1.0) ** np.arange(_CHEB_N) * np.sin(_CHEB_THETA)
+_CHEB_TAIL = np.cos(np.outer(np.arange(_CHEB_N - 4, _CHEB_N), _CHEB_THETA)) * (2.0 / _CHEB_N)
+
+
+def _cheb_table(f, stop: int, rate: float, targets: int):
+    """Chebyshev interpolant of f(s), s in steps, on cells 1..stop-1 (cell j
+    spans [j, j+1]): values(lo, hi, offsets) is f(j + offsets), lo <= j < hi.
+
+    Blocks of 2^k steps, none wider than its distance from 0 (its Bernstein
+    ellipse avoids the branch point), _CHEB_WIDTH or 4 / rate (rate = decay
+    per step), sample f at _CHEB_N points, all in one call; where that is no
+    fewer points than the targets the table will serve, values calls f.  A
+    block is kept when |a_20| + ... + |a_23| <= _CHEB_RTOL (min|f| + the
+    smallest normal float, below which samples carry no relative accuracy)
+    + 16 eps max|f| (rounding), and is halved and sampled again otherwise.
+    One barycentric matrix per block width maps the samples to the targets.
+    """
+    cap = _CHEB_WIDTH
+    while cap > 1 and cap * rate > 4.0:
+        cap //= 2
+    starts = np.concatenate((1 << np.arange(cap.bit_length() - 1), np.arange(cap, stop, cap)))
+    starts = starts[starts < stop]
+    if _CHEB_N * starts.size >= targets:
+        return lambda lo, hi, offsets: f(np.arange(lo, hi)[:, None] + offsets)
+    widths, kept = np.minimum(starts, cap), []
+    while starts.size:
+        samples = f(starts[:, None] + 0.5 * widths[:, None] * (1.0 + _CHEB_X))
+        mag = np.abs(samples)
+        ok = (np.abs(samples @ _CHEB_TAIL.T).sum(axis=1)
+              <= _CHEB_RTOL * (mag.min(axis=1) + np.finfo(float).tiny)
+              + 16.0 * np.finfo(float).eps * mag.max(axis=1))
+        if np.any(~ok & (widths == 1)):
+            raise NumericalError(f"Chebyshev block unresolved at step {starts[~ok].min()}")
+        kept.append((starts[ok], widths[ok], samples[ok]))
+        half = widths[~ok] // 2
+        starts = np.concatenate((starts[~ok], starts[~ok] + half))
+        widths = np.concatenate((half, half))
+    starts, widths, samples = (np.concatenate(parts) for parts in zip(*kept))
+
+    def values(lo: int, hi: int, offsets: np.ndarray) -> np.ndarray:
+        out = np.empty((stop + _CHEB_WIDTH, offsets.size))
+        near = (starts < hi) & (starts + widths > lo)
+        for w in np.unique(widths[near]):
+            sel = near & (widths == w)
+            y = (2.0 / w) * (np.arange(w)[:, None] + offsets).reshape(-1, 1) - 1.0
+            bary = _CHEB_BARY / (y - _CHEB_X)
+            vals = samples[sel] @ (bary / bary.sum(axis=1, keepdims=True)).T
+            out[(starts[sel, None] + np.arange(w)).ravel()] = vals.reshape(-1, offsets.size)
+        return out[lo:hi]
+
+    return values
 
 
 def _kernel_moments(eta: float, c: float, times: np.ndarray,
@@ -176,10 +238,11 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
     K_p(t) = int_0^t k(tau) (t-tau)^p dtau = Gamma(p+1) t^{eta+p}
     E_{eta,eta+p+1}(-c t^eta) gives A[0] = K_1(h)/h, B[0] = K_0(h) - K_1(h)/h
     and M[0] = K_p(h).  Away from the origin the kernel is smooth, and each
-    later cell samples it once, on one Gauss panel, for A, B and M alike.
-    The panel's order falls with the distance from the origin (12 nodes on
-    cells 1-10, 8, 6, then 4 from cell 445 on; see _cell_bands), one ml_neg
-    call per band.
+    later cell integrates it on one Gauss panel, for A, B and M alike.  The
+    panel's order falls with the distance from the origin (12 nodes on
+    cells 1-10, 8, 6, then 4 from cell 445 on; see _cell_bands).  Every
+    band reads its node values from one Chebyshev table of the kernel (see
+    _cheb_table), sampled in one ml_neg call at rtol 1e-10.
 
     layer_exp is the power p of the convolved factor's initial layer
     (W ~ W(0) + c0 t^p); the extra moment M[j] = int k(tau) (t_{j+1}-tau)^p
@@ -197,17 +260,16 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
     K0, K1 = K(0.0), K(1.0)
     A, B, M = [[K1 / h]], [[K0 - K1 / h]], [[K(p)]]
     bands = _cell_bands(eta, c, h, p)
-    stops = [band[0] for band in bands[1:]] + [n_cells]
-    for (first, x, w, end_w), stop in zip(bands, stops):
-        lo, hi = min(first, n_cells), min(stop, n_cells)
-        if lo == hi:
-            continue
-        nodes = (times[lo:hi] + 0.5 * h)[:, None] + 0.5 * h * x
-        wa = (times[lo + 1:hi + 1, None] - nodes) / h
-        vals = nodes ** (eta - 1.0) * ml_neg(eta, eta, -c * nodes.ravel() ** eta,
-                                             rtol=1e-10).reshape(nodes.shape) * 0.5 * h
-        A.append((vals * wa) @ w)
-        B.append((vals * (1.0 - wa)) @ w)
+    firsts = [min(band[0], n_cells) for band in bands] + [n_cells]
+    nodes = sum((hi - lo) * band[1].size for lo, hi, band in zip(firsts, firsts[1:], bands))
+    table = _cheb_table(lambda s: (s * h) ** (eta - 1.0) * ml_neg(eta, eta, -c * (s * h) ** eta,
+                                                                   rtol=1e-10),
+                        n_cells, _decay_rate(eta, c) * h, nodes)
+    for (_, x, w, end_w), lo, hi in zip(bands, firsts, firsts[1:]):
+        vals = table(lo, hi, 0.5 * (1.0 + x)) * (0.5 * h)
+        # the hat weights (t_{j+1} - tau)/h and (tau - t_j)/h are (1 -+ x)/2
+        A.append(vals @ (w * 0.5 * (1.0 - x)))
+        B.append(vals @ (w * 0.5 * (1.0 + x)))
         # t_{j+1} - tau = (h/2)(1 - x) on the panel, so M takes the same samples
         M.append((vals @ end_w) * (0.5 * h) ** p)
     A, B, M = (np.concatenate(parts) for parts in (A, B, M))
@@ -282,27 +344,28 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int,
     V_{m+1} - V_m = mu2 K_B (U_{m+1} - U_m) >= 0.  record_iterates keeps
     every pair (U_m, V_m).
 
-    A zero coefficient skips the tables it would multiply: no E_alpha table
-    when a == 0, no E_beta table when b == 0, and no kernel table or
-    convolution when mu1 or mu2 is 0.  For finite tables 0 * x is +-0, so
-    the result is the one the tables would give.  The sweeps stop once one
-    changes U and V by less than _PICARD_TOL; non-convergence within
-    _MAX_SWEEPS returns the last iterate with converged=False.
+    Each datum E_order(-rate t^order) is one Chebyshev table (see
+    _cheb_table).  A zero coefficient skips the tables it would multiply: no
+    E_alpha table when a == 0, no E_beta table when b == 0, and no kernel
+    table or convolution when mu1 or mu2 is 0.  For finite tables 0 * x is
+    +-0, so the result is the one the tables would give.  The sweeps stop
+    once one changes U and V by less than _PICARD_TOL; non-convergence
+    within _MAX_SWEEPS returns the last iterate with converged=False.
     """
     if not T > 0.0:
         raise DomainError(f"horizon must be positive, got {T}")
     if n_steps < 16:
         raise DomainError(f"n_steps must be >= 16, got {n_steps}")
     times = np.linspace(0.0, T, n_steps + 1)
+    h = times[1]
 
     def datum(value, order, rate):
         """value * E_order(-rate t^order) on the grid."""
         if value == 0.0:
             return np.zeros(n_steps + 1)
-        E = np.empty(n_steps + 1)
-        E[0] = 1.0
-        E[1:] = ml_neg(order, 1.0, -rate * times[1:] ** order, rtol=1e-10)
-        return value * E
+        E = _cheb_table(lambda s: ml_neg(order, 1.0, -rate * (s * h) ** order, rtol=1e-10),
+                        n_steps + 1, _decay_rate(order, rate) * h, n_steps)
+        return value * np.append(1.0, E(1, n_steps + 1, np.zeros(1)))
 
     U1 = datum(spec.a, spec.alpha, spec.eta1)
     V1 = datum(spec.b, spec.beta, spec.eta2)

@@ -9,6 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from subdecay.frac_ode import _cell_bands
+
 
 def ml_series_reference(eta: float, mu: float, z: float) -> float:
     """Extended-precision truncated power series for E_{eta,mu}(z), z <= 0.
@@ -73,6 +75,19 @@ def ml_integral_reference(eta: float, x: float, second: bool = False) -> float:
         val = mpmath.quad(f, [0, 1, mpmath.inf])
         pref = s / mpmath.pi if second else xx * s / mpmath.pi
         return float(pref * val)
+
+
+def kernel_gauss_nodes(eta: float, c: float, times: np.ndarray, p: float) -> list:
+    """(nodes, x, w, end_w) of each Gauss band past kernel cell 0 of a Picard
+    kernel table with layer power p: every point at which a direct sampling
+    evaluates the kernel, one per node, shaped (cells, nodes)."""
+    h = times[1] - times[0]
+    n = times.size - 1
+    bands = _cell_bands(eta, c, h, p)
+    stops = [band[0] for band in bands[1:]] + [n]
+    return [((times[lo:hi] + 0.5 * h)[:, None] + 0.5 * h * x, x, w, end_w)
+            for (first, x, w, end_w), stop in zip(bands, stops)
+            for lo, hi in [(min(first, n), min(stop, n))] if lo < hi]
 
 
 @lru_cache(maxsize=64)

@@ -263,6 +263,30 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "exponent -1.5" in out
 
+    def test_decay_growing_series_not_an_exponent(self, tmp_path, capsys):
+        t = np.logspace(0.5, 3, 60)
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n" + "".join(f"{float(tv):.17g},{float(vv):.17g}\n"
+                                               for tv, vv in zip(t, 3.0 * t ** 0.5)))
+        assert main(["decay", str(path), "--window", "10", "1000"]) == 0
+        fit_line = capsys.readouterr().out.splitlines()[0]
+        assert fit_line.startswith("value: growing, slope +0.500000 ")
+        assert "exponent" not in fit_line
+
+    def test_ode_fit_of_growing_path_not_an_exponent(self, monkeypatch, capsys):
+        # no valid symbol makes U + V grow, so the solver hands back t^0.5
+        def growing(spec, T, n_steps):
+            times = np.linspace(0.0, T, n_steps + 1)
+            return subdecay.frac_ode.OdePath(times=times, U=np.sqrt(times), V=np.zeros_like(times),
+                                             iterations=2, converged=True, increment=0.0)
+
+        monkeypatch.setattr(subdecay.frac_ode, "picard_solve", growing)
+        assert main(["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
+                     "--t-max", "20", "--n-steps", "64", "--fit-window", "5", "20"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("growth of U+V on [5, 20]: +0.5000 ")
+        assert "exponent" not in err and "slope" not in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_decay_non_finite_norm_exit_one(self, tmp_path, capsys, bad):
         t = np.logspace(0.5, 3, 60)

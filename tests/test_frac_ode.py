@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
-from conftest import branch_cut_quad_reference, ml_series_reference, principal_zero_count
+from conftest import (branch_cut_quad_reference, kernel_gauss_nodes, ml_series_reference,
+                      principal_zero_count)
 from subdecay import frac_ode, mittag_leffler
-from subdecay.errors import DomainError, QuadratureError
-from subdecay.frac_ode import (_CELL_BANDS, LaplaceSymbol, OdeSpec, _cell_bands,
+from subdecay.errors import DomainError, NumericalError, QuadratureError
+from subdecay.frac_ode import (_CELL_BANDS, LaplaceSymbol, OdeSpec, _cell_bands, _cheb_table,
                                _convolve_linear, _cut_integrals, _end_weights, _fft_size,
                                _kernel_moments, branch_cut_invert, check_decay_assumption,
                                im_parts, picard_monotonicity, picard_solve, poincare_constant,
@@ -237,6 +238,35 @@ class TestPicard:
         assert len(path.iterates) == path.iterations + 1
         assert picard_monotonicity(path.iterates)
 
+    @pytest.mark.parametrize("eta, c, T, n", [
+        (0.5, 1.0, 10.0, 4096), (0.9, 2.0, 20.0, 5120), (0.99, 2.0, 20.0, 5120),
+        (1.0, 0.5, 100.0, 5120), (0.3, 1.0, 5.0, 64)])
+    def test_datum_against_direct_samples(self, eta, c, T, n, monkeypatch):
+        # a decoupled solve returns its datum table: E_eta(-c t^eta) at every
+        # grid point, both sides sampled at rtol 1e-12
+        monkeypatch.setattr(frac_ode, "ml_neg", ml_neg_sharp)
+        spec = OdeSpec(alpha=eta, beta=eta, a=1.0, b=0.0, eta1=c, eta2=c, mu1=0.0, mu2=0.0)
+        path = picard_solve(spec, T=T, n_steps=n)
+        ref = mittag_leffler.ml_neg(eta, 1.0, -c * path.times[1:] ** eta, rtol=1e-12)
+        assert path.U[0] == 1.0
+        np.testing.assert_allclose(path.U[1:], ref, rtol=1e-13, atol=0.0)
+
+    def test_tables_need_no_extended_precision(self, monkeypatch):
+        # near eta = 1 the kernel lines hold points the float64 routes
+        # certify only at rtol 1e-10 and above; the tables sample there
+        def refuse(*args):
+            raise AssertionError("extended-precision fallback reached")
+
+        monkeypatch.setattr(mittag_leffler, "_mp_series", refuse)
+        # the tables are built before the first sweep, so one sweep will do
+        monkeypatch.setattr(frac_ode, "_MAX_SWEEPS", 1)
+        for eta in (0.95, 0.98, 0.99, 0.995, 0.999, 1.0):
+            for c in (0.5, 2.0, 8.0):
+                spec = OdeSpec(alpha=eta, beta=eta, a=1.0, b=1.0,
+                               eta1=c, eta2=c, mu1=0.5 * c, mu2=0.5 * c)
+                for T, n in ((20.0, 5120), (20.0, 64), (100.0, 5120)):
+                    assert picard_solve(spec, T=T, n_steps=n).iterations == 1
+
     @pytest.fixture
     def ml_calls(self, monkeypatch):
         """(eta, mu) of every ml_neg call picard_solve makes."""
@@ -299,6 +329,27 @@ def band_edges(bands, n):
     firsts = [min(band[0], n) for band in bands] + [n]
     return sorted({0} | {j for lo, hi in zip(firsts, firsts[1:]) if lo < hi
                          for j in (lo, hi - 1)})
+
+
+def ml_neg_sharp(eta, mu, z, rtol):
+    """ml_neg at rtol 1e-12 whatever rtol a table asks for: two samplings of
+    the kernel then differ by their interpolation alone, not by errors up to
+    the tables' 1e-10 that the routes certify at different points."""
+    return mittag_leffler.ml_neg(eta, mu, z, rtol=min(rtol, 1e-12))
+
+
+def gauss_node_moments(eta, c, times, p, rtol):
+    """A, B and the end moment M of kernel cells 1..n-1 with the kernel
+    sampled by ml_neg at every Gauss node of its band."""
+    h = times[1] - times[0]
+    A, B, M = [], [], []
+    for nodes, x, w, end_w in kernel_gauss_nodes(eta, c, times, p):
+        vals = (nodes ** (eta - 1.0) * 0.5 * h
+                * mittag_leffler.ml_neg(eta, eta, -c * nodes ** eta, rtol=rtol))
+        A.append(vals @ (w * 0.5 * (1.0 - x)))
+        B.append(vals @ (w * 0.5 * (1.0 + x)))
+        M.append((vals @ end_w) * (0.5 * h) ** p)
+    return [np.concatenate(parts) for parts in (A, B, M)]
 
 
 class TestKernelMoments:
@@ -366,29 +417,92 @@ class TestKernelMoments:
                                        rtol=0.0, atol=1e-13)
             assert w.sum() == pytest.approx(2.0 ** (p + 1.0) / (p + 1.0), rel=1e-14)
 
-    def test_one_kernel_sample_per_gauss_node(self, monkeypatch):
+    @pytest.mark.parametrize("eta, c, p, T, n", [
+        (0.9, 2.0, 0.5, 20.0, 5120), (0.5, 2.0, 0.9, 20.0, 5120),
+        (1.0, 2.0, 0.5, 20.0, 16), (0.3, 1.0, 0.1, 5.0, 64),
+        (0.5, 2.0, 1.0, 20.0, 5120), (0.99, 0.5, 0.5, 20.0, 5120)])
+    def test_tables_against_gauss_node_samples(self, eta, c, p, T, n, monkeypatch):
+        # the moments from the Chebyshev table against the same Gauss rules
+        # on ml_neg at every node, both sides sampled at rtol 1e-12.  At
+        # eta = 0.99, c = 0.5 keeps |z| under 10: with c = 2, half of the
+        # 21,476 nodes (|z| from 12.6 to 38.8) need the mpmath series there
+        monkeypatch.setattr(frac_ode, "ml_neg", ml_neg_sharp)
+        times = np.linspace(0.0, T, n + 1)
+        kw = _kernel_moments(eta, c, times, layer_exp=p)
+        A, B, M = gauss_node_moments(eta, c, times, p, rtol=1e-12)
+        np.testing.assert_allclose(kw.A[1:], A, rtol=3e-13, atol=0.0)
+        np.testing.assert_allclose(kw.B[1:], B, rtol=3e-13, atol=0.0)
+        np.testing.assert_allclose(kw.layer_corr[1:] + kw.h ** p * kw.A[1:], M,
+                                   rtol=3e-13, atol=0.0)
+
+    def test_tables_through_underflow(self):
+        # e^{-8t} to t = 100 falls through the subnormals to 0 from t ~ 90 on;
+        # blocks there pass on the absolute floor, and wherever the values
+        # are normal floats the tables match direct sampling.  Rounding t
+        # alone moves e^{-8t} by 8 t eps, 1.6e-13 at t = 90, on either side
+        times = np.linspace(0.0, 100.0, 5121)
+        kw = _kernel_moments(1.0, 8.0, times, layer_exp=0.5)
+        tiny = np.finfo(float).tiny
+        for got, ref in zip((kw.A[1:], kw.B[1:], kw.layer_corr[1:] + kw.h ** 0.5 * kw.A[1:]),
+                            gauss_node_moments(1.0, 8.0, times, 0.5, rtol=1e-10)):
+            normal = ref >= tiny
+            assert 0 < np.count_nonzero(normal) < ref.size
+            np.testing.assert_allclose(got[normal], ref[normal], rtol=4e-13, atol=0.0)
+        spec = OdeSpec(alpha=1.0, beta=1.0, a=1.0, b=0.0,
+                       eta1=8.0, eta2=8.0, mu1=0.0, mu2=0.0)
+        U, ref = picard_solve(spec, T=100.0, n_steps=5120).U, np.exp(-8.0 * times)
+        normal = ref >= tiny
+        np.testing.assert_allclose(U[normal], ref[normal], rtol=4e-13, atol=0.0)
+        assert np.all(np.abs(U[~normal]) < tiny)
+
+    def test_one_table_call_per_kernel(self, monkeypatch):
         # order n of 12, 8, 6, 4 starts at the first cell j whose Bernstein
         # ellipse, rho_j = (2j+1) + sqrt((2j+1)^2 - 1), gives rho_j^-n <= 1e-13
         starts = [next(j for j in range(1, 10 ** 4)
                        if ((2 * j + 1) + math.sqrt((2 * j + 1) ** 2 - 1)) ** -n <= 1e-13)
                   for n in (8, 6, 4)]
         assert [first for first, _, _ in _CELL_BANDS] == [1, *starts] == [1, 11, 37, 445]
-        points = []
+        samples = []
 
         def counted(eta, mu, z, **kwargs):
-            points.append(np.size(z))
+            samples.append(np.ravel(z))
             return mittag_leffler.ml_neg(eta, mu, z, **kwargs)
 
         monkeypatch.setattr(frac_ode, "ml_neg", counted)
-        # three closed-form cell-0 moments, then one sample per node that A,
-        # B and M all read: at 5120 steps 12 nodes on cells 1-10, 8 on 11-36,
-        # 6 on 37-444 and 4 on 445-5119; at 64 steps (h = 0.3125, lam = 1.83)
-        # the kernel's decay rate rules out 6 and 4, so 8 nodes on 11-63
-        for n, expected in ((5120, 3 + 12 * 10 + 8 * 26 + 6 * 408 + 4 * 4675),
-                            (64, 3 + 12 * 10 + 8 * 53)):
-            points.clear()
-            _kernel_moments(0.8, 2.0, np.linspace(0.0, 20.0, n + 1), layer_exp=0.4)
-            assert sum(points) == expected
+        cheb = np.cos(np.pi * (np.arange(24) + 0.5) / 24)
+        lam = (-2.0 * math.cos(0.8 * math.pi)) ** 1.25
+        # three closed-form cell-0 moments, then one table for every band:
+        # 24 Chebyshev points on each block of 2^k steps, as wide as its
+        # distance from 0, 64 steps and 4/lam allow.  At 5120 steps that is
+        # 1, 2, ..., 32, then 79 blocks of 64; at 64 steps (h = 0.3125,
+        # lam h = 0.57) it is 1, 2, then 14 blocks of 4
+        for n, cap, blocks in ((5120, 64, 85), (64, 4, 17)):
+            samples.clear()
+            times = np.linspace(0.0, 20.0, n + 1)
+            _kernel_moments(0.8, 2.0, times, layer_exp=0.4)
+            assert [z.size for z in samples] == [1, 1, 1, 24 * blocks]
+            assert cap == min(64, 2 ** math.floor(math.log2(4.0 / (lam * times[1]))))
+            # each block's start and width from its sample points
+            s = ((-samples[3] / 2.0) ** 1.25 / times[1]).reshape(blocks, 24)
+            width = np.round(2.0 * (s[:, 0] - s[:, -1]) / (cheb[0] - cheb[-1]))
+            start = np.round(s[:, -1] - 0.5 * width * (1.0 + cheb[-1]))
+            assert start[0] == 1.0 and np.all(start[1:] == start[:-1] + width[:-1])
+            assert start[-1] < n <= start[-1] + width[-1]
+            np.testing.assert_array_equal(width, np.minimum(start, cap))
+            assert np.all(np.log2(width) % 1.0 == 0.0)
+        # at 16 steps (lam h = 2.3) one-step blocks would take 24 points a
+        # cell, more than its Gauss nodes: the kernel is sampled at the nodes
+        samples.clear()
+        times = np.linspace(0.0, 20.0, 17)
+        _kernel_moments(0.8, 2.0, times, layer_exp=0.4)
+        nodes = sum(nodes.size for nodes, *_ in kernel_gauss_nodes(0.8, 2.0, times, 0.4))
+        assert [z.size for z in samples] == [1, 1, 1, nodes] and nodes < 24 * 15
+
+    def test_unresolved_block_raises(self):
+        # noise never passes the tail gate, down to one-step blocks
+        noise = np.random.default_rng(3)
+        with pytest.raises(NumericalError, match="Chebyshev block unresolved at step"):
+            _cheb_table(lambda s: noise.uniform(1.0, 2.0, np.shape(s)), 5121, 0.0, 10 ** 6)
 
     def test_fft_size_against_brute_force(self):
         # every 2^a 3^b 5^c up to 2^14, then the smallest one >= m

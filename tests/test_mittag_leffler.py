@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erfcx, rgamma
 
-from subdecay import frac_ode, mittag_leffler
+from subdecay import mittag_leffler
 from subdecay.errors import DomainError, UnsupportedRangeError
 from subdecay.mittag_leffler import ml_eval, ml_neg
 
-from conftest import ml_integral_reference, ml_series_reference
+from conftest import kernel_gauss_nodes, ml_integral_reference, ml_series_reference
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -215,30 +215,30 @@ class TestMLEval:
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_expansion_tried_where_it_certifies(self, monkeypatch):
-        # over the kernel lines of the ode-sweep benchmark's three solves, at
-        # most 10 % of the points the expansion is tried on fail its
-        # certificate and go on to the contour
-        tried, failed, rtols = [], [], []
-        expansion, ml_neg_ = mittag_leffler._asymp_f64, frac_ode.ml_neg
+        # over the lines the ode-sweep benchmark's three solves sample when
+        # every point is a direct call (both kernels of the two coupled
+        # solves at each Gauss node, each datum at each grid point), at the
+        # kernel tables' rtol, at most 10 % of the points the expansion is
+        # tried on fail its certificate and go on to the contour
+        tried, failed = [], []
+        expansion = mittag_leffler._asymp_f64
 
         def counted(eta, mu, z):
             value, est = expansion(eta, mu, z)
             tried.append(z.size)
-            failed.append(int(np.sum(est > rtols[-1])))
+            failed.append(int(np.sum(est > 1e-10)))
             return value, est
 
-        def with_rtol(eta, mu, z, rtol):
-            rtols.append(rtol)
-            return ml_neg_(eta, mu, z, rtol=rtol)
-
         monkeypatch.setattr(mittag_leffler, "_asymp_f64", counted)
-        monkeypatch.setattr(frac_ode, "ml_neg", with_rtol)
-        coupled = dict(b=0.0, eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
-        for spec, T, n in [(frac_ode.OdeSpec(alpha=0.9, beta=0.5, a=1.0, **coupled), 20.0, 5120),
-                           (frac_ode.OdeSpec(alpha=0.8, beta=0.4, a=1.0, **coupled), 20.0, 5120),
-                           (frac_ode.OdeSpec(alpha=0.5, beta=0.5, a=1.0, b=0.0, eta1=1.0,
-                                             eta2=1.0, mu1=0.0, mu2=0.0), 10.0, 4096)]:
-            frac_ode.picard_solve(spec, T=T, n_steps=n)
+        t = np.linspace(0.0, 20.0, 5121)
+        lines = [(0.5, 1.0, -np.linspace(0.0, 10.0, 4097)[1:] ** 0.5)]
+        for alpha, beta in ((0.9, 0.5), (0.8, 0.4)):
+            lines.append((alpha, 1.0, -2.0 * t[1:] ** alpha))
+            for eta, p in ((alpha, beta), (beta, alpha)):
+                lines += [(eta, eta, -2.0 * nodes.ravel() ** eta)
+                          for nodes, *_ in kernel_gauss_nodes(eta, 2.0, t, p)]
+        for eta, mu, z in lines:
+            ml_neg(eta, mu, z, rtol=1e-10)
         assert sum(tried) > 10_000
         assert sum(failed) <= 0.1 * sum(tried)
 
