@@ -214,13 +214,17 @@ class RunReport:
     notes: list = field(default_factory=list)
 
     def to_text(self) -> str:
+        def slope(fit):  # a positive slope is growth, never a decay exponent
+            return (f"growing, slope {fit.exponent:+.17g}" if fit.growing
+                    else f"exponent {_FMT.format(fit.exponent)}")
+
         buf = io.StringIO()
         print("run config:", json.dumps(self.config.to_dict(), sort_keys=True), file=buf)
         for k, fit in enumerate(self.component_fits):
-            print(f"component {k + 1}: exponent {_FMT.format(fit.exponent)} "
+            print(f"component {k + 1}: {slope(fit)} "
                   f"(rms residual {fit.rms_residual:.3e}, window {fit.window})", file=buf)
         if self.total_fit is not None:
-            print(f"summed norms: exponent {_FMT.format(self.total_fit.exponent)} "
+            print(f"summed norms: {slope(self.total_fit)} "
                   f"(rms residual {self.total_fit.rms_residual:.3e})", file=buf)
         print(f"stability condition: {'satisfied' if self.stability_ok else 'violated'}"
               + (" (marginal: disks touch the unit circle)" if self.stability_marginal else ""),

@@ -15,12 +15,11 @@ with Caputo derivatives of orders 1 >= alpha >= beta > 0.  Its integral form
 
 convolves the relaxation kernel k_eta(t) = t^{eta-1} E_{eta,eta}(-c t^eta)
 against the other component, which is what the Picard sweep discretizes
-(kernel cell 0 in closed form, each later cell on one Gauss panel shared by
-all its moments, of an order graded by the cell's distance from the
-origin).  The kernel and the datum E_eta(-c t^eta) each come from one
-Chebyshev table.  A sweep updates U from the previous V and then V from
-the new U (Gauss-Seidel order), and a zero datum or coupling costs no
-Mittag-Leffler table: its term is exactly zero.
+(kernel cell 0 in closed form, each later cell on one 12-node Gauss panel
+shared by all its moments).  The kernel's moments and the datum
+E_eta(-c t^eta) each come from one Chebyshev table.  A sweep updates U from
+the previous V and then V from the new U (Gauss-Seidel order), and a zero
+datum or coupling costs no Mittag-Leffler table: its term is exactly zero.
 
 The Laplace route writes
 
@@ -122,53 +121,20 @@ class _KernelWeights:
     C_hat: np.ndarray
 
 
-# Gauss orders of the kernel cells past cell 0, capped at 12 next to the origin
-_CELL_ORDERS = (12, 8, 6, 4)
-_CELL_TOL = 1e-13
-
-
-def _first_cell(n: int) -> int:
-    """First cell j >= 1 on which n Gauss nodes meet rho_j^{-n} <= _CELL_TOL.
-
-    Cell j spans [jh, (j+1)h]; the largest Bernstein ellipse around it that
-    avoids the tau^{eta-1} branch point at 0 has rho_j + 1/rho_j = 2(2j+1).
-    A and B converge like rho_j^{-2n}, but M's interpolatory rule against the
-    (1-x)^p weight only like rho_j^{-n}, and that slower rate sets the order.
-    """
-    r = _CELL_TOL ** (-1.0 / n)
-    return math.ceil(((r + 1.0 / r) / 2.0 - 1.0) / 2.0)
-
-
-# (first cell, Gauss nodes, Gauss weights) per order; the cap holds from cell 1
-_CELL_BANDS = tuple((1 if n == _CELL_ORDERS[0] else _first_cell(n),
-                     *np.polynomial.legendre.leggauss(n)) for n in _CELL_ORDERS)
+# the one Gauss rule of every kernel cell past cell 0 (see _kernel_moments)
+_CELL_X, _CELL_W = np.polynomial.legendre.leggauss(12)
 
 
 def _decay_rate(eta: float, c: float) -> float:
-    """lam = (-c cos eta pi)^{1/eta} of _cell_bands, 0 for eta <= 1/2 or c <= 0."""
-    return (-c * math.cos(math.pi * eta)) ** (1.0 / eta) if eta > 0.5 and c > 0.0 else 0.0
-
-
-def _cell_bands(eta: float, c: float, h: float, p: float) -> list:
-    """(first cell, nodes, weights, end weights) of each band of _CELL_BANDS
-    whose rule also resolves the kernel's own decay rate.
+    """lam = (-c cos eta pi)^{1/eta}, 0 for eta <= 1/2 or c <= 0.
 
     The kernel is a mixture of e^{-r tau} with weight proportional to
-    1/|r^eta e^{i eta pi} + c|^2.  For eta > 1/2 that weight peaks at
-    lam = (-c cos eta pi)^{1/eta} (lam = c at eta = 1, a pure exponential),
-    and near the peak the kernel decays like e^{-lam tau} at any distance
-    from the origin.  An order is kept only if its A, B and M of e^{-lam tau}
-    over one cell of width h agree with the 12-node rule's to _CELL_TOL.
+    1/|r^eta e^{i eta pi} + c|^2.  For eta > 1/2 that weight peaks at lam
+    (lam = c at eta = 1, a pure exponential), and near the peak the kernel
+    decays like e^{-lam tau} at any distance from the origin, which caps the
+    blocks of _cheb_table.
     """
-    bands = [(first, x, w, _end_weights(p, x, w)) for first, x, w in _CELL_BANDS]
-
-    def exp_moments(_, x, w, end_w):
-        f = np.exp(-0.5 * _decay_rate(eta, c) * h * x)
-        return np.array([(f * (1.0 - x)) @ w, (f * (1.0 + x)) @ w, f @ end_w])
-
-    cap = exp_moments(*bands[0])
-    return [band for band in bands
-            if np.all(np.abs(exp_moments(*band) - cap) <= _CELL_TOL * cap)]
+    return (-c * math.cos(math.pi * eta)) ** (1.0 / eta) if eta > 0.5 and c > 0.0 else 0.0
 
 
 # Chebyshev tables (see _cheb_table): _CHEB_N first-kind points cos theta_j, their
@@ -181,7 +147,8 @@ _CHEB_TAIL = np.cos(np.outer(np.arange(_CHEB_N - 4, _CHEB_N), _CHEB_THETA)) * (2
 
 def _cheb_table(f, stop: int, rate: float, targets: int):
     """Chebyshev interpolant of f(s), s in steps, on cells 1..stop-1 (cell j
-    spans [j, j+1]): values(lo, hi, offsets) is f(j + offsets), lo <= j < hi.
+    spans [j, j+1]): row j-1 of values(offsets, weights) is
+    sum_i f(j + offsets[i]) weights[i, :].
 
     Blocks of 2^k steps, none wider than its distance from 0 (its Bernstein
     ellipse avoids the branch point), _CHEB_WIDTH or 4 / rate (rate = decay
@@ -190,7 +157,8 @@ def _cheb_table(f, stop: int, rate: float, targets: int):
     block is kept when |a_20| + ... + |a_23| <= _CHEB_RTOL (min|f| + the
     smallest normal float, below which samples carry no relative accuracy)
     + 16 eps max|f| (rounding), and is halved and sampled again otherwise.
-    One barycentric matrix per block width maps the samples to the targets.
+    Per block width, the weights fold into the barycentric matrix that maps
+    the samples to the targets, so one matmul gives every sum of that width.
     """
     cap = _CHEB_WIDTH
     while cap > 1 and cap * rate > 4.0:
@@ -198,7 +166,7 @@ def _cheb_table(f, stop: int, rate: float, targets: int):
     starts = np.concatenate((1 << np.arange(cap.bit_length() - 1), np.arange(cap, stop, cap)))
     starts = starts[starts < stop]
     if _CHEB_N * starts.size >= targets:
-        return lambda lo, hi, offsets: f(np.arange(lo, hi)[:, None] + offsets)
+        return lambda offsets, weights: f(np.arange(1, stop)[:, None] + offsets) @ weights
     widths, kept = np.minimum(starts, cap), []
     while starts.size:
         samples = f(starts[:, None] + 0.5 * widths[:, None] * (1.0 + _CHEB_X))
@@ -214,16 +182,18 @@ def _cheb_table(f, stop: int, rate: float, targets: int):
         widths = np.concatenate((half, half))
     starts, widths, samples = (np.concatenate(parts) for parts in zip(*kept))
 
-    def values(lo: int, hi: int, offsets: np.ndarray) -> np.ndarray:
-        out = np.empty((stop + _CHEB_WIDTH, offsets.size))
-        near = (starts < hi) & (starts + widths > lo)
-        for w in np.unique(widths[near]):
-            sel = near & (widths == w)
-            y = (2.0 / w) * (np.arange(w)[:, None] + offsets).reshape(-1, 1) - 1.0
-            bary = _CHEB_BARY / (y - _CHEB_X)
-            vals = samples[sel] @ (bary / bary.sum(axis=1, keepdims=True)).T
-            out[(starts[sel, None] + np.arange(w)).ravel()] = vals.reshape(-1, offsets.size)
-        return out[lo:hi]
+    def values(offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        out = np.empty((stop + _CHEB_WIDTH, weights.shape[1]))
+        for w in np.unique(widths):
+            y = (2.0 / w) * (np.arange(w)[:, None] + offsets) - 1.0
+            # bary[k, j, i] weighs sample k of a block at target i of its cell j
+            bary = _CHEB_BARY[:, None, None] / (y - _CHEB_X[:, None, None])
+            bary /= bary.sum(axis=0)
+            fold = (bary.reshape(-1, offsets.size) @ weights).reshape(_CHEB_N, -1)
+            sel = widths == w
+            vals = samples[sel] @ fold
+            out[(starts[sel, None] + np.arange(w)).ravel()] = vals.reshape(-1, out.shape[1])
+        return out[1:stop]
 
     return values
 
@@ -238,11 +208,9 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
     K_p(t) = int_0^t k(tau) (t-tau)^p dtau = Gamma(p+1) t^{eta+p}
     E_{eta,eta+p+1}(-c t^eta) gives A[0] = K_1(h)/h, B[0] = K_0(h) - K_1(h)/h
     and M[0] = K_p(h).  Away from the origin the kernel is smooth, and each
-    later cell integrates it on one Gauss panel, for A, B and M alike.  The
-    panel's order falls with the distance from the origin (12 nodes on
-    cells 1-10, 8, 6, then 4 from cell 445 on; see _cell_bands).  Every
-    band reads its node values from one Chebyshev table of the kernel (see
-    _cheb_table), sampled in one ml_neg call at rtol 1e-10.
+    later cell integrates it on one 12-node Gauss panel, for A, B and M
+    alike.  One Chebyshev table of the kernel (see _cheb_table), sampled in
+    one ml_neg call at rtol 1e-10, returns all three moments of every cell.
 
     layer_exp is the power p of the convolved factor's initial layer
     (W ~ W(0) + c0 t^p); the extra moment M[j] = int k(tau) (t_{j+1}-tau)^p
@@ -258,21 +226,16 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
         return math.gamma(q + 1.0) * h ** (eta + q) * E
 
     K0, K1 = K(0.0), K(1.0)
-    A, B, M = [[K1 / h]], [[K0 - K1 / h]], [[K(p)]]
-    bands = _cell_bands(eta, c, h, p)
-    firsts = [min(band[0], n_cells) for band in bands] + [n_cells]
-    nodes = sum((hi - lo) * band[1].size for lo, hi, band in zip(firsts, firsts[1:], bands))
+    first = [K1 / h, K0 - K1 / h, K(p)]
+    # on the panel tau = t_j + (h/2)(1 + x): the hat weights (t_{j+1} - tau)/h and
+    # (tau - t_j)/h are (1 -+ x)/2, and t_{j+1} - tau = (h/2)(1 - x) is M's weight
+    weights = 0.5 * h * np.column_stack((0.5 * _CELL_W * (1.0 - _CELL_X),
+                                         0.5 * _CELL_W * (1.0 + _CELL_X),
+                                         _end_weights(p, _CELL_X, _CELL_W) * (0.5 * h) ** p))
     table = _cheb_table(lambda s: (s * h) ** (eta - 1.0) * ml_neg(eta, eta, -c * (s * h) ** eta,
                                                                    rtol=1e-10),
-                        n_cells, _decay_rate(eta, c) * h, nodes)
-    for (_, x, w, end_w), lo, hi in zip(bands, firsts, firsts[1:]):
-        vals = table(lo, hi, 0.5 * (1.0 + x)) * (0.5 * h)
-        # the hat weights (t_{j+1} - tau)/h and (tau - t_j)/h are (1 -+ x)/2
-        A.append(vals @ (w * 0.5 * (1.0 - x)))
-        B.append(vals @ (w * 0.5 * (1.0 + x)))
-        # t_{j+1} - tau = (h/2)(1 - x) on the panel, so M takes the same samples
-        M.append((vals @ end_w) * (0.5 * h) ** p)
-    A, B, M = (np.concatenate(parts) for parts in (A, B, M))
+                        n_cells, _decay_rate(eta, c) * h, (n_cells - 1) * _CELL_X.size)
+    A, B, M = np.vstack((first, table(0.5 * (1.0 + _CELL_X), weights))).T.copy()
     C = np.append(A, 0.0)
     C[1:] += B
     n_fft = _fft_size(2 * A.size)
@@ -365,7 +328,7 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int,
             return np.zeros(n_steps + 1)
         E = _cheb_table(lambda s: ml_neg(order, 1.0, -rate * (s * h) ** order, rtol=1e-10),
                         n_steps + 1, _decay_rate(order, rate) * h, n_steps)
-        return value * np.append(1.0, E(1, n_steps + 1, np.zeros(1)))
+        return value * np.append(1.0, E(np.zeros(1), np.ones((1, 1)))[:, 0])
 
     U1 = datum(spec.a, spec.alpha, spec.eta1)
     V1 = datum(spec.b, spec.beta, spec.eta2)

@@ -33,7 +33,6 @@ its two (70, 512) node-by-point arrays, 0.29 MB each, stay in L2 cache.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma, gammaln, rgamma
@@ -52,7 +51,6 @@ _MU_RANGE = (0.1, 3.0)
 _Z_MIN = -1.0e4
 
 
-@lru_cache(maxsize=256)
 def _asymp_weights(eta: float, mu: float, cap: int) -> np.ndarray:
     """1/Gamma(mu - eta*k) for k = 1..cap; exactly 0 at the Gamma poles.
 
@@ -163,7 +161,6 @@ def _asymp_floor(eta, mu, z):
         return floor * np.abs(z) ** (k + 1) / abs(weights[k])
 
 
-@lru_cache(maxsize=64)
 def _contour_rule(eta: float, mu: float, n: int):
     """Nodes s_k^eta and weights w_k of the n-step trapezoid rule on the
     parabola s(u) = c (1 + iu)^2, u in [0, u_max], so that by symmetry about

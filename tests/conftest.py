@@ -9,8 +9,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from subdecay.frac_ode import _cell_bands
-
 
 def ml_series_reference(eta: float, mu: float, z: float) -> float:
     """Extended-precision truncated power series for E_{eta,mu}(z), z <= 0.
@@ -77,17 +75,13 @@ def ml_integral_reference(eta: float, x: float, second: bool = False) -> float:
         return float(pref * val)
 
 
-def kernel_gauss_nodes(eta: float, c: float, times: np.ndarray, p: float) -> list:
-    """(nodes, x, w, end_w) of each Gauss band past kernel cell 0 of a Picard
-    kernel table with layer power p: every point at which a direct sampling
-    evaluates the kernel, one per node, shaped (cells, nodes)."""
+def kernel_gauss_nodes(times: np.ndarray) -> np.ndarray:
+    """The 12 Gauss-Legendre nodes of each kernel cell 1..n-1 of a Picard
+    kernel table on the grid times, shaped (cells, 12): every point at which
+    a direct sampling evaluates the kernel."""
     h = times[1] - times[0]
-    n = times.size - 1
-    bands = _cell_bands(eta, c, h, p)
-    stops = [band[0] for band in bands[1:]] + [n]
-    return [((times[lo:hi] + 0.5 * h)[:, None] + 0.5 * h * x, x, w, end_w)
-            for (first, x, w, end_w), stop in zip(bands, stops)
-            for lo, hi in [(min(first, n), min(stop, n))] if lo < hi]
+    x = np.polynomial.legendre.leggauss(12)[0]
+    return (times[1:-1] + 0.5 * h)[:, None] + 0.5 * h * x
 
 
 @lru_cache(maxsize=64)

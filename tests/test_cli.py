@@ -233,6 +233,19 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "component 1" in out and "stability condition: satisfied" in out
 
+    def test_pde_growing_fit_not_an_exponent(self, tmp_path, capsys):
+        # a coupling margin of -2 passes run's check, and the norms grow
+        path = tmp_path / "grow.json"
+        path.write_text(json.dumps({"orders": [0.9, 0.5], "ic_case": "ii",
+                                    "couplings": [[1, -3], [-3, 1]],
+                                    "n_space": 16, "n_time": 200, "T": 20}))
+        assert main(["pde", "--config", str(path)]) == 0
+        fits = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("component", "summed norms"))]
+        assert len(fits) == 3
+        for line in fits:
+            assert re.search(r": growing, slope \+\d", line) and "exponent" not in line
+
     def test_pde_bad_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL, "extra": True}))

@@ -13,7 +13,7 @@ from conftest import (branch_cut_quad_reference, kernel_gauss_nodes, ml_series_r
                       principal_zero_count)
 from subdecay import frac_ode, mittag_leffler
 from subdecay.errors import DomainError, NumericalError, QuadratureError
-from subdecay.frac_ode import (_CELL_BANDS, LaplaceSymbol, OdeSpec, _cell_bands, _cheb_table,
+from subdecay.frac_ode import (_CELL_W, _CELL_X, LaplaceSymbol, OdeSpec, _cheb_table,
                                _convolve_linear, _cut_integrals, _end_weights, _fft_size,
                                _kernel_moments, branch_cut_invert, check_decay_assumption,
                                im_parts, picard_monotonicity, picard_solve, poincare_constant,
@@ -324,13 +324,6 @@ def kernel_cell_reference(eta, c, t0, t1, weight, end_power=0.0):
     return val
 
 
-def band_edges(bands, n):
-    """Cell 0 and the first and last cell of each Gauss band of an n-cell table."""
-    firsts = [min(band[0], n) for band in bands] + [n]
-    return sorted({0} | {j for lo, hi in zip(firsts, firsts[1:]) if lo < hi
-                         for j in (lo, hi - 1)})
-
-
 def ml_neg_sharp(eta, mu, z, rtol):
     """ml_neg at rtol 1e-12 whatever rtol a table asks for: two samplings of
     the kernel then differ by their interpolation alone, not by errors up to
@@ -340,16 +333,14 @@ def ml_neg_sharp(eta, mu, z, rtol):
 
 def gauss_node_moments(eta, c, times, p, rtol):
     """A, B and the end moment M of kernel cells 1..n-1 with the kernel
-    sampled by ml_neg at every Gauss node of its band."""
+    sampled by ml_neg at every node of the cells' 12-node Gauss rule."""
     h = times[1] - times[0]
-    A, B, M = [], [], []
-    for nodes, x, w, end_w in kernel_gauss_nodes(eta, c, times, p):
-        vals = (nodes ** (eta - 1.0) * 0.5 * h
-                * mittag_leffler.ml_neg(eta, eta, -c * nodes ** eta, rtol=rtol))
-        A.append(vals @ (w * 0.5 * (1.0 - x)))
-        B.append(vals @ (w * 0.5 * (1.0 + x)))
-        M.append((vals @ end_w) * (0.5 * h) ** p)
-    return [np.concatenate(parts) for parts in (A, B, M)]
+    x, w = np.polynomial.legendre.leggauss(12)
+    nodes = kernel_gauss_nodes(times)
+    vals = (nodes ** (eta - 1.0) * 0.5 * h
+            * mittag_leffler.ml_neg(eta, eta, -c * nodes ** eta, rtol=rtol))
+    return [vals @ (w * 0.5 * (1.0 - x)), vals @ (w * 0.5 * (1.0 + x)),
+            (vals @ _end_weights(p, x, w)) * (0.5 * h) ** p]
 
 
 class TestKernelMoments:
@@ -358,14 +349,15 @@ class TestKernelMoments:
         (1.0, 2.0, 0.5, 20.0, 16), (0.3, 1.0, 0.1, 5.0, 64),
         (0.5, 2.0, 1.0, 20.0, 5120)])
     def test_first_cells_against_quadrature(self, eta, c, p, T, n):
-        # cell 0 is closed form; later cells the Gauss panel of their band,
-        # shared by A, B and M, checked where each band starts and ends
-        # (16 and 64 steps cut the bands short)
+        # cell 0 is closed form; later cells one 12-node Gauss panel, shared
+        # by A, B and M, checked next to the origin, on both sides of the
+        # table's 32- and 64-step block seams, and on the last cell (16 and
+        # 64 steps have fewer of these cells)
         times = np.linspace(0.0, T, n + 1)
         kw = _kernel_moments(eta, c, times, layer_exp=p)
         h = kw.h
         M = kw.layer_corr + h ** p * kw.A
-        for j in band_edges(_cell_bands(eta, c, h, p), n):
+        for j in sorted({j for j in (0, 1, 2, 3, 4, 31, 32, 63, 64) if j < n} | {n - 1}):
             t0, t1 = times[j], times[j + 1]
             A = kernel_cell_reference(eta, c, t0, t1, lambda left, right: right / h)
             B = kernel_cell_reference(eta, c, t0, t1, lambda left, right: left / h)
@@ -377,55 +369,29 @@ class TestKernelMoments:
             # the beta-kernel of an alpha = 1 solve: the end moment is h A
             np.testing.assert_allclose(M, h * kw.A, rtol=1e-13)
 
-    @pytest.mark.parametrize("eta, p, n", [(0.3, 0.1, 5120), (0.9, 0.5, 5120),
-                                           (0.5, 1.0, 5120), (1.0, 0.5, 512)])
-    def test_graded_rule_matches_twelve_nodes(self, eta, p, n, monkeypatch):
-        # the graded bands against 12 nodes on every cell.  0.3/0.1 is the
-        # pair a ladder that drops to 4 nodes from cell 8 on breaks; at
-        # eta = 1 with 512 steps, c h = 0.078 is too coarse for 4 nodes.
-        # Both builds sample the kernel at rtol 1e-12: at the tables' 1e-10
-        # the large-argument expansion is certified with errors up to 1e-11,
-        # which two node sets sample differently, and this compares rules
-        def sharper(eta, mu, z, rtol):
-            return mittag_leffler.ml_neg(eta, mu, z, rtol=min(rtol, 1e-12))
-
-        monkeypatch.setattr(frac_ode, "ml_neg", sharper)
-        times = np.linspace(0.0, 20.0, n + 1)
-        graded = _kernel_moments(eta, 2.0, times, layer_exp=p)
-        monkeypatch.setattr(frac_ode, "_CELL_BANDS",
-                            ((1, *np.polynomial.legendre.leggauss(12)),))
-        ref = _kernel_moments(eta, 2.0, times, layer_exp=p)
-        np.testing.assert_allclose(graded.A, ref.A, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(graded.B, ref.B, rtol=1e-13, atol=0.0)
-        # relative to the end moment M = layer_corr + h^p A it corrects:
-        # at p = 1 the correction itself is rounding around zero
-        M = ref.layer_corr + ref.h ** p * ref.A
-        assert np.all(np.abs(graded.layer_corr - ref.layer_corr) <= 1e-13 * np.abs(M))
-
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.0])
     def test_end_weights_exact_to_degree_eleven(self, p):
         # int x^k (1-x)^p over [-1, 1] from the Beta moments of (1+x)^m (1-x)^p,
-        # summed in mpmath because the binomial expansion alternates; each
-        # n-node rule of the ladder is exact to degree n - 1 (eleven at the cap)
+        # summed in mpmath because the binomial expansion alternates; the
+        # 12-node rule of the kernel cells is exact to degree eleven
         with mpmath.workdps(30):
             exact = [float(mpmath.fsum(
                 mpmath.binomial(k, m) * (-1) ** (k - m) * mpmath.mpf(2) ** (m + p + 1)
                 * mpmath.beta(m + 1, p + 1) for m in range(k + 1))) for k in range(12)]
-        for _, x, gw in _CELL_BANDS:
-            w = _end_weights(p, x, gw)
-            np.testing.assert_allclose([w @ x ** k for k in range(x.size)], exact[:x.size],
-                                       rtol=0.0, atol=1e-13)
-            assert w.sum() == pytest.approx(2.0 ** (p + 1.0) / (p + 1.0), rel=1e-14)
+        w = _end_weights(p, _CELL_X, _CELL_W)
+        np.testing.assert_allclose([w @ _CELL_X ** k for k in range(12)], exact,
+                                   rtol=0.0, atol=1e-13)
+        assert w.sum() == pytest.approx(2.0 ** (p + 1.0) / (p + 1.0), rel=1e-14)
 
     @pytest.mark.parametrize("eta, c, p, T, n", [
         (0.9, 2.0, 0.5, 20.0, 5120), (0.5, 2.0, 0.9, 20.0, 5120),
         (1.0, 2.0, 0.5, 20.0, 16), (0.3, 1.0, 0.1, 5.0, 64),
         (0.5, 2.0, 1.0, 20.0, 5120), (0.99, 0.5, 0.5, 20.0, 5120)])
     def test_tables_against_gauss_node_samples(self, eta, c, p, T, n, monkeypatch):
-        # the moments from the Chebyshev table against the same Gauss rules
+        # the moments from the Chebyshev table against the same Gauss rule
         # on ml_neg at every node, both sides sampled at rtol 1e-12.  At
-        # eta = 0.99, c = 0.5 keeps |z| under 10: with c = 2, half of the
-        # 21,476 nodes (|z| from 12.6 to 38.8) need the mpmath series there
+        # eta = 0.99, c = 0.5 keeps |z| under 10: with c = 2, about half of
+        # the nodes (|z| from 12.6 to 38.8) need the mpmath series there
         monkeypatch.setattr(frac_ode, "ml_neg", ml_neg_sharp)
         times = np.linspace(0.0, T, n + 1)
         kw = _kernel_moments(eta, c, times, layer_exp=p)
@@ -456,12 +422,6 @@ class TestKernelMoments:
         assert np.all(np.abs(U[~normal]) < tiny)
 
     def test_one_table_call_per_kernel(self, monkeypatch):
-        # order n of 12, 8, 6, 4 starts at the first cell j whose Bernstein
-        # ellipse, rho_j = (2j+1) + sqrt((2j+1)^2 - 1), gives rho_j^-n <= 1e-13
-        starts = [next(j for j in range(1, 10 ** 4)
-                       if ((2 * j + 1) + math.sqrt((2 * j + 1) ** 2 - 1)) ** -n <= 1e-13)
-                  for n in (8, 6, 4)]
-        assert [first for first, _, _ in _CELL_BANDS] == [1, *starts] == [1, 11, 37, 445]
         samples = []
 
         def counted(eta, mu, z, **kwargs):
@@ -471,7 +431,7 @@ class TestKernelMoments:
         monkeypatch.setattr(frac_ode, "ml_neg", counted)
         cheb = np.cos(np.pi * (np.arange(24) + 0.5) / 24)
         lam = (-2.0 * math.cos(0.8 * math.pi)) ** 1.25
-        # three closed-form cell-0 moments, then one table for every band:
+        # three closed-form cell-0 moments, then one table for every cell:
         # 24 Chebyshev points on each block of 2^k steps, as wide as its
         # distance from 0, 64 steps and 4/lam allow.  At 5120 steps that is
         # 1, 2, ..., 32, then 79 blocks of 64; at 64 steps (h = 0.3125,
@@ -495,7 +455,7 @@ class TestKernelMoments:
         samples.clear()
         times = np.linspace(0.0, 20.0, 17)
         _kernel_moments(0.8, 2.0, times, layer_exp=0.4)
-        nodes = sum(nodes.size for nodes, *_ in kernel_gauss_nodes(0.8, 2.0, times, 0.4))
+        nodes = kernel_gauss_nodes(times).size
         assert [z.size for z in samples] == [1, 1, 1, nodes] and nodes < 24 * 15
 
     def test_unresolved_block_raises(self):

@@ -234,9 +234,8 @@ class TestMLEval:
         lines = [(0.5, 1.0, -np.linspace(0.0, 10.0, 4097)[1:] ** 0.5)]
         for alpha, beta in ((0.9, 0.5), (0.8, 0.4)):
             lines.append((alpha, 1.0, -2.0 * t[1:] ** alpha))
-            for eta, p in ((alpha, beta), (beta, alpha)):
-                lines += [(eta, eta, -2.0 * nodes.ravel() ** eta)
-                          for nodes, *_ in kernel_gauss_nodes(eta, 2.0, t, p)]
+            lines += [(eta, eta, -2.0 * kernel_gauss_nodes(t).ravel() ** eta)
+                      for eta in (alpha, beta)]
         for eta, mu, z in lines:
             ml_neg(eta, mu, z, rtol=1e-10)
         assert sum(tried) > 10_000
