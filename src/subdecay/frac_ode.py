@@ -1,5 +1,5 @@
 """Coupled two-component fractional relaxation system, solved two independent
-ways: Picard iteration on the Volterra integral form, and branch-cut
+ways: a direct solve of the discretized Volterra integral form, and branch-cut
 inversion of the Laplace-domain symbols for the special constant system
 (initial data (1, 0), symmetric damping/coupling).
 
@@ -14,12 +14,13 @@ with Caputo derivatives of orders 1 >= alpha >= beta > 0.  Its integral form
     V = b E_beta (-eta2 t^beta)  + mu2 k_beta  * U,
 
 convolves the relaxation kernel k_eta(t) = t^{eta-1} E_{eta,eta}(-c t^eta)
-against the other component, which is what the Picard sweep discretizes
-(kernel cell 0 in closed form, each later cell on one 12-node Gauss panel
-shared by all its moments).  The kernel's moments and the datum
-E_eta(-c t^eta) each come from one Chebyshev table.  A sweep updates U from
-the previous V and then V from the new U (Gauss-Seidel order), and a zero
+against the other component (kernel cell 0 in closed form, each later cell
+on one 12-node Gauss panel shared by all its moments).  The kernel's moments
+and the datum E_eta(-c t^eta) each come from one Chebyshev table, and a zero
 datum or coupling costs no Mittag-Leffler table: its term is exactly zero.
+The discrete map is linear, lower-triangular Toeplitz past its first step,
+so one power-series reciprocal solves it, and one Picard sweep of the map
+certifies the result.
 
 The Laplace route writes
 
@@ -52,12 +53,12 @@ from .mittag_leffler import ml_neg
 _CUT_NODES, _CUT_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CUT_X, _CUT_BULK, _CUT_GRADE, _CUT_LEVELS = 45.0, 16, 0.15, 20
 _CUT_TOL, _CUT_BUDGET, _CUT_CHUNK = 1e-13, 2000, 16
-# Picard stops once a sweep changes U and V by less than _PICARD_TOL
-_PICARD_TOL, _MAX_SWEEPS = 1e-12, 200
+# record_iterates sweeps from zero at most _MAX_SWEEPS times
+_MAX_SWEEPS = 200
 
 
 # ---------------------------------------------------------------------------
-# Picard iteration on the integral form
+# The discrete integral form, solved directly (picard_solve)
 
 
 @dataclass(frozen=True)
@@ -89,16 +90,17 @@ class OdeSpec:
 
 @dataclass
 class OdePath:
-    """Sampled trajectory returned by picard_solve: the sweeps it took and
-    the last sweep's increment max(|U_m - U_{m-1}|, |V_m - V_{m-1}|)."""
+    """Sampled trajectory returned by picard_solve, with its certificate:
+    residual = max(|U' - U|, |V' - V|) for one sweep (U', V') of the
+    discrete map from (U, V)."""
 
     times: np.ndarray
     U: np.ndarray
     V: np.ndarray
-    iterations: int
-    converged: bool
-    increment: float
+    residual: float
     iterates: list | None = field(default=None, repr=False)
+    # picard_solve raises rather than return an uncertified path
+    converged = True
 
 
 @dataclass
@@ -108,17 +110,16 @@ class _KernelWeights:
     A[j], B[j] are the hat moments over cell [t_j, t_{j+1}]; layer_corr[j] is
     the defect of the linear rule against a t^p front (the other component's
     singular layer exponent), applied at the moving end of the convolution.
-    C_hat is the FFT, at the wrap-free length n_fft, of C = [A, 0] + [0, B],
-    the one sequence that carries both hat moments (see _convolve_linear).
+    C[j] = A[j] + B[j-1] (C[0] = A[0]) is the one sequence that carries both
+    hat moments (see _convolve_linear).
     """
 
     A: np.ndarray
     B: np.ndarray
+    C: np.ndarray
     layer_corr: np.ndarray
     layer_exp: float
     h: float
-    n_fft: int
-    C_hat: np.ndarray
 
 
 # the one Gauss rule of every kernel cell past cell 0 (see _kernel_moments)
@@ -236,11 +237,9 @@ def _kernel_moments(eta: float, c: float, times: np.ndarray,
                                                                    rtol=1e-10),
                         n_cells, _decay_rate(eta, c) * h, (n_cells - 1) * _CELL_X.size)
     A, B, M = np.vstack((first, table(0.5 * (1.0 + _CELL_X), weights))).T.copy()
-    C = np.append(A, 0.0)
-    C[1:] += B
-    n_fft = _fft_size(2 * A.size)
-    return _KernelWeights(A=A, B=B, layer_corr=M - h ** p * A, layer_exp=p, h=h,
-                          n_fft=n_fft, C_hat=np.fft.rfft(C, n_fft))
+    C = A.copy()
+    C[1:] += B[:-1]
+    return _KernelWeights(A=A, B=B, C=C, layer_corr=M - h ** p * A, layer_exp=p, h=h)
 
 
 def _fft_size(m: int) -> int:
@@ -273,50 +272,123 @@ def _end_weights(p: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray
     return weights * (legendre @ ((k + 0.5) * mu))
 
 
+def _mul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """First k coefficients of the power series a(z) b(z), by a wrap-free FFT."""
+    a, b = a[:k], b[:k]
+    size = _fft_size(a.size + b.size - 1)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:k]
+
+
+def _edge(kw: _KernelWeights, w0: float, w1: float) -> np.ndarray:
+    """The terms of _convolve_linear in W[0] and W[1]: entry i >= 1 is
+    C[i-1] W[1] + B[i-1] W[0] + (W[1] - W[0]) h^-p layer_corr[i-1]."""
+    c0 = (w1 - w0) / kw.h ** kw.layer_exp
+    return np.append(0.0, w1 * kw.C + w0 * kw.B + c0 * kw.layer_corr)
+
+
 def _convolve_linear(kw: _KernelWeights, W):
     """Convolution of the tabulated kernel against the piecewise-linear
     interpolant of samples W, with the end-cell layer correction; entry i
     approximates int_0^{t_i} k(tau) W(t_i - tau) dtau.
 
-    The linear rule sum_j A[j] W[i-j] + B[j] W[i-1-j] over j < i is entry i
-    of C * W with C = [A, 0] + [0, B], less the j = i term A[i] W[0]; so
-    each call transforms W once, and C's transform is kept with the kernel.
-    Entries 1..n of the convolution stay wrap-free at n_fft >= 2n.
+    The linear rule sum_{j<i} A[j] W[i-j] + B[j] W[i-1-j] is
+    sum_{j<i} C[j] W[i-j] + B[i-1] W[0], and the moving-end cell adds
+    c0 layer_corr[i-1] for the layer model W(s) ~ W(0) + c0 s^p.  Past the
+    terms in W[0] and W[1] (see _edge), that is the product of the power
+    series C and W[2:], shifted by two entries.
     """
-    n = kw.A.size
-    out = np.fft.irfft(kw.C_hat * np.fft.rfft(W, kw.n_fft), kw.n_fft)[:n + 1]
-    out[0] = 0.0
-    out[1:n] -= W[0] * kw.A[1:]
-    # replace the linear rule on the moving-end cell by the layer model
-    # W(s) ~ W(0) + c0 s^p: out[i] gains c0 * (M[i-1] - h^p A[i-1])
-    c0 = (W[1] - W[0]) / kw.h ** kw.layer_exp
-    out[1:] += c0 * kw.layer_corr
+    out = _edge(kw, W[0], W[1])
+    out[2:] += _mul(kw.C, W[2:], W.size - 2)
     return out
+
+
+def _reciprocal(D: np.ndarray, m: int) -> np.ndarray:
+    """First m coefficients of 1/D(z) by Newton doubling, R <- R (2 - D R)
+    (Brent & Kung, J. ACM 25 (1978) 581-595)."""
+    R = np.array([1.0 / D[0]])
+    while R.size < m:
+        k = min(2 * R.size, m)
+        E = -_mul(D, R, k)
+        E[0] += 2.0
+        R = _mul(R, E, k)
+    return R
+
+
+def _growth_root(P: np.ndarray) -> float:
+    """Root z in (0, 1] of P(z) = 1 (1 if P(1) <= 1) for P(0) < 1 and
+    P >= 0, by bisection on 32 points at once to a relative width of
+    1/P.size, so that z^j follows the growth of 1/(1 - P) within a factor e."""
+    if not P.sum() > 1.0:
+        return 1.0
+    k, lo, hi = np.arange(P.size), 0.0, 1.0
+    while hi - lo > hi / P.size:
+        z = np.linspace(lo, hi, 33)[1:]
+        i = int(np.argmax(z[:, None] ** k @ P > 1.0))
+        lo, hi = (z[i - 1] if i else lo), z[i]
+    return hi
+
+
+def _solve_coupled(spec: OdeSpec, U1, V1, kA: _KernelWeights, kB: _KernelWeights):
+    """(U, V) = (U1 + mu1 K_A V, V1 + mu2 K_B U), solved directly.
+
+    Entry 1 of K W holds only W[0] and W[1] (see _edge), so a 2x2 solve
+    gives U[1] and V[1].  Past them, K acts on W[2:] as the power series
+    C(z): with gU, gV the data and edge terms, x = U[2:] solves
+    (1 - mu1 mu2 C_A C_B) x = gU + mu1 C_A gV by one power-series reciprocal
+    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
+    532-541), and V[2:] = gV + mu2 C_B x.  Entry j is weighted by z^j (see
+    _growth_root), so a growing solution keeps its relative accuracy.  A
+    first-cell coupling product of 1 or more, where sweeps diverge, raises.
+    """
+    mu1, mu2, m = spec.mu1, spec.mu2, U1.size - 2
+    # U = gU + eA V[1] and V = gV + eB U[1]
+    gU, eA = U1 + mu1 * _edge(kA, V1[0], 0.0), mu1 * _edge(kA, 0.0, 1.0)
+    gV, eB = V1 + mu2 * _edge(kB, U1[0], 0.0), mu2 * _edge(kB, 0.0, 1.0)
+    P = mu1 * mu2 * _mul(kA.C, kB.C, m)
+    first = max(P[0], eA[1] * eB[1])
+    if first >= 1.0:
+        raise NumericalError(f"step too coarse for the coupling: first-cell product "
+                             f"{first:.3g} >= 1")
+    u1 = (gU[1] + eA[1] * gV[1]) / (1.0 - eA[1] * eB[1])
+    gU += (gV[1] + eB[1] * u1) * eA
+    gV += u1 * eB
+    w = _growth_root(P) ** np.arange(m)
+    D = -w * P
+    D[0] += 1.0
+    gV_w = w * gV[2:]
+    x = _mul(_reciprocal(D, m), w * gU[2:] + mu1 * _mul(w * kA.C[:m], gV_w, m), m)
+    gV[2:] = (gV_w + mu2 * _mul(w * kB.C[:m], x, m)) / w
+    gU[2:] = x / w
+    return gU, gV
 
 
 def picard_solve(spec: OdeSpec, T: float, n_steps: int,
                  record_iterates: bool = False) -> OdePath:
-    """Fixed point of the Volterra integral map on a uniform grid over [0, T].
+    """Fixed point of the discrete Volterra map U = U1 + mu1 K_A V,
+    V = V1 + mu2 K_B U on a uniform grid over [0, T].
 
-    Starts from the zero pair.  Sweep m sets U_m = U1 + mu1 K_A V_{m-1} and
-    then V_m = V1 + mu2 K_B U_m (Gauss-Seidel order), which reaches the same
-    discrete fixed point as updating both from the previous pair in about
-    half the sweeps.  With nonnegative data the iterates still increase
-    monotonically: the discrete convolutions K_A, K_B are nonnegative, so by
-    induction U_{m+1} - U_m = mu1 K_A (V_m - V_{m-1}) >= 0 and then
-    V_{m+1} - V_m = mu2 K_B (U_{m+1} - U_m) >= 0.  record_iterates keeps
-    every pair (U_m, V_m).
+    The map is solved directly (see _solve_coupled); with a kernel skipped it
+    is triangular, and one sweep from V1 is exact.  A sweep updates U from V,
+    then V from the new U.  One more sweep certifies the result: its change,
+    OdePath.residual, must be at most 1e-12 max(1, |U|, |V|).  A failed
+    certificate, a solution beyond the float64 range or a step too coarse
+    for the coupling raises NumericalError.
+
+    record_iterates keeps the iterates of sweeps from the zero pair until one
+    meets the solution within that bound, in at most _MAX_SWEEPS sweeps.
+    With nonnegative data they increase monotonically: the discrete
+    convolutions K_A, K_B are nonnegative, so by induction U_{m+1} - U_m =
+    mu1 K_A (V_m - V_{m-1}) >= 0 and then V_{m+1} - V_m =
+    mu2 K_B (U_{m+1} - U_m) >= 0.
 
     Each datum E_order(-rate t^order) is one Chebyshev table (see
     _cheb_table).  A zero coefficient skips the tables it would multiply: no
     E_alpha table when a == 0, no E_beta table when b == 0, and no kernel
     table or convolution when mu1 or mu2 is 0.  For finite tables 0 * x is
-    +-0, so the result is the one the tables would give.  The sweeps stop
-    once one changes U and V by less than _PICARD_TOL; non-convergence
-    within _MAX_SWEEPS returns the last iterate with converged=False.
+    +-0, so the result is the one the tables would give.
     """
-    if not T > 0.0:
-        raise DomainError(f"horizon must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise DomainError(f"horizon must be finite and positive, got {T}")
     if n_steps < 16:
         raise DomainError(f"n_steps must be >= 16, got {n_steps}")
     times = np.linspace(0.0, T, n_steps + 1)
@@ -338,22 +410,24 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int,
     kB = _kernel_moments(spec.beta, spec.eta2, times, layer_exp=spec.alpha) \
         if spec.mu2 != 0.0 else None
 
-    U = np.zeros(n_steps + 1)
-    V = np.zeros(n_steps + 1)
-    iterates = [(U, V)] if record_iterates else None
-    converged = False
-    sweeps, diff = 0, math.inf
-    while sweeps < _MAX_SWEEPS and not converged:
-        Unew = U1 if kA is None else U1 + spec.mu1 * _convolve_linear(kA, V)
-        Vnew = V1 if kB is None else V1 + spec.mu2 * _convolve_linear(kB, Unew)
-        diff = max(np.max(np.abs(Unew - U)), np.max(np.abs(Vnew - V)))
-        U, V = Unew, Vnew
-        sweeps += 1
-        if record_iterates:
-            iterates.append((U, V))
-        converged = diff < _PICARD_TOL
-    return OdePath(times=times, U=U, V=V, iterations=sweeps, converged=converged,
-                   increment=float(diff), iterates=iterates)
+    def sweep(V):
+        U = U1 if kA is None else U1 + spec.mu1 * _convolve_linear(kA, V)
+        return U, (V1 if kB is None else V1 + spec.mu2 * _convolve_linear(kB, U))
+
+    # past the float64 range U and V hold inf or nan, and the certificate fails
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        U, V = sweep(V1) if kA is None or kB is None else _solve_coupled(spec, U1, V1, kA, kB)
+        residual = float(np.max(np.abs(np.subtract(sweep(V), (U, V)))))
+    scale = max(1.0, float(np.max(np.abs((U, V)))))
+    if not residual <= 1e-12 * scale < math.inf:
+        raise NumericalError(f"map residual {residual:.3e} at solution scale {scale:.3e}: "
+                             "needs a finite scale and a residual <= 1e-12 of it")
+    iterates = [(np.zeros(n_steps + 1), np.zeros(n_steps + 1))] if record_iterates else None
+    while iterates and np.max(np.abs(np.subtract(iterates[-1], (U, V)))) > 1e-12 * scale:
+        if len(iterates) > _MAX_SWEEPS:
+            raise NumericalError(f"Picard iterates miss the solution after {_MAX_SWEEPS} sweeps")
+        iterates.append(sweep(iterates[-1][1]))
+    return OdePath(times=times, U=U, V=V, residual=residual, iterates=iterates)
 
 
 def picard_monotonicity(iterates) -> bool:

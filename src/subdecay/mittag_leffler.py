@@ -85,7 +85,9 @@ def _asymp_f64(eta, mu, z):
 
     Sums -z^{-k}/Gamma(mu-eta*k) while the (nonzero) term magnitudes shrink,
     freezing each point once they clearly grow again or fall below rounding
-    level; the smallest term seen is the error estimate.  Frozen points leave
+    level; the smallest term seen is the error estimate.  A term next to a
+    Gamma pole is small however far the tail reaches, so each term counts
+    as the larger of itself and the previous nonzero term.  Frozen points leave
     the working arrays, so each point pays for its own terms only.  If the
     nonzero weights run out before any growth (possible only for eta == 1,
     where the expansion terminates), truncation is exact up to the
@@ -106,6 +108,7 @@ def _asymp_f64(eta, mu, z):
     power = np.ones_like(z)
     part = np.zeros_like(z)
     low = np.full(z.shape, np.inf)
+    prev = np.zeros_like(z)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for k in range(last_nz + 1):
             power *= zinv
@@ -113,17 +116,20 @@ def _asymp_f64(eta, mu, z):
                 continue
             a = power * -weights[k]
             mag = np.abs(a)
-            grew = mag > 2.0 * low
+            size = np.maximum(mag, prev)
+            prev = mag
+            grew = size > 2.0 * low
             np.add(part, a, out=part, where=~grew)
-            # a point that grew has mag > low, so fmin keeps its low
-            np.fmin(low, mag, out=low)
-            stop = mag <= 0.25 * _EPS * np.abs(part)
+            # a point that grew has size > low, so fmin keeps its low
+            np.fmin(low, size, out=low)
+            stop = size <= 0.25 * _EPS * np.abs(part)
             stop |= grew
             if stop.any():
                 total[live[stop]] = part[stop]
                 best[live[stop]] = low[stop]
                 keep = ~stop
-                live, zinv, power, part, low = (v[keep] for v in (live, zinv, power, part, low))
+                live, zinv, power, part, low, prev = (
+                    v[keep] for v in (live, zinv, power, part, low, prev))
                 if not live.size:
                     break
     total[live] = part

@@ -211,20 +211,39 @@ class TestCommandLine:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 66  # header + 65 grid points
 
-    def test_ode_unconverged_picard_refuses_fit(self, monkeypatch, capsys):
-        monkeypatch.setattr(subdecay.frac_ode, "_MAX_SWEEPS", 3)
+    def test_ode_picard_reports_map_residual(self, capsys):
         argv = ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
                 "--t-max", "20", "--method", "picard", "--n-steps", "64"]
-        assert main(argv + ["--fit-window", "5", "20"]) == 2
-        captured = capsys.readouterr()
-        assert re.search(r"numerical failure: picard iteration did not converge: "
-                         r"3 sweeps, last increment \d\.\d{3}e[-+]\d\d", captured.err)
-        assert "slope" not in captured.err and captured.out == ""
-        # without a fit the path is still written, under a warning naming the stop
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert "warning: picard iteration did not converge: 3 sweeps" in captured.err
+        residual = re.fullmatch(r"map residual (\d\.\d{3}e[-+]\d\d)\n", captured.err)
+        assert residual and float(residual.group(1)) <= 1e-12
         assert len(captured.out.strip().splitlines()) == 66
+
+    def test_ode_failed_certificate_exit_two(self, monkeypatch, tmp_path, capsys):
+        # a reciprocal off by 1e-6 leaves a map residual far above the bound
+        exact = subdecay.frac_ode._reciprocal
+        monkeypatch.setattr(subdecay.frac_ode, "_reciprocal",
+                            lambda D, m: exact(D, m) * (1.0 + 1e-6))
+        out = tmp_path / "path.csv"
+        argv = ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
+                "--t-max", "20", "--method", "picard", "--n-steps", "64"]
+        assert main(argv + ["--output", str(out), "--fit-window", "5", "20"]) == 2
+        captured = capsys.readouterr()
+        assert re.search(r"numerical failure: map residual \d\.\d{3}e-\d\d at solution scale "
+                         r"1\.000e\+00: needs a finite scale and a residual <= 1e-12 of it",
+                         captured.err)
+        assert "slope" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["picard", "laplace"])
+    def test_ode_non_finite_horizon_exit_one(self, method, capsys):
+        argv = ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
+                "--t-max", "inf", "--method", method, "--n-steps", "64"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "horizon --t-max must be finite and positive, got inf" in captured.err
+        assert captured.out == ""
 
     def test_pde_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -291,13 +310,13 @@ class TestCommandLine:
         def growing(spec, T, n_steps):
             times = np.linspace(0.0, T, n_steps + 1)
             return subdecay.frac_ode.OdePath(times=times, U=np.sqrt(times), V=np.zeros_like(times),
-                                             iterations=2, converged=True, increment=0.0)
+                                             residual=0.0)
 
         monkeypatch.setattr(subdecay.frac_ode, "picard_solve", growing)
         assert main(["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
                      "--t-max", "20", "--n-steps", "64", "--fit-window", "5", "20"]) == 0
         err = capsys.readouterr().err
-        assert err.startswith("growth of U+V on [5, 20]: +0.5000 ")
+        assert err.startswith("map residual 0.000e+00\ngrowth of U+V on [5, 20]: +0.5000 ")
         assert "exponent" not in err and "slope" not in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
