@@ -14,7 +14,7 @@ from .spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
                        mode_convolution, q_integral, r_series_identity)
 from .subdiff_fd import (BandedMatrix, Grid, History, SystemSpec,
                          assemble_block_matrix, banded_solve, gershgorin_disks,
-                         l1_weights, norm_history, simulate)
+                         l1_weights, levels, simulate)
 
 __all__ = [
     "ml_eval",
@@ -23,7 +23,7 @@ __all__ = [
     "check_decay_assumption", "poincare_constant",
     "Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights",
     "assemble_block_matrix", "banded_solve", "gershgorin_disks",
-    "simulate", "norm_history",
+    "levels", "simulate",
     "NormSeries", "DecayFit", "pointwise_exponent", "fit_exponent", "l2_norm",
     "SpectralSolution", "decoupled_solve", "mode_convolution",
     "q_integral", "r_series_identity", "asymptotic_v",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from . import frac_ode, mittag_leffler, spectral, subdiff_fd
 from .errors import ConfigError, DomainError, NumericalError, SubdecayError
 
 _FMT = "{:.17g}"
-# physical memory in GB, which a run's history must fit (inf where unknown)
+# physical memory in GB, which a run must fit (inf where unknown)
 _MEMORY_GB = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 1e9
               if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}) else math.inf)
 
@@ -142,9 +143,11 @@ class RunConfig:
             problems.append("L and T must be positive")
         if self.n_time < 2 or self.n_space < 2:
             problems.append("n_time and n_space must be >= 2")
-        history_gb = 8 * (self.n_time + 1) * K * (self.n_space + 1) / 1e9
-        if history_gb > _MEMORY_GB:
-            problems.append(f"n_time and n_space need a {history_gb:.3g} GB history, more "
+        # per step: 2K L1 weights, 6 temporaries, 2 time grids; per node and order:
+        # 2 floats a mode, <= 8 + 4 (ln 2N + 5) modes, and 8K of bands and levels
+        elif (run_gb := 8e-9 * ((2 * K + 8) * (self.n_time + 1) + K * (self.n_space - 1) * (
+                8 * (K + 2 + math.log(2 * self.n_time) + 5)))) > _MEMORY_GB:
+            problems.append(f"n_time and n_space need {run_gb:.3g} GB for the run, more "
                             f"than the {_MEMORY_GB:.3g} GB of physical memory")
         if self.window is not None and not (
                 len(self.window) == 2 and 1.0 <= self.window[0] < self.window[1] <= self.T):
@@ -175,7 +178,7 @@ class RunConfig:
             return cls(**raw)
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:  # e.g. a null order, a flat couplings list
+        except (TypeError, ValueError, OverflowError) as exc:  # null order, flat couplings, huge n_time
             raise ConfigError(f"malformed config entry: {exc}") from None
 
     def to_dict(self) -> dict:
@@ -238,25 +241,29 @@ class RunReport:
 
 
 def run(config: RunConfig, csv_sink=None) -> RunReport:
-    """Simulate, write the CSV series, fit decay exponents, return the report.
-
-    Deterministic for a fixed config.  The CSV columns are t, norm_1..K and
-    pointwise_exp_1..K (NaN where t <= 1 makes the ratio undefined).
-    """
+    """Step once through the levels, keeping every stride-th level's norms,
+    then write the CSV series, fit decay exponents and return the report.
+    A kept level whose summed norm is not finite or, for row-dominant
+    couplings, above 10 times its start raises NumericalError naming its
+    time.  Deterministic for a fixed config.  The CSV columns are t, norm_1..K
+    and pointwise_exp_1..K (NaN where t <= 1 makes the ratio undefined)."""
     t_start = time.perf_counter()
-    spec = config.system_spec()
-    grid = config.grid()
-    history = subdiff_fd.simulate(spec, grid, config.scheme)
-    times, norms = subdiff_fd.norm_history(history, stride=config.stride)
+    spec, grid = config.system_spec(), config.grid()
     margin = subdiff_fd.stability_margin(spec)
-    # without sources a row-dominant system stays bounded: growth is instability
-    total = norms.sum(axis=1)
-    if not (np.all(np.isfinite(norms))
-            and (margin < 0.0 or total.max() <= 10.0 * total[0])):
-        raise NumericalError(
-            f"norms diverged (summed norm up to {total.max():.3g}, {total[0]:.3g} at "
-            f"t = 0, coupling margin {margin:g}): the {config.scheme} scheme is "
-            f"unstable at dt = {grid.dt:g}")
+    times = grid.times[::config.stride]
+    norms = np.empty((times.size, spec.K))
+    level = np.zeros((spec.K, grid.I + 1))  # walls stay zero
+    kept = itertools.islice(subdiff_fd.levels(spec, grid, config.scheme), 0, None, config.stride)
+    for i, u in enumerate(kept):
+        level[:, 1:-1] = u
+        norms[i] = decay_mod.l2_norm(level, grid.dx)
+        # without sources a row-dominant system stays bounded: growth is instability
+        total = norms[i].sum()
+        if not (math.isfinite(total) and (margin < 0.0 or total <= 10.0 * norms[0].sum())):
+            raise NumericalError(
+                f"norms diverged (summed norm {total:.3g} at t = {times[i]:g}, "
+                f"{norms[0].sum():.3g} at t = 0, coupling margin {margin:g}): the "
+                f"{config.scheme} scheme is unstable at dt = {grid.dt:g}")
 
     if csv_sink is None and config.output is not None:
         with open(config.output, "w") as fh:
@@ -269,9 +276,7 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
             "zero norm series: all components vanish identically, "
             "no decay exponent to fit")
     window = config.window or (config.T / 5.0, config.T)
-    fits = []
-    for k in range(spec.K):
-        fits.append(_fit_window(times, norms[:, k], window))
+    fits = [_fit_window(times, norms[:, k], window) for k in range(spec.K)]
     total_fit = _fit_window(times, norms.sum(axis=1), window)
 
     kappa0 = min(config.diffusivities)
@@ -285,7 +290,7 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
         notes.append("experiment exceeds the sufficient decay assumption "
                      "(as the reference experiments do); rates are observed, "
                      "not guaranteed")
-    report = RunReport(
+    return RunReport(
         config=config,
         component_fits=fits,
         total_fit=total_fit,
@@ -295,7 +300,6 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
         wall_time_s=time.perf_counter() - t_start,
         notes=notes,
     )
-    return report
 
 
 def _offdiag_sup(config: RunConfig) -> float:
@@ -369,21 +373,17 @@ def table_configs(case: str):
             for rows in TABLE_ORDER_ROWS]
 
 
-def report_tables(sink=None) -> str:
-    """Run the twelve table configurations and print fitted vs target rates.
-
-    Each row reports the fitted exponent of the summed component norms over
-    the default window, annotated pass/fail against the conjectured power
-    within _TABLE_TOLERANCE.
-    Returns the text; with a sink, every line is also written there as it
-    is made.
-    """
+def report_tables() -> str:
+    """Run the twelve table configurations and print fitted vs target rates,
+    each line to stdout, flushed, as it is made; return the text.  Each row
+    reports the fitted exponent of the summed component norms over the
+    default window, annotated pass/fail against the conjectured power within
+    _TABLE_TOLERANCE."""
     out = io.StringIO()
 
     def emit(line):
         print(line, file=out)
-        if sink is not None:
-            print(line, file=sink, flush=True)
+        print(line, flush=True)
 
     ic_nonzero = {"ii": (True, True, False), "iii": (True, False, False)}
     for case, title in (("ii", "third component starts at zero"),
@@ -456,6 +456,9 @@ def _cmd_pde(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not (math.isfinite(args.t_max) and args.t_max >= 10.0):
+        raise DomainError(f"horizon --t-max must be finite and at least 10, the oracle's "
+                          f"first time, got {args.t_max}")
     sol = spectral.SpectralSolution(beta=args.beta, u0=np.sin, n_modes=args.n_modes)
     times = np.logspace(1.0, math.log10(args.t_max), args.n_points)
     rows = ["t,v_norm_exact,v_norm_asymptotic,ratio"]
@@ -498,10 +501,7 @@ def _cmd_decay(args) -> int:
 def _cmd_report(args) -> int:
     if not args.tables:
         raise ConfigError("nothing to report: pass --tables")
-    text = report_tables(sink=sys.stdout if args.progress else None)
-    if not args.progress:
-        sys.stdout.write(text)
-    return 1 if "FAIL" in text else 0
+    return 1 if "FAIL" in report_tables() else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="reproduce the decay-rate tables")
     rep.add_argument("--tables", action="store_true")
-    rep.add_argument("--progress", action="store_true",
-                     help="stream rows as they finish")
     rep.set_defaults(func=_cmd_report)
     return p
 

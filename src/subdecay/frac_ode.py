@@ -336,9 +336,11 @@ def _solve_coupled(spec: OdeSpec, U1, V1, kA: _KernelWeights, kB: _KernelWeights
     C(z): with gU, gV the data and edge terms, x = U[2:] solves
     (1 - mu1 mu2 C_A C_B) x = gU + mu1 C_A gV by one power-series reciprocal
     (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
-    532-541), and V[2:] = gV + mu2 C_B x.  Entry j is weighted by z^j (see
-    _growth_root), so a growing solution keeps its relative accuracy.  A
-    first-cell coupling product of 1 or more, where sweeps diverge, raises.
+    532-541) and one refinement step, which a negative mu1 mu2 can need to
+    pass the certificate; V[2:] = gV + mu2 C_B x.  Entry j is weighted by
+    z^j (see _growth_root), so a growing solution keeps its relative
+    accuracy.  A first-cell coupling product of 1 or more, where sweeps
+    diverge, raises.
     """
     mu1, mu2, m = spec.mu1, spec.mu2, U1.size - 2
     # U = gU + eA V[1] and V = gV + eB U[1]
@@ -356,7 +358,10 @@ def _solve_coupled(spec: OdeSpec, U1, V1, kA: _KernelWeights, kB: _KernelWeights
     D = -w * P
     D[0] += 1.0
     gV_w = w * gV[2:]
-    x = _mul(_reciprocal(D, m), w * gU[2:] + mu1 * _mul(w * kA.C[:m], gV_w, m), m)
+    rhs = w * gU[2:] + mu1 * _mul(w * kA.C[:m], gV_w, m)
+    R = _reciprocal(D, m)
+    x = _mul(R, rhs, m)
+    x += _mul(R, rhs - _mul(D, x, m), m)
     gV[2:] = (gV_w + mu2 * _mul(w * kB.C[:m], x, m)) / w
     gU[2:] = x / w
     return gU, gV

@@ -11,9 +11,10 @@ falls out at a = 1); space is the second-order central difference.
 
 One stepper per run carries the L1 memory as a sum of exponentials (after
 Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21 (2017) 650-678), so
-every step costs the same.  Its modes are a log-s trapezoid rule for the
-fast part and, for the slow modes with s N <= 1/2, the 8-node Gauss rule of
-their own discrete measure: 29-66 modes per order for N from 2 to 16,000.
+every step costs the same and ``levels``, which yields each level as it is
+made, holds O(modes) floats per node.  Its modes are a log-s trapezoid rule
+for the fast part and, for the slow modes with s N <= 1/2, the 8-node Gauss
+rule of their own measure: 29-66 modes per order for N from 2 to 16,000.
 Each order's states are carried scaled by e^{lag s_q}, so a step reads them
 out with one matrix-vector product and folds the new level in with one BLAS
 rank-1 update, from tables of exact-rate exponentials; each mode is
@@ -42,7 +43,6 @@ from scipy.linalg.blas import dgbmv, dger, dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import rgamma
 
-from .decay import l2_norm
 from .errors import DomainError, SolverError
 
 # relative size of the neglected parts of the L1 memory's exponential sum
@@ -407,7 +407,7 @@ def _soe_modes(gamma: float, N: int):
 
 
 class _Stepper:
-    """The L1 time stepper of one run, built once by ``simulate``.
+    """The L1 time stepper of one run, built once by ``levels``.
 
     The memory of step n -> n+1 is b^n u^0 + sum_{m=0}^{n-1} (b^m - b^{m+1})
     u^{n-m}.  The u^0 and m = 0 terms are direct; the tail m >= 1 is a sum
@@ -524,30 +524,27 @@ class _Stepper:
         return banded_solve(matrix, rhs.T.reshape(-1)).reshape(m, K).T
 
 
-def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit") -> History:
-    """Run the chosen scheme over the whole grid and return the History.
-
-    Initial profiles are sampled at the nodes with boundary values forced to
-    zero (homogeneous Dirichlet).  For coefficient functions, the diagonal
-    couplings are checked for nonnegativity as they are sampled.
-    """
+def levels(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit"):
+    """Yield the interior of every time level, shape (K, I-1), n = 0..N:
+    the initial profiles sampled with zero walls (homogeneous Dirichlet),
+    then one stepper's levels.  A consumer may keep a level but must not
+    write to it, as the stepper reads it to make the next."""
     if scheme not in ("semi-implicit", "fully-implicit"):
         raise DomainError(f"unknown scheme {scheme!r}")
-    K = spec.K
-    values = np.zeros((grid.N + 1, K, grid.I + 1))
-    x = grid.x
-    for k in range(K):
-        values[0, k, :] = spec.initials[k](x)
-    values[0, :, 0] = 0.0
-    values[0, :, -1] = 0.0
-    stepper = _Stepper(spec, grid, scheme, values[0, :, 1:-1])
+    u = np.zeros((spec.K, grid.I + 1))
+    for k, initial in enumerate(spec.initials):
+        u[k] = initial(grid.x)
+    u = u[:, 1:-1]
+    stepper = _Stepper(spec, grid, scheme, u)
+    yield u
     for n in range(grid.N):
-        values[n + 1, :, 1:-1] = stepper.step(n, values[n, :, 1:-1])
+        u = stepper.step(n, u)
+        yield u
+
+
+def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit") -> History:
+    """Every level of ``levels``, with its zero walls, as a History."""
+    values = np.zeros((grid.N + 1, spec.K, grid.I + 1))
+    for n, u in enumerate(levels(spec, grid, scheme)):
+        values[n, :, 1:-1] = u
     return History(grid=grid, values=values)
-
-
-def norm_history(history: History, stride: int = 1):
-    """Times and discrete L2 norms (trapezoid) of every component, strided."""
-    grid = history.grid
-    sel = np.arange(0, grid.N + 1, stride)
-    return grid.times[sel], l2_norm(history.values[sel], grid.dx)

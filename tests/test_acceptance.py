@@ -16,7 +16,7 @@ from subdecay import decay as decay_mod
 from subdecay import frac_ode, spectral, subdiff_fd
 from subdecay.cli import RunConfig, conjectured_rate, run, table_configs
 from subdecay.mittag_leffler import ml_neg
-from subdecay.subdiff_fd import Grid, SystemSpec, simulate, norm_history
+from subdecay.subdiff_fd import Grid, SystemSpec, simulate
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
 ZERO = lambda x: np.zeros_like(x)
@@ -174,7 +174,7 @@ class TestCriterion8:
                           couplings=[[0.0, 0.0], [-1.0, 0.0]],
                           initials=[np.sin, ZERO])
         hist = simulate(spec, grid, "semi-implicit")
-        times, norms = norm_history(hist, stride=16)
+        times, norms = grid.times[::16], decay_mod.l2_norm(hist.values[::16], grid.dx)
         worst = 0.0
         for tv in (10.0, 20.0, 50.0, 100.0):
             i = int(np.argmin(np.abs(times - tv)))
@@ -224,7 +224,7 @@ class TestCriterion10:
                           couplings=C2, initials=[np.sin, HAT])
         assert subdiff_fd.stability_margin(spec) >= 0.0
         hist = simulate(spec, grid, "fully-implicit")
-        _, norms = norm_history(hist)
+        norms = decay_mod.l2_norm(hist.values, grid.dx)
         growth = float(np.max(norms / norms[0]))
         disks = subdiff_fd.gershgorin_disks(
             subdiff_fd.assemble_block_matrix(spec, grid, 1))

@@ -146,6 +146,16 @@ class TestPicard:
         assert np.max(np.abs(path.U - U_exact)) < 1e-6
         assert np.max(np.abs(path.V - V_exact)) < 1e-6
 
+    def test_rotation_with_one_negative_coupling_certified(self):
+        # U' = -2 V, V' = 2 U from (1, 0); without the refinement step, the
+        # rounding of the map's reciprocal series leaves a residual of 1.9e-12
+        spec = OdeSpec(alpha=1.0, beta=1.0, a=1.0, b=0.0,
+                       eta1=0.0, eta2=0.0, mu1=-2.0, mu2=2.0)
+        path = picard_solve(spec, T=10.0, n_steps=1024)
+        assert path.residual <= 1e-12
+        assert np.max(np.abs(path.U - np.cos(2.0 * path.times))) < 1e-3
+        assert np.max(np.abs(path.V - np.sin(2.0 * path.times))) < 1e-3
+
     def test_nonnegative_data_gives_nonnegative_solution(self):
         spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.2,
                        eta1=1.0, eta2=0.5, mu1=0.6, mu2=0.8)

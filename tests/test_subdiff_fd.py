@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrs
 
 from conftest import band_to_dense, l1_history_direct, l1_weights_reference
+from subdecay.decay import l2_norm
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
 from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _BandedLU,
                                  _Stepper, _soe_modes, assemble_block_matrix, banded_solve,
-                                 gershgorin_disks, l1_weights, norm_history, simulate,
+                                 gershgorin_disks, l1_weights, simulate,
                                  stability_margin)
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
@@ -327,19 +328,19 @@ class TestStepping:
     def test_heat_equation_benchmark(self):
         grid = Grid(L=math.pi, I=64, T=1.0, N=256)
         hist = simulate(single_component(1.0), grid)
-        _, norms = norm_history(hist)
+        norms = l2_norm(hist.values, grid.dx)
         exact = math.exp(-1.0) * math.sqrt(math.pi / 2.0)
         assert norms[-1, 0] == pytest.approx(exact, rel=8e-3)
 
     def test_fractional_decoupled_against_mittag_leffler(self):
         grid = Grid(L=math.pi, I=128, T=1.0, N=1024)
         hist = simulate(single_component(0.5), grid)
-        _, norms = norm_history(hist)
+        norms = l2_norm(hist.values, grid.dx)
         exact = float(ml_neg(0.5, 1.0, -1.0)) * math.sqrt(math.pi / 2.0)
         assert norms[-1, 0] == pytest.approx(exact, rel=1e-3)
         # error decreases under time refinement (layer-limited rate)
         hist2 = simulate(single_component(0.5), Grid(L=math.pi, I=128, T=1.0, N=4096))
-        _, norms2 = norm_history(hist2)
+        norms2 = l2_norm(hist2.values, hist2.grid.dx)
         err1 = abs(norms[-1, 0] - exact)
         err2 = abs(norms2[-1, 0] - exact)
         assert err2 < 0.6 * err1
