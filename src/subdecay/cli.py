@@ -154,6 +154,8 @@ class RunConfig:
             problems.append("window must satisfy 1 <= lo < hi <= T")
         if self.stride < 1:
             problems.append("stride must be >= 1")
+        elif self.stride > self.n_time:
+            problems.append("stride must be at most n_time")
         if problems:
             raise ConfigError(problems)
 

@@ -1,7 +1,7 @@
 """Coupled two-component fractional relaxation system, solved two independent
-ways: a direct solve of the discretized Volterra integral form, and branch-cut
-inversion of the Laplace-domain symbols for the special constant system
-(initial data (1, 0), symmetric damping/coupling).
+ways: a direct solve of the discretized Volterra integral form, and Laplace
+inversion of the symbols for the special constant system (initial data
+(1, 0), symmetric damping/coupling).
 
 The system is
 
@@ -27,15 +27,17 @@ The Laplace route writes
     U^(s) = s^{alpha-1}(s^beta+c1) / D(s),   V^(s) = c2 s^{alpha-1} / D(s),
     D(s)  = (s^alpha+c1)(s^beta+c1) - c2^2,
 
-and inverts along the branch cut alone, because D has no zero in the cut
+whose only singularity is the branch cut, because D has no zero in the cut
 plane: for 0 < arg s = theta < pi the factors s^alpha + c1 and s^beta + c1
 have arguments in (0, alpha theta) and (0, beta theta), so their product has
 argument in (0, 2 pi) and is never the positive real c2^2; on the positive
 axis the product is at least c1^2 > c2^2, and conjugation covers theta < 0.
-With no residues, the inversion is an integral of e^{-rt} r^{alpha-1}
-against closed-form imaginary parts along the cut, one adaptive
-Gauss-Legendre pass for all times.  The two solvers share nothing
-numerically, which is exactly why the cross-check between them is trusted.
+With no residues, the inverse is one fixed trapezoid sum of the symbols on a
+parabola around the cut, for all times at once (see branch_cut_invert).  The
+cut's closed-form imaginary parts (q_of_r, im_parts) stay for the identity
+checks and the quadrature reference in the tests.  The two solvers share
+nothing numerically, which is exactly why the cross-check between them is
+trusted.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ from scipy.special import rgamma
 from .errors import DomainError, NumericalError, QuadratureError
 from .mittag_leffler import ml_neg
 
-# branch-cut quadrature (see _cut_integrals): its own rule, nothing shared with Picard
-_CUT_NODES, _CUT_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_CUT_X, _CUT_BULK, _CUT_GRADE, _CUT_LEVELS = 45.0, 16, 0.15, 20
-_CUT_TOL, _CUT_BUDGET, _CUT_CHUNK = 1e-13, 2000, 16
 # record_iterates sweeps from zero at most _MAX_SWEEPS times
 _MAX_SWEEPS = 200
 
@@ -496,32 +494,17 @@ class LaplaceSymbol:
 
 def _cut_parts(sym: LaplaceSymbol, ra, rb):
     """Re q, Im q, Im(e^{i alpha pi} conj(q)) and Im(p conj(q)) on the upper
-    side of the cut, s = r e^{i pi}, from ra = r^alpha and rb = r^beta.
-    Each part is built in place, one temporary at a time: fewer (pairs, 16)
-    allocations make a measurably faster branch-cut sweep."""
+    side of the cut, s = r e^{i pi}, from ra = r^alpha and rb = r^beta."""
     a, b, c1, c2 = sym.alpha, sym.beta, sym.c1, sym.c2
-    sin_a, sin_b = math.sin(a * math.pi), math.sin(b * math.pi)
+    sin_a, sin_b, sin_amb = (math.sin(x * math.pi) for x in (a, b, a - b))
     gap = c1 * c1 - c2 * c2
     rab = ra * rb
-    re = ra * math.cos(a * math.pi)
-    re += rb * math.cos(b * math.pi)
-    re *= c1
-    re += gap
-    re += rab * math.cos((a + b) * math.pi)
-    im = ra * sin_a
-    im += rb * sin_b
-    im *= c1
-    im += rab * math.sin((a + b) * math.pi)
-    im_exp = c1 * rb
-    im_exp *= math.sin((a - b) * math.pi)
-    im_exp += gap * sin_a
-    rab *= sin_b
-    im_exp -= rab
-    im_p = (c1 * c1 * math.sin((a - b) * math.pi) + gap * math.sin((a + b) * math.pi)) * rb
-    im_p += c1 * gap * sin_a
-    square = c1 * sin_a * rb
-    square *= rb
-    im_p += square
+    re = (ra * math.cos(a * math.pi) + rb * math.cos(b * math.pi)) * c1 + gap \
+        + rab * math.cos((a + b) * math.pi)
+    im = (ra * sin_a + rb * sin_b) * c1 + rab * math.sin((a + b) * math.pi)
+    im_exp = c1 * rb * sin_amb + gap * sin_a - rab * sin_b
+    im_p = ((c1 * c1 * sin_amb + gap * math.sin((a + b) * math.pi)) * rb
+            + c1 * gap * sin_a + c1 * sin_a * rb * rb)
     return re, im, im_exp, im_p
 
 
@@ -537,8 +520,10 @@ def q_of_r(sym: LaplaceSymbol, r):
 def im_parts(sym: LaplaceSymbol, r):
     """Closed forms of Im(e^{i alpha pi} conj(q)) and Im(p conj(q)).
 
-    These are the only symbol combinations the branch-cut integrands need;
-    each equals the directly computed complex expression to ~1e-12 relative.
+    Over |q|^2 they are the cut densities of V/c2 and of U:
+    (1/pi) int_0^inf e^{-rt} r^{alpha-1} n(r)/|q(r)|^2 dr is V/c2 for
+    n = im_exp and U for n = im_p.  Each equals the directly computed complex
+    expression to ~1e-12 relative.
     """
     r = np.asarray(r, dtype=float)
     _, _, im_exp, im_p = _cut_parts(sym, r ** sym.alpha, r ** sym.beta)
@@ -547,112 +532,41 @@ def im_parts(sym: LaplaceSymbol, r):
     return im_exp, im_p
 
 
-def _cut_panels(sym: LaplaceSymbol, lo, hi, t_a, t_b):
-    """16-point Gauss-Legendre sums of e^{-x} n(r)/|q(r)|^2 over panels
-    [lo, hi] of y, with x = y^{1/alpha}, r = x/t, t_a = t^-alpha and
-    t_b = t^-beta per panel: the sums and the sums of absolute values, each
-    shaped (2, panels), row 0 for n = im_p and row 1 for n = im_exp."""
-    half = 0.5 * (hi - lo)[:, None]
-    y = half * _CUT_NODES
-    y += 0.5 * (hi + lo)[:, None]
-    x = y ** (1.0 / sym.alpha)
-    y *= t_a[:, None]
-    rb = x ** sym.beta
-    rb *= t_b[:, None]
-    re, im, im_exp, im_p = _cut_parts(sym, y, rb)
-    # damp = e^{-x} / |q|^2, formed in x's storage
-    re *= re
-    im *= im
-    re += im
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x /= re
-    w = half * _CUT_WEIGHTS
-    sums, abs_sums = np.empty((2, 2, lo.size))
-    for row, part in enumerate((im_p, im_exp)):
-        part *= x
-        part *= w
-        part.sum(axis=1, out=sums[row])
-        # |n damp| w = |n damp w| for the positive weights
-        np.abs(part, out=part)
-        part.sum(axis=1, out=abs_sums[row])
-    return sums, abs_sums
-
-
-def _cut_integrals(sym: LaplaceSymbol, t: np.ndarray):
-    """(1/pi) int_0^{45/t} e^{-rt} r^{alpha-1} n(r)/|q(r)|^2 dr for n = im_p
-    (row 0, U) and n = im_exp (row 1, V), at every t at once.
-
-    x = r t maps each cut to [0, 45] (e^-45 < 1e-19) and y = x^alpha absorbs
-    the weight: t^-alpha/(pi alpha) int_0^{45^alpha} e^{-x} n/|q|^2 dy.  As n
-    and |q|^2 carry r^beta, the first of 16 uniform panels is graded
-    geometrically toward y = 0.  Each (time, panel) pair compares its
-    16-point sum with the sum over its two halves and is bisected while they
-    differ by more than 1e-13 of that time's int |integrand|; each level is
-    two array passes, over the left and the right halves of the active pairs
-    of a chunk of 16 times.  The 576 first-level pairs then make (pairs, 16)
-    temporaries of 74 KB, under glibc's 128 KiB mmap threshold, so they come
-    from the heap, not from fresh mappings, whatever ran before.  A
-    non-finite sum (c1^2 or |q|^2 out of float64 range), summed differences
-    above 1e-8 |I(t)|, a tail past x = 45 above 1e-9 |I(t)|, or more than
-    2,000 panels for one time raise QuadratureError.
+def _bromwich_rule(n: int):
+    """Nodes s_k and weights w_k of the n-step trapezoid rule on the parabola
+    s(u) = 1.5 (1 + iu)^2, u in [0, 5] (the tail is e^-36), so that
+    f(t) = sum_k Im(w_k F(s_k / t)) / t for a real transform F analytic off
+    the negative axis (Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356).
+    spectral reads the same rule from mittag_leffler, which Picard's tables
+    use: the Laplace route builds its own, so the two solvers share no numerics.
     """
-    if t.size > _CUT_CHUNK:
-        return np.concatenate([_cut_integrals(sym, t[i:i + _CUT_CHUNK])
-                               for i in range(0, t.size, _CUT_CHUNK)], axis=1)
-    a, b, m = sym.alpha, sym.beta, t.size
-    y_max = _CUT_X ** a
-    first = y_max / _CUT_BULK
-    edges = np.concatenate(([0.0], first * _CUT_GRADE ** np.arange(_CUT_LEVELS, 0, -1),
-                            np.linspace(first, y_max, _CUT_BULK)))
-    t_a, t_b = t ** -a, t ** -b
-    owner = np.repeat(np.arange(m), edges.size - 1)
-    lo, hi = np.tile(edges[:-1], m), np.tile(edges[1:], m)
-    coarse, _ = _cut_panels(sym, lo, hi, t_a[owner], t_b[owner])
-    total, err, l1_done = np.zeros((3, 2, m))
-    panels = np.full(m, edges.size - 1)
-    while owner.size:
-        mid = 0.5 * (lo + hi)
-        t_ao, t_bo = t_a[owner], t_b[owner]
-        left, left_abs = _cut_panels(sym, lo, mid, t_ao, t_bo)
-        right, right_abs = _cut_panels(sym, mid, hi, t_ao, t_bo)
-        fine, fine_abs = left + right, left_abs + right_abs
-        diff = np.abs(fine - coarse)
-        # int |integrand| so far: accepted panels plus the active ones
-        l1 = l1_done.copy()
-        np.add.at(l1.T, owner, fine_abs.T)
-        split = np.any(diff > _CUT_TOL * l1[:, owner], axis=0)
-        for acc, part in ((total, fine), (err, diff), (l1_done, fine_abs)):
-            np.add.at(acc.T, owner[~split], part[:, ~split].T)
-        panels += np.bincount(owner[split], minlength=m)
-        if np.any(panels > _CUT_BUDGET):
-            raise QuadratureError(f"branch-cut quadrature needs more than {_CUT_BUDGET} "
-                                  f"panels at t={t[np.argmax(panels)]:g}")
-        owner = np.concatenate((owner[split], owner[split]))
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-        coarse = np.concatenate((left[:, split], right[:, split]), axis=1)
-    if not np.all(np.isfinite(total)):
-        raise QuadratureError("branch-cut integrand overflows float64 for "
-                              f"c1={sym.c1:g}, c2={sym.c2:g}")
-    scale = np.maximum(np.abs(total), 1e-280)
-    if np.any(err > 1e-8 * scale):
-        k, i = np.unravel_index(np.argmax(err / scale), err.shape)
-        raise QuadratureError(f"branch-cut quadrature error {err[k, i]:.3e} at "
-                              f"t={t[i]:g} (value {total[k, i]:.6e})")
-    # crude tail bound: |integrand| decays at least like e^{-rt} past r = 45/t
-    re, im, im_exp, im_p = _cut_parts(sym, y_max * t_a, _CUT_X ** b * t_b)
-    edge = math.exp(-_CUT_X) * np.abs(np.stack((im_p, im_exp))) / (re * re + im * im)
-    tail = edge * math.gamma(a) * np.maximum(_CUT_X / t, 1.0) ** (a - 1.0) / t
-    if np.any(tail > 1e-9 * np.maximum(scale * t_a / a, 1e-280)):
-        raise QuadratureError("branch-cut tail bound not negligible")
-    return total * (t_a / (math.pi * a))
+    u = np.linspace(0.0, 5.0, n + 1)
+    s = 1.5 * (1.0 + 1j * u) ** 2
+    w = (u[1] / math.pi) * np.exp(s) * (3j * (1.0 + 1j * u))
+    w[0] *= 0.5
+    return s, w
+
+
+# the 43-node estimate and the 64-node value
+_BROMWICH = tuple(_bromwich_rule(n) for n in (43, 64))
+# relative error the inversion's estimate must meet
+_BROMWICH_RTOL = 1e-10
 
 
 def branch_cut_invert(sym: LaplaceSymbol, t):
-    """(U(t), V(t)) by the branch-cut integrals, valid for t >= 1.
+    """(U(t), V(t)) by one fixed Bromwich sum over the symbols, valid for t >= 1.
 
-    The cut contribution enters with the orientation that reproduces the
-    classical completely monotone representation in the decoupled limit.
+    D has no zero off the cut (see the module docstring), so the trapezoid
+    sum on the parabola (see _bromwich_rule) needs no residue.  Where
+    t^beta (c1^2 - c2^2) >= c1 the nodes sit where U^ ~ A s^{alpha-1},
+    A = c1/(c1^2 - c2^2), and a plain sum would cancel; there it sums
+    U^ - A s^{alpha-1} = -s^{alpha-1}(c2^2 s^beta + c1 s^{alpha+beta}
+    + c1^2 s^alpha) / (D (c1^2 - c2^2)) and adds back the exact inverse
+    A t^{-alpha} / Gamma(1 - alpha), 0 at alpha = 1; V^ likewise, with
+    -c2 s^{alpha-1}(s^{alpha+beta} + c1 s^alpha + c1 s^beta) and c2 in place
+    of c1.  Elsewhere it sums U^ and V^ as they are.  The estimate
+    |I_43 - I_64| + eps sum |terms|, relative to the value, raises
+    QuadratureError past 1e-10, and so does a sum out of float64 range.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -662,8 +576,32 @@ def branch_cut_invert(sym: LaplaceSymbol, t):
     if np.any(t_arr < 1.0):
         raise DomainError("branch-cut inversion is validated for t >= 1 only; "
                           "use picard_solve below t = 1")
-    U, V = _cut_integrals(sym, t_arr)
-    V *= sym.c2
+    a, b, c1, c2 = sym.alpha, sym.beta, sym.c1, sym.c2
+    gap = (c1 - c2) * (c1 + c2)
+    lead = t_arr ** b * gap >= c1
+    sums = []
+    # past the float64 range the sums hold inf or nan, and are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s1, w in _BROMWICH:
+            s = s1[:, None] / t_arr
+            sa, sb = s ** a, s ** b
+            u_num = np.where(lead, -(c2 * c2 * sb + c1 * sa * sb + c1 * c1 * sa) / gap, sb + c1)
+            v_num = np.where(lead, -(sa * sb + c1 * sa + c1 * sb) / gap, 1.0) * c2
+            D = gap + c1 * (sa + sb) + sa * sb
+            terms = (w[:, None] * s ** (a - 1.0) / D * np.stack((u_num, v_num))).imag / t_arr
+            sums.append(terms.sum(axis=1))
+        rough, total = sums
+        err = np.abs(rough - total) + np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        total += np.where(lead, np.array([[c1], [c2]]) / gap * rgamma(1.0 - a) * t_arr ** -a, 0.0)
+    if not np.all(np.isfinite(total)):
+        raise QuadratureError("branch-cut integrand overflows float64 for "
+                              f"c1={sym.c1:g}, c2={sym.c2:g}")
+    bad = np.argwhere(~(err <= _BROMWICH_RTOL * np.abs(total)))
+    if bad.size:
+        k, i = bad[0]
+        raise QuadratureError(f"Bromwich sum error {err[k, i]:.3e} in {'UV'[k]} at "
+                              f"t={t_arr[i]:g} (value {total[k, i]:.6e})")
+    U, V = total
     if scalar:
         return float(U[0]), float(V[0])
     return U, V

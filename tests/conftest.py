@@ -121,9 +121,10 @@ def band_to_dense(matrix) -> np.ndarray:
 def branch_cut_quad_reference(sym, t: float, numerator: str) -> float:
     """(1/pi) int_0^{45/t} e^{-rt} r^{alpha-1} n(r)/|q(r)|^2 dr by scalar
     QUADPACK (the algebraic-weight rule qawse, epsrel 1e-11), n = im_p for
-    numerator "p" and n = im_exp for "exp": the oracle for the vectorised
-    cut quadrature, with the same error and tail checks.  The closed forms
-    q_of_r and im_parts are held to complex arithmetic in test_frac_ode."""
+    numerator "p" and n = im_exp for "exp", with its own error and tail
+    checks: U and V/c2 along the cut, a second oracle for branch_cut_invert
+    where the cut density has a narrow dip.  The closed forms q_of_r and
+    im_parts are held to complex arithmetic in test_frac_ode."""
     from subdecay.frac_ode import im_parts, q_of_r
 
     pick = 1 if numerator == "p" else 0
@@ -144,6 +145,20 @@ def branch_cut_quad_reference(sym, t: float, numerator: str) -> float:
     if tail > 1e-9 * scale:
         raise ValueError(f"reference tail bound {tail:.3e} not negligible")
     return val / math.pi
+
+
+def branch_cut_talbot_reference(sym, t: float, dps: int = 30) -> tuple[float, float]:
+    """(U(t), V(t)) by mpmath's Talbot inversion at dps digits of
+    U^ = s^{alpha-1}(s^beta + c1)/D and V^ = c2 s^{alpha-1}/D,
+    D = (s^alpha + c1)(s^beta + c1) - c2^2: the oracle for
+    branch_cut_invert, with no rule in common with it."""
+    with mpmath.workdps(dps):
+        a, b, c1, c2 = (mpmath.mpf(v) for v in (sym.alpha, sym.beta, sym.c1, sym.c2))
+        D = lambda s: (s ** a + c1) * (s ** b + c1) - c2 * c2
+        transforms = (lambda s: s ** (a - 1) * (s ** b + c1) / D(s),
+                      lambda s: c2 * s ** (a - 1) / D(s))
+        return tuple(float(mpmath.invertlaplace(F, mpmath.mpf(t), method="talbot"))
+                     for F in transforms)
 
 
 def principal_zero_count(sym) -> int:

@@ -106,7 +106,9 @@ class TestRunConfig:
         monkeypatch.setattr(cli, "_MEMORY_GB", 16.0)
         for n_time, n_space, gb in ((10**9, 128, "96"), (2, 10**8, "133")):
             with pytest.raises(ConfigError) as err:
-                RunConfig.from_dict({**SMALL, "n_time": n_time, "n_space": n_space})
+                # stride 1: the default 10 would also exceed n_time = 2
+                RunConfig.from_dict({**SMALL, "n_time": n_time, "n_space": n_space,
+                                     "stride": 1})
             assert err.value.problems == [
                 f"n_time and n_space need {gb} GB for the run, more than the "
                 "16 GB of physical memory"]
@@ -310,6 +312,18 @@ class TestCommandLine:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL, "extra": True}))
         assert main(["pde", "--config", str(path)]) == 1
+
+    def test_pde_stride_beyond_n_time_exit_one(self, tmp_path, capsys):
+        # a stride past n_time keeps only t = 0, and leaves nothing to fit
+        raw = {"orders": [0.9, 0.5], "ic_case": "ii", "n_time": 40, "n_space": 8, "T": 50,
+               "stride": 50}
+        with pytest.raises(ConfigError, match="stride must be at most n_time"):
+            RunConfig.from_dict(raw)
+        path = tmp_path / "stride.json"
+        path.write_text(json.dumps(raw))
+        assert main(["pde", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "stride" in err and "Traceback" not in err
 
     def test_pde_numerical_failure_exit_two(self, tmp_path):
         path = tmp_path / "zero.json"

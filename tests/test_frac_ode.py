@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
-from conftest import (branch_cut_quad_reference, kernel_gauss_nodes, ml_series_reference,
-                      principal_zero_count)
+from conftest import (branch_cut_quad_reference, branch_cut_talbot_reference,
+                      kernel_gauss_nodes, ml_series_reference, principal_zero_count)
 from subdecay import frac_ode, mittag_leffler
 from subdecay.errors import DomainError, NumericalError, QuadratureError
 from subdecay.frac_ode import (_CELL_W, _CELL_X, LaplaceSymbol, OdeSpec, _cheb_table,
-                               _convolve_linear, _cut_integrals, _end_weights, _fft_size,
+                               _convolve_linear, _end_weights, _fft_size,
                                _kernel_moments, branch_cut_invert, check_decay_assumption,
                                im_parts, picard_monotonicity, picard_solve, poincare_constant,
                                q_of_r)
@@ -544,8 +544,21 @@ class TestKernelMoments:
 
 
 def cut_reference(sym, t):
+    """(U, V) at the times t by scalar QUADPACK along the cut."""
     return np.array([[branch_cut_quad_reference(sym, tv, n) for tv in t]
-                     for n in ("p", "exp")])
+                     for n in ("p", "exp")]) * [[1.0], [sym.c2]]
+
+
+def assert_talbot_or_refused(sym, t, rtol=1e-9):
+    """branch_cut_invert's (U, V) at the times t agree with 30-digit Talbot
+    inversion to rtol; a QuadratureError is allowed only for 1 - beta < 1e-3."""
+    ref = np.array([branch_cut_talbot_reference(sym, tv) for tv in t]).T
+    try:
+        got = branch_cut_invert(sym, t)
+    except QuadratureError:
+        assert 1.0 - sym.beta < 1e-3
+        return
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=0.0)
 
 
 def assert_solvers_agree(alpha, beta, c1, c2):
@@ -582,30 +595,66 @@ class TestBranchCutInversion:
     @given(alpha=st.floats(0.2, 1.0), beta_share=st.floats(0.0, 1.0),
            c2=st.floats(0.05, 3.0), ratio=st.floats(1.01, 4.0),
            log_t=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=3))
-    # beta = 1 - 1e-16: QUADPACK cannot reach its error target there
+    # beta = 1 - 1e-16, next to the corner (see test_alpha_beta_one_limit)
     @example(alpha=1.0, beta_share=0.9999999999999999, c2=1.0, ratio=2.0, log_t=[0.0])
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_cut_integrals_against_quadpack(self, alpha, beta_share, c2, ratio, log_t):
+    def test_against_talbot(self, alpha, beta_share, c2, ratio, log_t):
         beta = 0.05 + beta_share * (alpha - 0.05)
         # the corner alpha = beta = 1 has no cut, and LaplaceSymbol refuses it
         assume(beta < 1.0)
         sym = LaplaceSymbol(c1=ratio * c2, c2=c2, alpha=alpha, beta=beta)
-        t = 10.0 ** np.array(log_t)
-        try:
-            ref = cut_reference(sym, t)
-        except ValueError:
-            # where the reference cannot certify a value, no value may be returned
-            with pytest.raises(QuadratureError):
-                _cut_integrals(sym, t)
-            return
-        np.testing.assert_allclose(_cut_integrals(sym, t), ref, rtol=1e-9, atol=0.0)
+        assert_talbot_or_refused(sym, 10.0 ** np.array(log_t))
 
-    @pytest.mark.parametrize("c1, c2", [(1e200, 1.0), (1e-150, 1e-160)])
+    @pytest.mark.parametrize("alpha, beta, c1, c2, t, rtol", [
+        # next to the corner alpha = beta = 1, whose poles -c1 +- c2 sit just
+        # across the cut
+        (1.0, 0.9998908960433656, 2.81143911695857, 1.5792132577292666, [8270.396784692733],
+         1e-9),
+        (1.0, 1.0 - 1.9e-8, 7.0227, 2.43, [1.28], 1e-12),
+        (1.0, 0.05 + (1.0 - 1.2e-6) * 0.95, 1.56 * 1.58, 1.58, [1.0, 10.0], 1e-12),
+        # QUADPACK along the cut certifies a value 2.7e-7 off here
+        (0.9999999988786845, 0.9999999957044455, 5.649990718854599, 1.534828496917195,
+         [1.6745168348924229], 1e-9),
+        # constants far below 1: the symbol's scale r^alpha ~ c1 is tiny
+        (0.9, 0.5, 1e-8, 5e-9, [1.0, 100.0, 1e4], 1e-12)],
+        ids=["late-corner", "corner-poles", "corner-share", "quadpack-miss", "tiny-constants"])
+    def test_hard_symbols_against_talbot(self, alpha, beta, c1, c2, t, rtol):
+        sym = LaplaceSymbol(c1=c1, c2=c2, alpha=alpha, beta=beta)
+        np.testing.assert_allclose(branch_cut_invert(sym, np.array(t)),
+                                   np.array([branch_cut_talbot_reference(sym, tv) for tv in t]).T,
+                                   rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("beta, c1, c2, t", [
+        (0.9999988758613507, 3.6785953994789544, 0.9519054027932831, 84.10227630957607),
+        (0.9999999996405375, 7.41665682091456, 2.0535855224130266, 8.114730494135104)],
+        ids=["beta-1e-6", "beta-4e-10"])
+    def test_corner_refused_or_right(self, beta, c1, c2, t):
+        # next to the corner a value may be refused, never silently wrong
+        assert_talbot_or_refused(LaplaceSymbol(c1=c1, c2=c2, alpha=1.0, beta=beta),
+                                 np.array([t]))
+
+    def test_alpha_beta_one_limit(self):
+        # at alpha = 1, beta = 1 - 1e-16 the system is the ODE pair with
+        # U = e^{-2t} cosh t and V = e^{-2t} sinh t for c1 = 2, c2 = 1
+        U, V = branch_cut_invert(LaplaceSymbol(c1=2.0, c2=1.0, alpha=1.0,
+                                               beta=0.9999999999999999), 1.0)
+        assert U == pytest.approx(math.exp(-2.0) * math.cosh(1.0), rel=1e-12, abs=0.0)
+        assert V == pytest.approx(math.exp(-2.0) * math.sinh(1.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("c1, c2", [(1e200, 1.0)])
     def test_overflowing_symbol_refused(self, c1, c2):
-        # c1^2 overflows, or |q|^2 ~ c1^4 underflows to 0: no silent inf/NaN
+        # c1^2 overflows: no silent inf/NaN
         sym = LaplaceSymbol(c1=c1, c2=c2, alpha=0.9, beta=0.5)
-        with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="overflows"):
+        with pytest.raises(QuadratureError, match="overflows"):
             branch_cut_invert(sym, np.array([1.0, 100.0]))
+
+    def test_tiny_constants_decoupled_limit(self):
+        # as c1, c2 -> 0, U^ -> 1/s and V^ -> c2 s^{-1-beta}: U = 1 and
+        # V = c2 t^beta / Gamma(1 + beta)
+        sym = LaplaceSymbol(c1=1e-150, c2=1e-160, alpha=0.9, beta=0.5)
+        t = np.array([1.0, 100.0])
+        U, V = branch_cut_invert(sym, t)
+        np.testing.assert_allclose(U, 1.0, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(V, 1e-160 * t ** 0.5 / math.gamma(1.5), rtol=1e-12, atol=0.0)
 
     def test_near_pole_cut_against_quadpack(self):
         # at orders 1.0/0.2, c2 = 0.053, |q(r)|^2 dips to 4e-7 near r = c1 = 2
@@ -613,7 +662,7 @@ class TestBranchCutInversion:
         r = np.linspace(1.9, 2.1, 2001)
         assert np.min(np.abs(q_of_r(sym, r)) ** 2) < 5e-7
         t = np.array([1.0, 2.0, 5.0, 10.0, 20.0, 100.0, 1e4])
-        np.testing.assert_allclose(_cut_integrals(sym, t), cut_reference(sym, t),
+        np.testing.assert_allclose(branch_cut_invert(sym, t), cut_reference(sym, t),
                                    rtol=1e-9, atol=0.0)
 
     def test_against_talbot_frozen_values(self):

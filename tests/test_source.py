@@ -91,3 +91,53 @@ def test_test_only_public_surface_detected():
 def test_every_export_resolves():
     # a deleted name left in __all__ breaks `from subdecay import *`
     assert [name for name in subdecay.__all__ if not hasattr(subdecay, name)] == []
+
+
+def reads_from(tree: ast.Module, root: str, module: str) -> list[str]:
+    """Names imported from the sibling module `module` that the top-level
+    definition `root` reads, directly or through the other top-level
+    functions, classes and constants it reads, as "definition: name"."""
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names
+                if node.module == module or node.module is None and alias.name == module}
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defs.update((name.id, node) for name in ast.walk(target)
+                            if isinstance(name, ast.Name))
+    found, seen, todo = set(), {root}, [root]
+    while todo:
+        name = todo.pop()
+        for node in ast.walk(defs[name]):
+            if not isinstance(node, ast.Name):
+                continue
+            if node.id in imported:
+                found.add(f"{name}: {node.id}")
+            elif node.id in defs and node.id not in seen:
+                seen.add(node.id)
+                todo.append(node.id)
+    return sorted(found)
+
+
+def test_branch_cut_shares_no_numerics_with_picard():
+    # branch-cut inversion is the independent check on Picard, whose tables
+    # come from mittag_leffler: it may read nothing that module provides
+    tree = ast.parse((SRC / "frac_ode.py").read_text())
+    assert reads_from(tree, "branch_cut_invert", "mittag_leffler") == []
+
+
+def test_shared_numerics_detected():
+    tree = ast.parse("from .mittag_leffler import ml_neg, _contour_rule as rule\n"
+                     "from . import mittag_leffler\n"
+                     "from .errors import DomainError\n"
+                     "_RULE = rule(1.0, 1.0, 64)\n"
+                     "def helper(x): return ml_neg(x)\n"
+                     "def unread(): return mittag_leffler.ml_eval(2)\n"
+                     "def invert(t): return helper(t) + _RULE[0] + DomainError\n"
+                     "def direct(): return mittag_leffler.ml_eval(1)\n")
+    assert reads_from(tree, "invert", "mittag_leffler") == ["_RULE: rule", "helper: ml_neg"]
+    assert reads_from(tree, "direct", "mittag_leffler") == ["direct: mittag_leffler"]
