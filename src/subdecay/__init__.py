@@ -12,9 +12,20 @@ from .frac_ode import (LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert,
 from .mittag_leffler import ml_eval
 from .spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
                        mode_convolution, q_integral, r_series_identity)
-from .subdiff_fd import (BandedMatrix, Grid, History, SystemSpec,
-                         assemble_block_matrix, banded_solve, gershgorin_disks,
-                         l1_weights, levels, simulate)
+
+# subdiff_fd loads scipy's BLAS and LAPACK, which only the PDE solver needs:
+# its names are looked up on first use (PEP 562)
+_SUBDIFF_FD = {"Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights",
+               "assemble_block_matrix", "banded_solve", "gershgorin_disks",
+               "levels", "simulate"}
+
+
+def __getattr__(name):
+    if name in _SUBDIFF_FD:
+        from . import subdiff_fd
+        return getattr(subdiff_fd, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ml_eval",

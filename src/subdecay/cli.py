@@ -25,12 +25,18 @@ import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import decay as decay_mod
-from . import frac_ode, mittag_leffler, spectral, subdiff_fd
+from . import frac_ode, mittag_leffler, spectral
 from .errors import ConfigError, DomainError, NumericalError, SubdecayError
+
+# subdiff_fd loads scipy's BLAS and LAPACK, which only `pde` and `report`
+# need: the functions that step the PDE import it when called
+if TYPE_CHECKING:
+    from . import subdiff_fd
 
 _FMT = "{:.17g}"
 # physical memory in GB, which a run must fit (inf where unknown)
@@ -188,6 +194,7 @@ class RunConfig:
         return json.loads(json.dumps(asdict(self)))
 
     def system_spec(self) -> subdiff_fd.SystemSpec:
+        from . import subdiff_fd
         profiles = _IC_PROFILES[(len(self.orders), self.ic_case)]
         scale = self.ic_scale
         initials = [(lambda x, f=f: scale * f(x)) for f in profiles]
@@ -196,6 +203,7 @@ class RunConfig:
             couplings=self.couplings, initials=initials)
 
     def grid(self) -> subdiff_fd.Grid:
+        from . import subdiff_fd
         return subdiff_fd.Grid(L=self.L, I=self.n_space, T=self.T, N=self.n_time)
 
 
@@ -249,6 +257,8 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
     couplings, above 10 times its start raises NumericalError naming its
     time.  Deterministic for a fixed config.  The CSV columns are t, norm_1..K
     and pointwise_exp_1..K (NaN where t <= 1 makes the ratio undefined)."""
+    from . import subdiff_fd
+
     t_start = time.perf_counter()
     spec, grid = config.system_spec(), config.grid()
     margin = subdiff_fd.stability_margin(spec)

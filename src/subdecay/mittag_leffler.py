@@ -12,7 +12,8 @@ an a-posteriori relative error estimate:
 * the algebraic expansion -sum_{k>=1} z^{-k}/Gamma(mu - eta*k), for
   |z| >= 4, truncated at its smallest term (1/Gamma at a pole contributes
   exactly 0; at eta = 1 the weights next to a pole come from the reflection
-  formula, so mu one ulp from an integer keeps its tiny terms);
+  formula, so mu one ulp from an integer keeps its tiny terms); it forms
+  each weight from math.gamma when some point reaches its term;
 * the one route of each order: for 0 < eta < 1 the trapezoid rule on a
   parabolic Bromwich contour (Weideman & Trefethen, Math. Comp. 76 (2007);
   Garrappa, SIAM J. Numer. Anal. 53 (2015)), for eta = 1 the
@@ -28,6 +29,9 @@ after it.  So the expansion is seldom tried where it cannot certify, and
 near its switch the contour's value, at rounding level, wins over one just
 inside rtol.  The contour runs in blocks of _CONTOUR_CHUNK points, so that
 its two (70, 512) node-by-point arrays, 0.29 MB each, stay in L2 cache.
+
+Gamma comes from the math module (_rgamma, math.lgamma), so the module
+needs numpy only and a cold command that evaluates E loads no scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma, gammaln, rgamma
 
 from .errors import DomainError, NumericalError, UnsupportedRangeError
 
@@ -51,33 +54,47 @@ _MU_RANGE = (0.1, 3.0)
 _Z_MIN = -1.0e4
 
 
-def _asymp_weights(eta: float, mu: float, cap: int) -> np.ndarray:
-    """1/Gamma(mu - eta*k) for k = 1..cap; exactly 0 at the Gamma poles.
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) for one finite float, on math.gamma: 0 at the poles
+    0, -1, -2, ... and past x ~ 171.6, where Gamma overflows; x itself where
+    Gamma overflows next to 0 (1/Gamma(x) = x + 0.577 x^2 + ...); and inf,
+    signed as Gamma is, where Gamma underflows below x ~ -171.6."""
+    if x <= 0.0 and float(x).is_integer():
+        return 0.0
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        return x if abs(x) < 1.0 else 0.0
+    return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
-    At eta = 1 the arguments are n + delta, n = round(mu) - k, with the
-    exact delta = mu - round(mu); for n <= 0 the weight is the reflection
-    (-1)^n sin(pi delta) Gamma(1 - n - delta) / pi, zero only at delta = 0.
-    (Formed as mu - k, a delta of one ulp rounds away and leaves a pole.)
-    For eta < 1, arguments within a few ulps of a non-positive integer are
-    snapped onto the pole: rounding of mu - eta*k otherwise yields ghost
-    weights ~1e-15 whose terms wreck the optimal-truncation error estimate.
+
+def _asymp_weight(eta: float, mu: float, k: int) -> float:
+    """1/Gamma(mu - eta*k), the weight of term k >= 1 of the expansion;
+    exactly 0 at the Gamma poles.
+
+    At eta = 1 the argument is n + delta, n = round(mu) - k, with the exact
+    delta = mu - round(mu); for n <= 0 the weight is the reflection
+    (-1)^n sin(pi delta) Gamma(1 - n - delta) / pi, zero only at delta = 0,
+    and inf once Gamma overflows.  (Formed as mu - k, a delta of one ulp
+    rounds away and leaves a pole.)  For eta < 1, arguments within a few
+    ulps of a non-positive integer are snapped onto the pole: rounding of
+    mu - eta*k otherwise yields ghost weights ~1e-15 whose terms wreck the
+    optimal-truncation error estimate.
     """
-    k = np.arange(1, cap + 1, dtype=float)
     if eta == 1.0:
         n = round(mu) - k
         delta = mu - round(mu)
-        w = rgamma(n + delta)
-        if delta != 0.0:
-            left = n <= 0.0
-            w[left] = ((-1.0) ** n[left] * (math.sin(math.pi * delta) / math.pi)
-                       * gamma(1.0 - n[left] - delta))
-        return w
+        if n > 0 or delta == 0.0:
+            return _rgamma(n + delta)
+        try:
+            return (-1.0) ** n * (math.sin(math.pi * delta) / math.pi) * math.gamma(1.0 - n - delta)
+        except OverflowError:
+            return math.inf
     a = mu - eta * k
-    w = rgamma(a)
-    nearest = np.round(a)
-    snap = (nearest <= 0.0) & (np.abs(a - nearest) <= 64.0 * _EPS * np.maximum(1.0, eta * k))
-    w[snap] = 0.0
-    return w
+    nearest = round(a)
+    if nearest <= 0 and abs(a - nearest) <= 64.0 * _EPS * max(1.0, eta * k):
+        return 0.0
+    return _rgamma(a)
 
 
 def _asymp_f64(eta, mu, z):
@@ -88,17 +105,17 @@ def _asymp_f64(eta, mu, z):
     level; the smallest term seen is the error estimate.  A term next to a
     Gamma pole is small however far the tail reaches, so each term counts
     as the larger of itself and the previous nonzero term.  Frozen points leave
-    the working arrays, so each point pays for its own terms only.  If the
-    nonzero weights run out before any growth (possible only for eta == 1,
-    where the expansion terminates), truncation is exact up to the
-    exponentially small part, which is added to the estimate whenever
-    eta > 2/3.
+    the working arrays, so each point pays for its own terms only, and weight
+    k is formed only once some point reaches term k.  The sum stops at
+    _ASYMP_CAP terms or at the first non-finite weight.  If the nonzero
+    weights run out before any growth (possible only for eta == 1 with
+    integer mu, where the expansion terminates after round(mu) - 1 terms),
+    truncation is exact up to the exponentially small part, which is added
+    to the estimate whenever eta > 2/3.
     """
-    weights = _asymp_weights(float(eta), float(mu), _ASYMP_CAP)
-    finite = np.isfinite(weights)
-    n_usable = int(np.argmax(~finite)) if not finite.all() else _ASYMP_CAP
-    nz_idx = np.flatnonzero(weights[:n_usable] != 0.0)
-    last_nz = int(nz_idx[-1]) if nz_idx.size else -1
+    eta, mu = float(eta), float(mu)
+    terminates = eta == 1.0 and mu == round(mu)
+    n_terms = min(round(mu) - 1, _ASYMP_CAP) if terminates else _ASYMP_CAP
 
     total = np.zeros_like(z)
     best = np.full(z.shape, np.inf)
@@ -110,11 +127,14 @@ def _asymp_f64(eta, mu, z):
     low = np.full(z.shape, np.inf)
     prev = np.zeros_like(z)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for k in range(last_nz + 1):
+        for k in range(1, n_terms + 1):
+            weight = _asymp_weight(eta, mu, k)
+            if not math.isfinite(weight):
+                break
             power *= zinv
-            if weights[k] == 0.0:
+            if weight == 0.0:
                 continue
-            a = power * -weights[k]
+            a = power * -weight
             mag = np.abs(a)
             size = np.maximum(mag, prev)
             prev = mag
@@ -156,15 +176,21 @@ def _asymp_floor(eta, mu, z):
     """A-priori relative error floor of the expansion at z < 0: with
     r = |z|^(1/eta), its smallest term r^(1/2-mu) e^(-r) (Stirling at
     k ~ r/eta), plus _exp_part for eta > 2/3, against its first nonzero term,
-    which is the value's size for large |z|."""
-    weights = _asymp_weights(float(eta), float(mu), _ASYMP_CAP)
-    k = int(np.argmax(weights != 0.0))
+    which is the value's size for large |z|.  inf where no weight up to
+    _ASYMP_CAP is nonzero (every mu - eta*k on a pole)."""
+    eta, mu = float(eta), float(mu)
+    for k in range(1, _ASYMP_CAP + 1):
+        weight = _asymp_weight(eta, mu, k)
+        if weight != 0.0:
+            break
+    else:
+        return np.full(np.shape(z), np.inf)
     with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
         r = np.abs(z) ** (1.0 / eta)
         floor = r ** (0.5 - mu) * np.exp(-r)
         if eta > 2.0 / 3.0:
             floor = floor + _exp_part(eta, mu, r)
-        return floor * np.abs(z) ** (k + 1) / abs(weights[k])
+        return floor * np.abs(z) ** k / abs(weight)
 
 
 def _contour_rule(eta: float, mu: float, n: int):
@@ -251,7 +277,7 @@ def _kummer_f64(eta, mu, z):
             if np.all(converged | ~np.isfinite(total)):
                 break
         est = _EPS * weighted / np.maximum(np.abs(total), 1e-300)
-        value = np.exp(z) * rgamma(mu) * total
+        value = np.exp(z) * _rgamma(mu) * total
     est = np.where(converged & np.isfinite(total), est + 4.0 * _EPS, np.inf)
     return value, est
 
@@ -274,7 +300,7 @@ def _mp_series(eta: float, mu: float, z: float, rtol: float) -> float:
             f"eta={eta:g}, z={z:g}; no convergent evaluation path"
         )
     log10_max = (kstar * math.log(max(absz, 1.0))
-                 - float(gammaln(eta * kstar + mu))) / math.log(10.0)
+                 - math.lgamma(eta * kstar + mu)) / math.log(10.0)
     guard = 15.0 - math.log10(rtol)
     dps = need = int(max(30.0, log10_max + guard))
     while dps <= 3000:
@@ -336,7 +362,7 @@ def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
         return float(out[0]) if scalar else out
 
     zero = z_arr == 0.0
-    out[zero] = rgamma(mu)
+    out[zero] = _rgamma(mu)
     todo = ~zero
     if np.any(todo):
         zv = z_arr[todo]

@@ -43,10 +43,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import DomainError, QuadratureError
-from .mittag_leffler import _EPS, _contour_rule, ml_neg
+from .mittag_leffler import _EPS, _contour_rule, _rgamma, ml_neg
 
 # nodes s_k and weights w_k at t = 1: the 43-node estimate, the 64-node value
 _RULES = tuple(_contour_rule(1.0, 1.0, n) for n in (43, 64))
@@ -210,8 +209,8 @@ def asymptotic_v(u0_coeffs, beta: float, t: float) -> np.ndarray:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     coeffs = _finite_coeffs(u0_coeffs)
     lam = eigenvalues(coeffs.size)
-    lead = coeffs / lam ** 3 * t ** (-(1.0 + beta)) * -rgamma(-beta)
-    nxt = coeffs / lam ** 4 * t ** (-(2.0 + beta)) * rgamma(-1.0 - beta)
+    lead = coeffs / lam ** 3 * t ** (-(1.0 + beta)) * -_rgamma(-beta)
+    nxt = coeffs / lam ** 4 * t ** (-(2.0 + beta)) * _rgamma(-1.0 - beta)
     return lead + nxt
 
 

@@ -41,9 +41,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg.blas import dgbmv, dger, dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.special import rgamma
 
 from .errors import DomainError, SolverError
+from .mittag_leffler import _rgamma
 
 # relative size of the neglected parts of the L1 memory's exponential sum
 _SOE_TOL = 1e-15
@@ -397,7 +397,7 @@ def _soe_modes(gamma: float, N: int):
     lo = math.log(1.0 / N) + math.log(_SOE_TOL) / (1.0 + gamma)
     hi = math.log(-math.log(_SOE_TOL)) + 0.5
     s = np.exp(np.arange(lo, hi, h))
-    w = h * (1.0 - gamma) * rgamma(gamma) * np.expm1(-s) ** 2 * s ** (gamma - 1.0)
+    w = h * (1.0 - gamma) * _rgamma(gamma) * np.expm1(-s) ** 2 * s ** (gamma - 1.0)
     low = (s * N <= 0.5) & (w > 0.0)
     if np.count_nonzero(low) > _GAUSS_NODES:
         nodes, weights = _gauss_rule(s[low], w[low], _GAUSS_NODES)

@@ -414,12 +414,33 @@ class TestCommandLine:
 
 
 class TestImportHygiene:
+    SRC = os.path.dirname(os.path.dirname(os.path.abspath(subdecay.__file__)))
+
     def test_cold_import_loads_no_heavy_modules(self):
-        # scipy.signal and scipy.integrate cost about a second of cold start,
-        # and mpmath belongs to the test oracles, not the library
-        src = os.path.dirname(os.path.dirname(os.path.abspath(subdecay.__file__)))
+        # scipy costs about half a second of cold start and only the PDE
+        # solver needs it; mpmath belongs to the test oracles, not the library
         code = ("import sys, subdecay, subdecay.cli; print(' '.join(m for m in "
-                "('scipy.signal', 'scipy.integrate', 'mpmath') if m in sys.modules))")
+                "('scipy', 'mpmath') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+                             check=True, env={**os.environ, "PYTHONPATH": self.SRC}).stdout
         assert out.strip() == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["mlf", "--eta", "0.5", "--mu", "1.0", "--z", "-3.0"],
+        ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
+         "--t-max", "5", "--method", "picard", "--n-steps", "64"],
+        ["oracle", "--beta", "0.5", "--t-max", "100", "--n-modes", "4", "--n-points", "6"],
+        ["decay", "{csv}", "--window", "10", "1000"]], ids=lambda argv: argv[0])
+    def test_commands_load_no_scipy(self, argv, tmp_path):
+        # only `pde` and `report` step the PDE, whose banded solves need
+        # scipy's BLAS and LAPACK
+        csv = tmp_path / "series.csv"
+        t = np.logspace(0.5, 3, 60)
+        csv.write_text("t,value\n" + "".join(f"{tv!r},{vv!r}\n"
+                                             for tv, vv in zip(t.tolist(), (2.0 * t ** -1.5).tolist())))
+        code = ("import sys; from subdecay.cli import main; rc = main(sys.argv[1:]); "
+                "print(rc, 'scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, *(a.format(csv=csv) for a in argv)],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": self.SRC}).stdout
+        assert out.splitlines()[-1] == "0 False"

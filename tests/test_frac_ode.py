@@ -270,6 +270,8 @@ class TestPicard:
            T=st.floats(0.5, 10.0), n=st.integers(64, 1024))
     @example(orders=(0.809, 0.651), a=0.98, b=0.35, eta1=0.0, eta2=0.0,
              mu1=0.96, mu2=1.97, T=9.33, n=64)
+    @example(orders=(0.5, 0.9999999999999999), a=1.0, b=0.5, eta1=1.0, eta2=1.0,
+             mu1=0.5, mu2=0.5, T=5.0, n=256)
     def test_any_coupling_certified_or_raises(self, orders, a, b, eta1, eta2, mu1, mu2, T, n):
         # couplings past the damping grow the solution, up to past float64's
         # range or with a step too coarse for the coupling; a returned path

@@ -15,7 +15,7 @@ SQRT_PI = math.sqrt(math.pi)
 
 class TestGamma:
     def test_accuracy_envelope(self):
-        # scipy's 1/Gamma, which the expansion weights and the spectral
+        # the library's 1/Gamma, which the expansion weights and the spectral
         # oracle's Gamma(-beta) rest on, at non-pole arguments across
         # |x| <= 20 against extended precision
         import mpmath
@@ -27,7 +27,21 @@ class TestGamma:
             if x <= 0 and abs(x - round(x)) < 1e-9:
                 continue
             ref = float(mpmath.rgamma(mpmath.mpf(float(x))))
-            assert rgamma(float(x)) == pytest.approx(ref, rel=1e-13)
+            assert mittag_leffler._rgamma(float(x)) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("xs", [
+        pytest.param([5e-324, 1e-320, 1e-310, 5e-309], id="overflow-next-to-zero"),
+        pytest.param([0.0, -0.0, -1.0, -2.0, -170.0, -171.0, -172.0, -400.0], id="poles"),
+        pytest.param([171.7, 172.0, 200.0, 1e3, 1e300], id="overflow"),
+        pytest.param(list(np.linspace(-399.7, -171.9, 53)), id="underflow"),
+        pytest.param(list(np.linspace(0.5, 171.5, 37)) + list(np.linspace(-170.3, -0.3, 37)),
+                     id="finite")])
+    def test_edges_match_scipy(self, xs):
+        # where math.gamma overflows, underflows or has a pole: x itself next
+        # to 0, 0 at the poles and past 171.6, inf with Gamma's sign below
+        # -171.6 (where the expansion stops summing)
+        for x in map(float, xs):
+            assert mittag_leffler._rgamma(x) == pytest.approx(float(rgamma(x)), rel=1e-13), x
 
 
 class TestMLEval:
@@ -226,6 +240,15 @@ class TestMLEval:
         err = abs(value[0] / ml_series_reference(eta, mu, z) - 1.0)
         assert err <= est[0] + 1e-15
 
+    def test_floor_infinite_without_nonzero_weight(self):
+        # at eta = mu one ulp below 1 every mu - eta*k up to the cap snaps
+        # onto a pole: the expansion has no term, so it is never tried first
+        eta = 0.9999999999999999
+        assert all(mittag_leffler._asymp_weight(eta, eta, k) == 0.0
+                   for k in range(1, mittag_leffler._ASYMP_CAP + 1))
+        z = -np.logspace(0.0, 4.0, 9)
+        assert np.all(mittag_leffler._asymp_floor(eta, eta, z) == np.inf)
+
     def test_expansion_tried_where_it_certifies(self, monkeypatch):
         # over the lines the ode-sweep benchmark's three solves sample when
         # every point is a direct call (both kernels of the two coupled
@@ -269,11 +292,16 @@ class TestMLEval:
 
 def asymp_masked_reference(eta, mu, z):
     """The expansion with every point kept in the arrays and masked once
-    frozen: the plain loop that _asymp_f64 must reproduce bit for bit."""
-    weights = mittag_leffler._asymp_weights(float(eta), float(mu), mittag_leffler._ASYMP_CAP)
-    finite = np.isfinite(weights)
-    n_usable = int(np.argmax(~finite)) if not finite.all() else weights.size
-    nz_idx = np.flatnonzero(weights[:n_usable] != 0.0)
+    frozen: the plain loop that _asymp_f64 must reproduce bit for bit.  It
+    takes the weights up to the cap or the first non-finite one and sums up
+    to the last nonzero weight among them."""
+    weights = []
+    for k in range(1, mittag_leffler._ASYMP_CAP + 1):
+        weight = mittag_leffler._asymp_weight(float(eta), float(mu), k)
+        if not math.isfinite(weight):
+            break
+        weights.append(weight)
+    nz_idx = np.flatnonzero(np.array(weights) != 0.0)
     eps = mittag_leffler._EPS
     zinv = 1.0 / z
     power = np.ones_like(z)

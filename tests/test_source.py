@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -91,6 +92,20 @@ def test_test_only_public_surface_detected():
 def test_every_export_resolves():
     # a deleted name left in __all__ breaks `from subdecay import *`
     assert [name for name in subdecay.__all__ if not hasattr(subdecay, name)] == []
+
+
+def test_exports_are_their_modules_objects():
+    # the subdiff_fd names are looked up on first use (PEP 562): each export
+    # is the object its module defines, and an unknown name does not resolve
+    homes = {}
+    for path in SRC.glob("[!_]*.py"):
+        module = importlib.import_module(f"subdecay.{path.stem}")
+        homes.update((name, module) for name, obj in vars(module).items()
+                     if getattr(obj, "__module__", None) == module.__name__)
+    assert [name for name in subdecay.__all__
+            if getattr(subdecay, name) is not getattr(homes[name], name)] == []
+    with pytest.raises(AttributeError, match="has no attribute 'Gird'"):
+        subdecay.Gird
 
 
 def reads_from(tree: ast.Module, root: str, module: str) -> list[str]:
