@@ -417,6 +417,17 @@ def report_tables() -> str:
 # command line
 
 
+def _write_csv(header: str, rows, output: str | None) -> None:
+    """The header and one line of _FMT floats per row, to the file output
+    or, without one, to stdout."""
+    text = "\n".join([header] + [",".join(map(_FMT.format, row)) for row in rows]) + "\n"
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_mlf(args) -> int:
     val = mittag_leffler.ml_eval(args.eta, args.mu, args.z)
     print(_FMT.format(val))
@@ -424,10 +435,10 @@ def _cmd_mlf(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    sym = frac_ode.LaplaceSymbol(c1=args.c1, c2=args.c2,
-                                 alpha=args.alpha, beta=args.beta)
     if not (math.isfinite(args.t_max) and args.t_max > 0.0):
         raise DomainError(f"horizon --t-max must be finite and positive, got {args.t_max}")
+    if args.n_steps < 1:
+        raise DomainError(f"--n-steps must be at least 1, got {args.n_steps}")
     if args.method == "picard":
         spec = frac_ode.OdeSpec(alpha=args.alpha, beta=args.beta, a=1.0, b=0.0,
                                 eta1=args.c1, eta2=args.c1,
@@ -436,17 +447,11 @@ def _cmd_ode(args) -> int:
         times, U, V = path.times, path.U, path.V
         print(f"map residual {path.residual:.3e}", file=sys.stderr)
     else:
+        sym = frac_ode.LaplaceSymbol(c1=args.c1, c2=args.c2,
+                                     alpha=args.alpha, beta=args.beta)
         times = np.logspace(0.0, math.log10(args.t_max), args.n_steps)
         U, V = frac_ode.branch_cut_invert(sym, times)
-    rows = ["t,U,V"]
-    for t, u, v in zip(times, U, V):
-        rows.append(",".join(_FMT.format(x) for x in (t, u, v)))
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv("t,U,V", zip(times, U, V), args.output)
     if args.fit_window:
         lo, hi = args.fit_window
         mask = times > 0
@@ -471,19 +476,15 @@ def _cmd_oracle(args) -> int:
     if not (math.isfinite(args.t_max) and args.t_max >= 10.0):
         raise DomainError(f"horizon --t-max must be finite and at least 10, the oracle's "
                           f"first time, got {args.t_max}")
+    if args.n_points < 1:
+        raise DomainError(f"--n-points must be at least 1, got {args.n_points}")
     sol = spectral.SpectralSolution(beta=args.beta, u0=np.sin, n_modes=args.n_modes)
-    times = np.logspace(1.0, math.log10(args.t_max), args.n_points)
-    rows = ["t,v_norm_exact,v_norm_asymptotic,ratio"]
-    for t in times:
+    rows = []
+    for t in np.logspace(1.0, math.log10(args.t_max), args.n_points):
         ve = sol.v_norm(float(t))
         va = sol.v_norm_asymptotic(float(t))
-        rows.append(",".join(_FMT.format(x) for x in (t, ve, va, va / ve)))
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        rows.append((t, ve, va, va / ve))
+    _write_csv("t,v_norm_exact,v_norm_asymptotic,ratio", rows, args.output)
     return 0
 
 

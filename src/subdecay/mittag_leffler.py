@@ -11,16 +11,18 @@ an a-posteriori relative error estimate:
 
 * the algebraic expansion -sum_{k>=1} z^{-k}/Gamma(mu - eta*k), for
   |z| >= 4, truncated at its smallest term (1/Gamma at a pole contributes
-  exactly 0; at eta = 1 the weights next to a pole come from the reflection
-  formula, so mu one ulp from an integer keeps its tiny terms); it forms
-  each weight from math.gamma when some point reaches its term;
+  exactly 0; every weight next to a pole comes from the reflection on the
+  exact distance, so an argument one ulp from a pole keeps its tiny term);
+  it forms each weight from math.gamma when some point reaches its term;
 * the one route of each order: for 0 < eta < 1 the trapezoid rule on a
   parabolic Bromwich contour (Weideman & Trefethen, Math. Comp. 76 (2007);
   Garrappa, SIAM J. Numer. Anal. 53 (2015)), for eta = 1 the
   Kummer-transformed series; E_{1,1} short-circuits to exp;
 * an extended-precision series (mpmath) for what no float64 route
-  certifies: points next to a zero of E (mu < eta, or mu < 1 at eta = 1)
-  and, at rtol = 1e-12, mu = eta >= 0.98 with 14 <= |z| <= 38.
+  certifies: points next to a zero of E (mu < eta, or mu < 1 at eta = 1);
+  at rtol = 1e-12, mu = eta >= 0.98 with 14 <= |z| <= 38; and eta = mu one
+  ulp below 1 with about 10 <= |z| <= 74, where e^z is as large as the
+  algebraic part, so that neither the contour nor the expansion certifies.
 
 The expansion goes first only where its a-priori error floor (_asymp_floor)
 is below _ASYMP_MARGIN * rtol, where it certifies with an error near that
@@ -69,32 +71,26 @@ def _rgamma(x: float) -> float:
 
 
 def _asymp_weight(eta: float, mu: float, k: int) -> float:
-    """1/Gamma(mu - eta*k), the weight of term k >= 1 of the expansion;
-    exactly 0 at the Gamma poles.
+    """1/Gamma(mu - eta*k), the weight of term k >= 1 of the expansion.
 
-    At eta = 1 the argument is n + delta, n = round(mu) - k, with the exact
-    delta = mu - round(mu); for n <= 0 the weight is the reflection
-    (-1)^n sin(pi delta) Gamma(1 - n - delta) / pi, zero only at delta = 0,
-    and inf once Gamma overflows.  (Formed as mu - k, a delta of one ulp
-    rounds away and leaves a pole.)  For eta < 1, arguments within a few
-    ulps of a non-positive integer are snapped onto the pole: rounding of
-    mu - eta*k otherwise yields ghost weights ~1e-15 whose terms wreck the
-    optimal-truncation error estimate.
+    The argument is split exactly into n + delta, n the nearest integer:
+    from the integer ratios of mu and eta, delta is one correctly rounded
+    int / int division, so it keeps full relative accuracy however close the
+    argument is to a pole.  For n <= 0 the weight is the reflection
+    (-1)^n sin(pi delta) Gamma(1 - n - delta) / pi, zero only at a pole
+    (delta = 0), and inf once Gamma overflows.
     """
-    if eta == 1.0:
-        n = round(mu) - k
-        delta = mu - round(mu)
-        if n > 0 or delta == 0.0:
-            return _rgamma(n + delta)
-        try:
-            return (-1.0) ** n * (math.sin(math.pi * delta) / math.pi) * math.gamma(1.0 - n - delta)
-        except OverflowError:
-            return math.inf
-    a = mu - eta * k
-    nearest = round(a)
-    if nearest <= 0 and abs(a - nearest) <= 64.0 * _EPS * max(1.0, eta * k):
-        return 0.0
-    return _rgamma(a)
+    p, q = mu.as_integer_ratio()
+    r, s = eta.as_integer_ratio()
+    num, den = p * s - k * r * q, q * s
+    n = round(num / den)
+    delta = (num - n * den) / den
+    if n > 0 or delta == 0.0:
+        return _rgamma(n + delta)
+    try:
+        return (-1.0) ** n * (math.sin(math.pi * delta) / math.pi) * math.gamma(1.0 - n - delta)
+    except OverflowError:
+        return math.inf
 
 
 def _asymp_f64(eta, mu, z):
@@ -104,7 +100,8 @@ def _asymp_f64(eta, mu, z):
     freezing each point once they clearly grow again or fall below rounding
     level; the smallest term seen is the error estimate.  A term next to a
     Gamma pole is small however far the tail reaches, so each term counts
-    as the larger of itself and the previous nonzero term.  Frozen points leave
+    as the larger of itself and the previous nonzero term, and the first
+    nonzero term, which has none, counts as no estimate.  Frozen points leave
     the working arrays, so each point pays for its own terms only, and weight
     k is formed only once some point reaches term k.  The sum stops at
     _ASYMP_CAP terms or at the first non-finite weight.  If the nonzero
@@ -125,7 +122,7 @@ def _asymp_f64(eta, mu, z):
     power = np.ones_like(z)
     part = np.zeros_like(z)
     low = np.full(z.shape, np.inf)
-    prev = np.zeros_like(z)
+    prev = np.full(z.shape, np.inf)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for k in range(1, n_terms + 1):
             weight = _asymp_weight(eta, mu, k)
@@ -176,15 +173,12 @@ def _asymp_floor(eta, mu, z):
     """A-priori relative error floor of the expansion at z < 0: with
     r = |z|^(1/eta), its smallest term r^(1/2-mu) e^(-r) (Stirling at
     k ~ r/eta), plus _exp_part for eta > 2/3, against its first nonzero term,
-    which is the value's size for large |z|.  inf where no weight up to
-    _ASYMP_CAP is nonzero (every mu - eta*k on a pole)."""
+    which is the value's size for large |z|."""
     eta, mu = float(eta), float(mu)
-    for k in range(1, _ASYMP_CAP + 1):
-        weight = _asymp_weight(eta, mu, k)
-        if weight != 0.0:
-            break
-    else:
-        return np.full(np.shape(z), np.inf)
+    # mu - eta > -1, so weight 1 is on a pole only at mu = eta, and weight 2
+    # then only at eta = mu = 1, which ml_neg answers with exp before this
+    k = 2 if mu == eta else 1
+    weight = _asymp_weight(eta, mu, k)
     with np.errstate(divide="ignore", under="ignore", over="ignore", invalid="ignore"):
         r = np.abs(z) ** (1.0 / eta)
         floor = r ** (0.5 - mu) * np.exp(-r)

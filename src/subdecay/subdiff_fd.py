@@ -28,8 +28,9 @@ components decouple into one block-diagonal tridiagonal system, factored
 once per run.  The fully implicit scheme keeps the couplings at the new
 level and solves one banded system in node-interleaved ordering (bandwidth
 K each side), factored once per run when the couplings are constant and at
-every step otherwise; Gershgorin disks of that matrix drive the stability
-check c_kk >= sum_{l != k} |c_kl|.
+every step otherwise.  The stability check c_kk >= sum_{l != k} |c_kl|
+(stability_margin) reads the couplings directly; gershgorin_disks gives the
+disks of the matrix itself.
 """
 
 from __future__ import annotations

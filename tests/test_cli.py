@@ -279,6 +279,31 @@ class TestCommandLine:
         assert "horizon --t-max must be finite and positive, got inf" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("method, n_steps", [("laplace", "-3"), ("laplace", "0"),
+                                                 ("picard", "-3")])
+    def test_ode_step_count_below_one_exit_one(self, method, n_steps, capsys):
+        argv = ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
+                "--t-max", "20", "--method", method, "--n-steps", n_steps]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: --n-steps must be at least 1, got {n_steps}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, refusal", [
+        (["--alpha", "1", "--beta", "1", "--c1", "2", "--c2", "1"], "no cut"),
+        (["--alpha", "0.9", "--beta", "0.5", "--c1", "1", "--c2", "2"],
+         "need finite c1 > c2 > 0")])
+    def test_ode_picard_solves_what_laplace_refuses(self, flags, refusal, capsys):
+        # the Laplace route's symbol checks bind the laplace method only
+        argv = ["ode", *flags, "--t-max", "10", "--n-steps", "64"]
+        assert main(argv + ["--method", "picard"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("map residual ")
+        assert len(captured.out.strip().splitlines()) == 66
+        assert main(argv + ["--method", "laplace"]) == 1
+        captured = capsys.readouterr()
+        assert refusal in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "5"])
     def test_oracle_unusable_horizon_exit_one(self, t_max, capsys):
         argv = ["oracle", "--beta", "0.5", "--t-max", t_max, "--n-modes", "4",
@@ -286,6 +311,15 @@ class TestCommandLine:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "error: horizon --t-max must be finite and at least 10" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n_points", ["-1", "0"])
+    def test_oracle_point_count_below_one_exit_one(self, n_points, capsys):
+        argv = ["oracle", "--beta", "0.5", "--t-max", "100", "--n-modes", "4",
+                "--n-points", n_points]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: --n-points must be at least 1, got {n_points}" in captured.err
         assert captured.out == ""
 
     def test_pde_subcommand(self, tmp_path, capsys):
@@ -360,18 +394,13 @@ class TestCommandLine:
         assert fit_line.startswith("value: growing, slope +0.500000 ")
         assert "exponent" not in fit_line
 
-    def test_ode_fit_of_growing_path_not_an_exponent(self, monkeypatch, capsys):
-        # no valid symbol makes U + V grow, so the solver hands back t^0.5
-        def growing(spec, T, n_steps):
-            times = np.linspace(0.0, T, n_steps + 1)
-            return subdecay.frac_ode.OdePath(times=times, U=np.sqrt(times), V=np.zeros_like(times),
-                                             residual=0.0)
-
-        monkeypatch.setattr(subdecay.frac_ode, "picard_solve", growing)
-        assert main(["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
+    def test_ode_fit_of_growing_path_not_an_exponent(self, capsys):
+        # c2 > c1 makes U + V grow; only the Picard route takes such a pair
+        assert main(["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "1", "--c2", "2",
                      "--t-max", "20", "--n-steps", "64", "--fit-window", "5", "20"]) == 0
         err = capsys.readouterr().err
-        assert err.startswith("map residual 0.000e+00\ngrowth of U+V on [5, 20]: +0.5000 ")
+        assert re.fullmatch(r"map residual \d\.\d{3}e-\d\d\ngrowth of U\+V on \[5, 20\]: "
+                            r"\+\d+\.\d{4} \(rms .*\)\n", err)
         assert "exponent" not in err and "slope" not in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -240,14 +240,93 @@ class TestMLEval:
         err = abs(value[0] / ml_series_reference(eta, mu, z) - 1.0)
         assert err <= est[0] + 1e-15
 
-    def test_floor_infinite_without_nonzero_weight(self):
-        # at eta = mu one ulp below 1 every mu - eta*k up to the cap snaps
-        # onto a pole: the expansion has no term, so it is never tried first
-        eta = 0.9999999999999999
-        assert all(mittag_leffler._asymp_weight(eta, eta, k) == 0.0
-                   for k in range(1, mittag_leffler._ASYMP_CAP + 1))
-        z = -np.logspace(0.0, 4.0, 9)
-        assert np.all(mittag_leffler._asymp_floor(eta, eta, z) == np.inf)
+    def test_one_ulp_below_one_needs_no_extended_precision(self, monkeypatch):
+        # at eta = mu = 1 - 2^-53 every mu - eta*k sits (k - 1) 2^-53 from a
+        # pole, and those tiny weights carry the whole value (~1e-20 at
+        # z = -100); below |z| ~ 74 e^z is as large as they are, and the
+        # series stays
+        eta = 1.0 - 2.0 ** -53
+        refs = {z: ml_series_reference(eta, eta, z) for z in (-80.0, -300.0)}
+
+        def refuse(*args):
+            raise AssertionError(f"_mp_series reached at {args}")
+
+        monkeypatch.setattr(mittag_leffler, "_mp_series", refuse)
+        for z in -np.logspace(math.log10(80.0), 4.0, 20):
+            value = ml_eval(eta, eta, float(z))
+            assert math.isfinite(value) and value > 0.0, z
+        for z, ref in refs.items():
+            assert ml_eval(eta, eta, z) == pytest.approx(ref, rel=1e-12, abs=0.0), z
+
+    @pytest.mark.parametrize("eta", [0.30000000000000004, 0.8, 0.9])
+    def test_first_weight_next_to_a_pole(self, monkeypatch, eta):
+        # mu one ulp below eta gives the first term a weight of ~-1e-16;
+        # counted as the error estimate, that term sent every such point
+        # with |z| >= 122 to the extended-precision series.  The reference
+        # is E at mu = eta, where that weight is 0, plus the first term: one
+        # ulp of mu moves the other terms by ~1e-16 relative
+        import mpmath
+
+        def refuse(*args):
+            raise AssertionError(f"_mp_series reached at {args}")
+
+        monkeypatch.setattr(mittag_leffler, "_mp_series", refuse)
+        mu = math.nextafter(eta, 0.0)
+        first = float(mpmath.rgamma(mpmath.mpf(mu) - mpmath.mpf(eta)))
+        z = -np.logspace(2.0, 4.0, 41)
+        ref = ml_neg(eta, eta, z) - first / z
+        assert np.all(np.abs(ml_neg(eta, mu, z) / ref - 1.0) <= 1e-12)
+
+    def test_weights_next_to_poles(self):
+        # weights whose argument mu - eta*k lies a few ulps from a pole,
+        # against 50-digit 1/Gamma of the exact argument; 0 only on a pole
+        import mpmath
+
+        rng = np.random.default_rng(26)
+        cases = [(1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53, k) for k in range(1, 171)]
+        for _ in range(60):
+            eta = float(rng.uniform(0.1, 1.0))
+            j = int(rng.integers(1, 9))
+            mu = eta * j - int(rng.integers(0, math.ceil(eta * j)))
+            cases += [(eta, mu, k) for k in range(1, 41)]
+        for mu in (1.0, 2.0):
+            for side in (0.0, 3.0):
+                cases += [(1.0, math.nextafter(mu, side), k) for k in range(1, 171)]
+        with mpmath.workdps(50):
+            for eta, mu, k in cases:
+                ref = mpmath.rgamma(mpmath.mpf(mu) - k * mpmath.mpf(eta))
+                got = mittag_leffler._asymp_weight(eta, mu, k)
+                if ref == 0:
+                    assert got == 0.0, (eta, mu, k)
+                else:
+                    assert abs(got / ref - 1) <= 1e-13, (eta, mu, k, got, float(ref))
+
+    def test_expansion_accepts_no_wrong_point(self):
+        # 400 seeded (eta, mu) lines on z in [-60, -4], half of them with
+        # mu = eta*j - i, a few ulps from a pole at k = j: every point the
+        # expansion certifies matches the contour wherever the contour's own
+        # estimate is at rounding level
+        rng = np.random.default_rng(21)
+        lines = []
+        while len(lines) < 400:
+            eta = float(rng.uniform(0.1, 1.0))
+            if len(lines) % 2:
+                mu = eta * int(rng.integers(1, 31)) - int(rng.integers(0, 4))
+            else:
+                mu = float(rng.uniform(0.1, 3.0))
+            if 0.1 <= mu <= 3.0:
+                lines.append((eta, mu))
+        z = np.linspace(-60.0, -4.0, 400)
+        for rtol in (1e-10, 1e-12):
+            accepted = 0
+            for eta, mu in lines:
+                value, est = mittag_leffler._asymp_f64(eta, mu, z)
+                ref, ref_est = mittag_leffler._contour_f64(eta, mu, z)
+                ok = (est <= rtol) & (ref_est <= 1e-13)
+                accepted += int(ok.sum())
+                err = np.abs(value[ok] / ref[ok] - 1.0)
+                assert np.all(err <= rtol + 2e-13), (rtol, eta, mu, z[ok][err > rtol + 2e-13])
+            assert accepted > 100_000
 
     def test_expansion_tried_where_it_certifies(self, monkeypatch):
         # over the lines the ode-sweep benchmark's three solves sample when
@@ -307,7 +386,7 @@ def asymp_masked_reference(eta, mu, z):
     power = np.ones_like(z)
     total = np.zeros_like(z)
     best = np.full(z.shape, np.inf)
-    prev = np.zeros_like(z)
+    prev = np.full(z.shape, np.inf)
     frozen = np.zeros(z.shape, dtype=bool)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for k in range(int(nz_idx[-1]) + 1 if nz_idx.size else 0):
