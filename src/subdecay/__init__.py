@@ -14,14 +14,12 @@ from .spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
                        mode_convolution, q_integral, r_series_identity)
 
 # subdiff_fd loads scipy's BLAS and LAPACK, which only the PDE solver needs:
-# its names are looked up on first use (PEP 562)
-_SUBDIFF_FD = {"Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights",
-               "assemble_block_matrix", "banded_solve", "gershgorin_disks",
-               "levels", "simulate"}
+# its names are looked up on first use (PEP 562); every other export is
+# bound above, so an unbound name in __all__ is one of subdiff_fd's
 
 
 def __getattr__(name):
-    if name in _SUBDIFF_FD:
+    if name in __all__:
         from . import subdiff_fd
         return getattr(subdiff_fd, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

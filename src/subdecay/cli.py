@@ -127,28 +127,12 @@ class RunConfig:
         elif (K, self.ic_case) not in _IC_PROFILES:
             problems.append(f"ic_case {self.ic_case!r} undefined for K={K}; valid: "
                             f"{sorted(c for (k, c) in _IC_PROFILES if k == K)}")
-        for a in self.orders:
-            if not 0.0 < a <= 1.0:
-                problems.append(f"order {a} outside (0, 1]")
-        if list(self.orders) != sorted(self.orders, reverse=True):
-            problems.append("orders must be non-increasing")
-        if len(self.diffusivities) != K:
-            problems.append("diffusivities length disagrees with orders")
-        if K in (2, 3) and (len(self.couplings) != K
-                            or any(len(r) != K for r in self.couplings)):
-            problems.append("couplings must be a K x K matrix")
-        for name, vals in (("T", [self.T]), ("L", [self.L]), ("ic_scale", [self.ic_scale]),
-                           ("diffusivities", self.diffusivities),
-                           ("couplings", [c for row in self.couplings for c in row]),
-                           ("window", self.window or [])):
-            if not all(map(math.isfinite, vals)):
-                problems.append(f"{name} must be finite")
-        if self.ic_scale < 0.0:
-            problems.append("ic_scale must be nonnegative")
-        if not (self.L > 0 and self.T > 0):
-            problems.append("L and T must be positive")
-        if self.n_time < 2 or self.n_space < 2:
-            problems.append("n_time and n_space must be >= 2")
+        else:
+            problems += _domain_problems(self.system_spec)
+        if not 0.0 <= self.ic_scale < math.inf:
+            problems.append(f"ic_scale must be finite and nonnegative, got {self.ic_scale}")
+        if grid_problems := _domain_problems(self.grid):
+            problems += grid_problems
         # per step: 2K L1 weights, 6 temporaries, 2 time grids; per node and order:
         # 2 floats a mode, <= 8 + 4 (ln 2N + 5) modes, and 8K of bands and levels
         elif (run_gb := 8e-9 * ((2 * K + 8) * (self.n_time + 1) + K * (self.n_space - 1) * (
@@ -157,7 +141,7 @@ class RunConfig:
                             f"than the {_MEMORY_GB:.3g} GB of physical memory")
         if self.window is not None and not (
                 len(self.window) == 2 and 1.0 <= self.window[0] < self.window[1] <= self.T):
-            problems.append("window must satisfy 1 <= lo < hi <= T")
+            problems.append("window must be finite and satisfy 1 <= lo < hi <= T")
         if self.stride < 1:
             problems.append("stride must be >= 1")
         elif self.stride > self.n_time:
@@ -167,6 +151,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         problems = []
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
@@ -205,6 +191,15 @@ class RunConfig:
     def grid(self) -> subdiff_fd.Grid:
         from . import subdiff_fd
         return subdiff_fd.Grid(L=self.L, I=self.n_space, T=self.T, N=self.n_time)
+
+
+def _domain_problems(build) -> list:
+    """The message of the DomainError that build() raises, as a problem list."""
+    try:
+        build()
+    except DomainError as exc:
+        return [str(exc)]
+    return []
 
 
 def _default_couplings(K: int):
@@ -277,19 +272,20 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
                 f"{norms[0].sum():.3g} at t = 0, coupling margin {margin:g}): the "
                 f"{config.scheme} scheme is unstable at dt = {grid.dt:g}")
 
-    if csv_sink is None and config.output is not None:
-        with open(config.output, "w") as fh:
-            _write_series_csv(fh, times, norms)
-    elif csv_sink is not None:
-        _write_series_csv(csv_sink, times, norms)
+    if csv_sink is not None or config.output is not None:
+        header = ",".join(["t"] + [f"norm_{k + 1}" for k in range(spec.K)]
+                          + [f"pointwise_exp_{k + 1}" for k in range(spec.K)])
+        _write_csv(header, np.column_stack([times, norms, _pointwise_columns(times, norms)]),
+                   config.output if csv_sink is None else csv_sink)
 
     if float(np.max(norms)) == 0.0:
         raise NumericalError(
             "zero norm series: all components vanish identically, "
             "no decay exponent to fit")
     window = config.window or (config.T / 5.0, config.T)
-    fits = [_fit_window(times, norms[:, k], window) for k in range(spec.K)]
-    total_fit = _fit_window(times, norms.sum(axis=1), window)
+    fits = [decay_mod.fit_exponent(decay_mod.NormSeries(times, norms[:, k]), window)
+            for k in range(spec.K)]
+    total_fit = decay_mod.fit_exponent(decay_mod.NormSeries(times, norms.sum(axis=1)), window)
 
     kappa0 = min(config.diffusivities)
     c_sup = _offdiag_sup(config)
@@ -320,29 +316,19 @@ def _offdiag_sup(config: RunConfig) -> float:
     return max(vals) if vals else 0.0
 
 
-def _fit_window(times, values, window):
-    sel = decay_mod.log_uniform_indices(times, max(window[0], times[1]), window[1], 60)
-    series = decay_mod.NormSeries(times[sel], values[sel])
-    return decay_mod.fit_exponent(series, window)
-
-
 def _pointwise(times, values):
     """decay.pointwise_exponent where it is defined: t > 1 and value > 0."""
     mask = (times > 1.0) & (values > 0.0)
     return mask, decay_mod.pointwise_exponent(decay_mod.NormSeries(times[mask], values[mask]))
 
 
-def _write_series_csv(fh, times, norms):
-    K = norms.shape[1]
+def _pointwise_columns(times, norms):
+    """_pointwise of each norm column, NaN where it is undefined."""
     pointwise = np.full(norms.shape, np.nan)
-    for k in range(K):
+    for k in range(norms.shape[1]):
         mask, ratio = _pointwise(times, norms[:, k])
         pointwise[mask, k] = ratio.values
-    header = ["t"] + [f"norm_{k + 1}" for k in range(K)] \
-        + [f"pointwise_exp_{k + 1}" for k in range(K)]
-    fh.write(",".join(header) + "\n")
-    for t, row in zip(times, np.hstack([norms, pointwise])):
-        fh.write(",".join(_FMT.format(x) for x in (t, *row)) + "\n")
+    return pointwise
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +403,16 @@ def report_tables() -> str:
 # command line
 
 
-def _write_csv(header: str, rows, output: str | None) -> None:
-    """The header and one line of _FMT floats per row, to the file output
-    or, without one, to stdout."""
+def _write_csv(header: str, rows, output) -> None:
+    """The header and one line of _FMT floats per row, to output: a file
+    name, a text stream or, without one, stdout."""
     text = "\n".join([header] + [",".join(map(_FMT.format, row)) for row in rows]) + "\n"
-    if output:
+    output = output or sys.stdout
+    if isinstance(output, str):
         with open(output, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        output.write(text)
 
 
 def _cmd_mlf(args) -> int:
@@ -464,8 +451,11 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_pde(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     config = RunConfig.from_dict(raw)
     report = run(config)
     sys.stdout.write(report.to_text())
@@ -489,18 +479,20 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    data = np.genfromtxt(args.csv, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None or "t" not in names:
-        raise ConfigError("CSV must have a header row with a 't' column")
+    try:
+        data = np.atleast_1d(np.genfromtxt(args.csv, delimiter=",", names=True))
+    except (OSError, ValueError) as exc:  # ValueError: ragged rows, or not text
+        raise ConfigError(f"cannot read CSV {args.csv}: {exc}") from None
+    names = data.dtype.names or ()
+    columns = [c for c in names if c != "t" and not c.startswith("pointwise")]
+    if "t" not in names or not columns or data.size == 0:
+        raise ConfigError("CSV must have a header row with a 't' column and a norm "
+                          "column, and a data row")
     times = np.asarray(data["t"], dtype=float)
-    for col in names:
-        if col == "t" or col.startswith("pointwise"):
-            continue
+    window = tuple(args.window) if args.window else (times[-1] / 5.0, times[-1])
+    for col in columns:
         vals = np.asarray(data[col], dtype=float)
-        series = decay_mod.NormSeries(times, vals)
-        window = tuple(args.window) if args.window else (times[-1] / 5.0, times[-1])
-        fit = decay_mod.fit_exponent(series, window)
+        fit = decay_mod.fit_exponent(decay_mod.NormSeries(times, vals), window)
         trend = "growing, slope" if fit.growing else "exponent"
         print(f"{col}: {trend} {fit.exponent:+.6f} intercept {fit.intercept:+.6f} "
               f"rms {fit.rms_residual:.3e} on window [{window[0]:g}, {window[1]:g}]")

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import DomainError
 
+# most samples a fit uses: log-uniform picks from its window
+_FIT_SAMPLES = 60
+
 
 @dataclass(frozen=True)
 class NormSeries:
@@ -67,8 +70,12 @@ def pointwise_exponent(series: NormSeries) -> NormSeries:
 def fit_exponent(series: NormSeries, window: tuple[float, float]) -> DecayFit:
     """Least-squares line through (log t, log value) restricted to window.
 
-    The slope is the decay exponent; the rms residual diagnoses whether a
-    single power law is the right model at all.
+    Every sample inside the window is checked: at least 10 of them, each
+    finite and positive.  The line is fitted to at most _FIT_SAMPLES of
+    them, picked by log_uniform_indices, so a dense uniform grid does not
+    weight the window's late decades more than its early ones.  The slope
+    is the decay exponent; the rms residual diagnoses whether a single
+    power law is the right model at all.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (lo >= 1.0 and hi > lo):
@@ -81,13 +88,14 @@ def fit_exponent(series: NormSeries, window: tuple[float, float]) -> DecayFit:
     v = series.values[mask]
     if not np.all(np.isfinite(v) & (v > 0.0)):
         raise DomainError("non-finite, zero or negative values inside the fit window")
-    x = np.log(t)
-    y = np.log(v)
+    sel = log_uniform_indices(t, lo, hi, _FIT_SAMPLES)
+    x = np.log(t[sel])
+    y = np.log(v[sel])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
     return DecayFit(window=(lo, hi), exponent=float(slope),
-                    intercept=float(intercept), rms_residual=rms, n_samples=n)
+                    intercept=float(intercept), rms_residual=rms, n_samples=sel.size)
 
 
 def l2_norm(profile, dx: float):
@@ -108,7 +116,9 @@ def l2_norm(profile, dx: float):
 
 def log_uniform_indices(times: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
     """Indices of samples nearest to n log-uniform targets in [lo, hi],
-    deduplicated and sorted. Used to thin dense uniform grids before fitting."""
+    deduplicated and sorted: at most n of them, and every sample where the
+    samples are sparser than the targets.  fit_exponent thins its window
+    with it."""
     targets = np.exp(np.linspace(np.log(lo), np.log(hi), n))
     idx = np.searchsorted(times, targets)
     idx = np.clip(idx, 0, times.size - 1)

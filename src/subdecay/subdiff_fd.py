@@ -70,10 +70,15 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not (0.0 < self.L < math.inf and 0.0 < self.T < math.inf):
-            raise DomainError(f"L and T must be positive and finite, got L={self.L}, T={self.T}")
+        """DomainError listing every problem, each named by its config key."""
+        problems = [f"{name} must be finite and positive, got {value}"
+                    for name, value in (("L", self.L), ("T", self.T))
+                    if not 0.0 < value < math.inf]
         if self.I < 2 or self.N < 2:
-            raise DomainError("need I >= 2 space cells and N >= 2 time steps")
+            problems.append(f"need n_space >= 2 cells and n_time >= 2 steps, "
+                            f"got I = {self.I} and N = {self.N}")
+        if problems:
+            raise DomainError("; ".join(problems))
 
     @property
     def dx(self) -> float:
@@ -141,37 +146,35 @@ class SystemSpec:
     sources: Sequence[SourceEntry] | None = None
 
     def __post_init__(self):
+        """Lists as tuples of floats, then DomainError listing every problem,
+        each named by its config key."""
         K = len(self.orders)
         object.__setattr__(self, "orders", tuple(float(a) for a in self.orders))
         object.__setattr__(self, "diffusivities",
                            tuple(float(d) for d in self.diffusivities))
-        problems = []
+        problems = [f"orders must lie in (0, 1], got {a}"
+                    for a in self.orders if not 0.0 < a <= 1.0]
         if K < 1:
             problems.append("need at least one component")
-        if len(self.diffusivities) != K or len(self.couplings) != K \
-                or len(self.initials) != K:
-            problems.append("orders/diffusivities/couplings/initials lengths disagree")
-        for a in self.orders:
-            if not 0.0 < a <= 1.0:
-                problems.append(f"order {a} outside (0, 1]")
-        if any(x > y + 1e-15 for x, y in zip(self.orders[1:], self.orders[:-1])):
+        if any(x > y for x, y in zip(self.orders[1:], self.orders)):
             problems.append("orders must be non-increasing")
-        for d in self.diffusivities:
-            if not 0.0 < d < math.inf:
-                problems.append(f"diffusivity {d} must be positive and finite")
-        if not problems:
-            for k in range(K):
-                if len(self.couplings[k]) != K:
-                    problems.append(f"coupling row {k} has wrong length")
-                    continue
-                for l, c in enumerate(self.couplings[k]):
-                    if not callable(c) and not math.isfinite(float(c)):
-                        problems.append(f"coupling c[{k}][{l}] = {c} must be finite")
-                ckk = self.couplings[k][k]
-                if not callable(ckk) and float(ckk) < 0.0:
-                    problems.append(f"diagonal coupling c[{k}][{k}] = {ckk} < 0")
-                if not callable(self.initials[k]):
-                    problems.append(f"initial profile {k} must be a callable of x")
+        if len(self.diffusivities) != K:
+            problems.append("diffusivities length disagrees with orders")
+        problems += [f"diffusivities must be finite and positive, got {d}"
+                     for d in self.diffusivities if not 0.0 < d < math.inf]
+        if len(self.couplings) != K or any(len(row) != K for row in self.couplings):
+            problems.append("couplings must be a K x K matrix")
+        else:
+            for k, row in enumerate(self.couplings):
+                for l, c in enumerate(row):
+                    if callable(c):  # checked at each step by coupling_at
+                        continue
+                    if not math.isfinite(float(c)):
+                        problems.append(f"couplings must be finite, got c[{k}][{l}] = {c}")
+                    elif k == l and float(c) < 0.0:
+                        problems.append(f"couplings need c[{k}][{k}] >= 0, got {c}")
+        if len(self.initials) != K or not all(map(callable, self.initials)):
+            problems.append("initials must be K callables of x")
         if self.sources is not None and len(self.sources) != K:
             problems.append("sources length disagrees with component count")
         if problems:

@@ -72,6 +72,24 @@ class TestRunConfig:
                                  "stride": 0, "T": -1.0})
         msg = str(err.value)
         assert "non-increasing" in msg and "stride" in msg and "positive" in msg
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**SMALL, "diffusivities": [-1.0, 1.0], "stride": 0})
+        assert err.value.problems == [
+            "diffusivities must be finite and positive, got -1.0", "stride must be >= 1"]
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("diffusivities", [0, 1], "diffusivities must be finite and positive, got 0.0"),
+        ("couplings", [[-1, 0], [0, 1]], "couplings need c[0][0] >= 0, got -1.0")])
+    def test_system_rules_checked_before_the_run(self, field, value, problem):
+        # SystemSpec's rules bind the config: no run starts to find them
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**SMALL, field: value})
+        assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize("raw", [5, None, [1, 2], "cfg"], ids=repr)
+    def test_non_object_rejected(self, raw):
+        with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+            RunConfig.from_dict(raw)
 
     @pytest.mark.parametrize("orders", [[], [0.9, 0.8, 0.7, 0.6], [0.9]])
     def test_unsupported_count_is_the_only_fault(self, orders):
@@ -346,6 +364,34 @@ class TestCommandLine:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL, "extra": True}))
         assert main(["pde", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("command, text", [
+        ("pde", None), ("pde", "{bad"), ("pde", "5"), ("pde", "null"), ("pde", "[1, 2]"),
+        ("decay", None), ("decay", "t,value\n1,2\n3\n"), ("decay", "t,value\n"),
+        ("decay", "t,value\n2,1\n"), ("decay", "t\n1\n2\n")],
+        ids=["pde-missing", "pde-not-json", "pde-int", "pde-null", "pde-list",
+             "decay-missing", "decay-ragged", "decay-no-rows", "decay-one-row",
+             "decay-no-norm-column"])
+    def test_unreadable_input_exit_one(self, command, text, tmp_path, capsys):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "--config", str(path)] if command == "pde"
+                    else [command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_decay_of_a_pde_csv_repeats_the_report(self, tmp_path, capsys):
+        # 801 samples in the window: both commands fit the same 60 of them
+        csv, cfg = tmp_path / "run.csv", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "n_time": 1000, "n_space": 16, "stride": 1,
+                                   "output": str(csv)}))
+        assert main(["pde", "--config", str(cfg)]) == 0
+        reported = re.findall(r"component \d: exponent (\S+)", capsys.readouterr().out)
+        assert main(["decay", str(csv), "--window", "10", "50"]) == 0
+        fitted = re.findall(r"norm_\d: exponent (\S+)", capsys.readouterr().out)
+        assert len(reported) == 2 and fitted == [f"{float(e):+.6f}" for e in reported]
 
     def test_pde_stride_beyond_n_time_exit_one(self, tmp_path, capsys):
         # a stride past n_time keeps only t = 0, and leaves nothing to fit

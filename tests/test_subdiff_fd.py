@@ -184,8 +184,16 @@ class TestGrid:
     @pytest.mark.parametrize("name", ["L", "T"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_extent_rejected(self, name, bad):
-        with pytest.raises(DomainError, match="positive and finite"):
+        with pytest.raises(DomainError, match=f"^{name} must be finite and positive, got {bad}$"):
             Grid(**{"L": math.pi, "I": 4, "T": 1.0, "N": 4, name: bad})
+
+    def test_every_problem_listed(self):
+        with pytest.raises(DomainError) as err:
+            Grid(L=-1.0, I=1, T=math.inf, N=4)
+        assert str(err.value) == ("L must be finite and positive, got -1.0; "
+                                  "T must be finite and positive, got inf; "
+                                  "need n_space >= 2 cells and n_time >= 2 steps, "
+                                  "got I = 1 and N = 4")
 
 
 class TestAssembly:
@@ -556,6 +564,11 @@ class TestStepping:
                        initials=[np.zeros(9)])
         with pytest.raises(DomainError):
             Grid(L=math.pi, I=1, T=1.0, N=4)
+
+    def test_orders_rising_by_one_ulp_refused(self):
+        with pytest.raises(DomainError, match="^orders must be non-increasing$"):
+            SystemSpec(orders=(0.5, 0.5000000000000001), diffusivities=(1.0, 1.0),
+                       couplings=[[1.0, 0.0], [0.0, 1.0]], initials=[np.sin, HAT])
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
     def test_diagonal_coupling_sign_checked_where_sampled(self, scheme):
