@@ -6,9 +6,8 @@ estimation."""
 
 from .decay import (DecayFit, NormSeries, fit_exponent, l2_norm,
                     pointwise_exponent)
-from .frac_ode import (LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert,
-                       check_decay_assumption, im_parts, picard_monotonicity,
-                       picard_solve, poincare_constant, q_of_r)
+from .frac_ode import (LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert, im_parts,
+                       picard_monotonicity, picard_solve, q_of_r)
 from .mittag_leffler import ml_eval
 from .spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
                        mode_convolution, q_integral, r_series_identity)
@@ -29,7 +28,6 @@ __all__ = [
     "ml_eval",
     "OdeSpec", "OdePath", "LaplaceSymbol", "picard_solve",
     "picard_monotonicity", "q_of_r", "im_parts", "branch_cut_invert",
-    "check_decay_assumption", "poincare_constant",
     "Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights",
     "assemble_block_matrix", "banded_solve", "gershgorin_disks",
     "levels", "simulate",

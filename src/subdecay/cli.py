@@ -17,14 +17,13 @@ for a fixed config on one platform.
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -110,6 +109,7 @@ class RunConfig:
 
     def __post_init__(self):
         """K-dependent defaults, lists as tuples of floats, then every rule checked."""
+        from . import subdiff_fd
         K = len(self.orders)
         if self.diffusivities is None:
             object.__setattr__(self, "diffusivities", [1.0] * K)
@@ -120,7 +120,7 @@ class RunConfig:
             if value is not None:
                 object.__setattr__(self, f.name, _field_type(f)[1](value))
         problems = []
-        if self.scheme not in ("semi-implicit", "fully-implicit"):
+        if self.scheme not in subdiff_fd.SCHEMES:
             problems.append(f"unknown scheme {self.scheme!r}")
         if K not in (2, 3):
             problems.append(f"component count {K} not supported (2 or 3)")
@@ -146,6 +146,10 @@ class RunConfig:
             problems.append("stride must be >= 1")
         elif self.stride > self.n_time:
             problems.append("stride must be at most n_time")
+        problems += _output_problems(self.output)
+        if not problems:  # every other rule holds, so the grid fits: count the levels to fit
+            problems += _domain_problems(lambda: decay_mod.window_mask(
+                self.grid().times[::self.stride], self.fit_window()))
         if problems:
             raise ConfigError(problems)
 
@@ -192,6 +196,10 @@ class RunConfig:
         from . import subdiff_fd
         return subdiff_fd.Grid(L=self.L, I=self.n_space, T=self.T, N=self.n_time)
 
+    def fit_window(self) -> tuple:
+        """The window the run's decay fits use: window, or (T/5, T)."""
+        return self.window or (self.T / 5.0, self.T)
+
 
 def _domain_problems(build) -> list:
     """The message of the DomainError that build() raises, as a problem list."""
@@ -202,6 +210,12 @@ def _domain_problems(build) -> list:
     return []
 
 
+def _output_problems(output) -> list:
+    """The problem list of an output file name whose directory does not exist."""
+    folder = os.path.dirname(output or "") or "."
+    return [] if os.path.isdir(folder) else [f"output directory {folder} does not exist"]
+
+
 def _default_couplings(K: int):
     if K == 2:
         return [[1.0, -1.0], [-1.0, 1.0]]
@@ -210,39 +224,39 @@ def _default_couplings(K: int):
 
 @dataclass
 class RunReport:
-    """Everything a run produced besides the CSV: fits, flags, provenance."""
+    """Everything a run produced besides the CSV: the fits, the coupling
+    margin (subdiff_fd.stability_margin: stable iff >= 0, marginal at 0),
+    the decay assumption's verdict and the wall time."""
 
     config: RunConfig
     component_fits: list
-    total_fit: decay_mod.DecayFit | None
-    stability_ok: bool
-    stability_marginal: bool
+    total_fit: decay_mod.DecayFit
+    stability_margin: float
     assumption_ok: bool
     wall_time_s: float
-    notes: list = field(default_factory=list)
 
     def to_text(self) -> str:
         def slope(fit):  # a positive slope is growth, never a decay exponent
             return (f"growing, slope {fit.exponent:+.17g}" if fit.growing
                     else f"exponent {_FMT.format(fit.exponent)}")
 
-        buf = io.StringIO()
-        print("run config:", json.dumps(self.config.to_dict(), sort_keys=True), file=buf)
-        for k, fit in enumerate(self.component_fits):
-            print(f"component {k + 1}: {slope(fit)} "
-                  f"(rms residual {fit.rms_residual:.3e}, window {fit.window})", file=buf)
-        if self.total_fit is not None:
-            print(f"summed norms: {slope(self.total_fit)} "
-                  f"(rms residual {self.total_fit.rms_residual:.3e})", file=buf)
-        print(f"stability condition: {'satisfied' if self.stability_ok else 'violated'}"
-              + (" (marginal: disks touch the unit circle)" if self.stability_marginal else ""),
-              file=buf)
-        print(f"decay assumption (spectral gap vs couplings): "
-              f"{'satisfied' if self.assumption_ok else 'not satisfied'}", file=buf)
-        for note in self.notes:
-            print("note:", note, file=buf)
-        print(f"wall time: {self.wall_time_s:.2f} s", file=buf)
-        return buf.getvalue()
+        stable = "satisfied" if self.stability_margin >= 0.0 else "violated"
+        if self.stability_margin == 0.0:
+            stable += " (marginal: disks touch the unit circle)"
+        lines = ["run config: " + json.dumps(self.config.to_dict(), sort_keys=True)]
+        lines += [f"component {k + 1}: {slope(fit)} "
+                  f"(rms residual {fit.rms_residual:.3e}, window {fit.window})"
+                  for k, fit in enumerate(self.component_fits)]
+        lines += [f"summed norms: {slope(self.total_fit)} "
+                  f"(rms residual {self.total_fit.rms_residual:.3e})",
+                  f"stability condition: {stable}",
+                  "decay assumption (spectral gap vs couplings): "
+                  + ("satisfied" if self.assumption_ok else "not satisfied")]
+        if not self.assumption_ok:
+            lines.append("note: experiment exceeds the sufficient decay assumption (as the "
+                         "reference experiments do); rates are observed, not guaranteed")
+        lines.append(f"wall time: {self.wall_time_s:.2f} s")
+        return "\n".join(lines) + "\n"
 
 
 def run(config: RunConfig, csv_sink=None) -> RunReport:
@@ -282,38 +296,24 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
         raise NumericalError(
             "zero norm series: all components vanish identically, "
             "no decay exponent to fit")
-    window = config.window or (config.T / 5.0, config.T)
+    window = config.fit_window()
     fits = [decay_mod.fit_exponent(decay_mod.NormSeries(times, norms[:, k]), window)
             for k in range(spec.K)]
     total_fit = decay_mod.fit_exponent(decay_mod.NormSeries(times, norms.sum(axis=1)), window)
 
-    kappa0 = min(config.diffusivities)
-    c_sup = _offdiag_sup(config)
-    assumption_ok = False
-    if c_sup > 0.0:
-        assumption_ok = frac_ode.check_decay_assumption(
-            kappa0, frac_ode.poincare_constant(config.L), c_sup, c_sup)
-    notes = []
-    if not assumption_ok:
-        notes.append("experiment exceeds the sufficient decay assumption "
-                     "(as the reference experiments do); rates are observed, "
-                     "not guaranteed")
+    # the energy method's sufficient decay condition: the spectral gap
+    # kappa0 / C^2, with Poincare constant C = L / pi on (0, L), strictly
+    # above every off-diagonal coupling, and some coupling at all
+    c_sup = max(abs(c) for k, row in enumerate(config.couplings)
+                for l, c in enumerate(row) if k != l)
     return RunReport(
         config=config,
         component_fits=fits,
         total_fit=total_fit,
-        stability_ok=margin >= 0.0,
-        stability_marginal=margin == 0.0,
-        assumption_ok=assumption_ok,
+        stability_margin=margin,
+        assumption_ok=0.0 < c_sup < min(config.diffusivities) / (config.L / math.pi) ** 2,
         wall_time_s=time.perf_counter() - t_start,
-        notes=notes,
     )
-
-
-def _offdiag_sup(config: RunConfig) -> float:
-    K = len(config.orders)
-    vals = [abs(config.couplings[k][l]) for k in range(K) for l in range(K) if k != l]
-    return max(vals) if vals else 0.0
 
 
 def _pointwise(times, values):
@@ -371,32 +371,27 @@ def table_configs(case: str):
             for rows in TABLE_ORDER_ROWS]
 
 
-def report_tables() -> str:
+def report_tables() -> bool:
     """Run the twelve table configurations and print fitted vs target rates,
-    each line to stdout, flushed, as it is made; return the text.  Each row
-    reports the fitted exponent of the summed component norms over the
-    default window, annotated pass/fail against the conjectured power within
-    _TABLE_TOLERANCE."""
-    out = io.StringIO()
-
-    def emit(line):
-        print(line, file=out)
-        print(line, flush=True)
-
+    each line to stdout, flushed, as it is made; return whether every row
+    passed.  Each row reports the fitted exponent of the summed component
+    norms over the default window, annotated pass/fail against the
+    conjectured power within _TABLE_TOLERANCE."""
+    all_pass = True
     ic_nonzero = {"ii": (True, True, False), "iii": (True, False, False)}
     for case, title in (("ii", "third component starts at zero"),
                         ("iii", "second and third components start at zero")):
-        emit(f"table ({title}):")
-        emit("  alpha  beta  gamma   target   fitted      status")
+        print(f"table ({title}):", flush=True)
+        print("  alpha  beta  gamma   target   fitted      status", flush=True)
         for cfg in table_configs(case):
             target = conjectured_rate(cfg.orders, ic_nonzero[case])
-            rep = run(cfg)
-            fitted = rep.total_fit.exponent
-            status = "pass" if abs(fitted - target) <= _TABLE_TOLERANCE else "FAIL"
+            fitted = run(cfg).total_fit.exponent
+            passed = abs(fitted - target) <= _TABLE_TOLERANCE
+            all_pass &= passed
             a, b, g = cfg.orders
-            emit(f"  {a:5.2f} {b:5.2f} {g:6.2f}   t^{target:+.2f}  "
-                 f"{fitted:+.4f}     {status}")
-    return out.getvalue()
+            print(f"  {a:5.2f} {b:5.2f} {g:6.2f}   t^{target:+.2f}  "
+                  f"{fitted:+.4f}     {'pass' if passed else 'FAIL'}", flush=True)
+    return all_pass
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +404,11 @@ def _write_csv(header: str, rows, output) -> None:
     text = "\n".join([header] + [",".join(map(_FMT.format, row)) for row in rows]) + "\n"
     output = output or sys.stdout
     if isinstance(output, str):
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {output}: {exc}") from None
     else:
         output.write(text)
 
@@ -506,7 +504,7 @@ def _cmd_decay(args) -> int:
 def _cmd_report(args) -> int:
     if not args.tables:
         raise ConfigError("nothing to report: pass --tables")
-    return 1 if "FAIL" in report_tables() else 0
+    return 0 if report_tables() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,6 +557,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # `ode` and `oracle` name an output file: refuse a missing directory before the work
+        if problems := _output_problems(getattr(args, "output", None)):
+            raise ConfigError(problems)
         return args.func(args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,20 +70,15 @@ def pointwise_exponent(series: NormSeries) -> NormSeries:
 def fit_exponent(series: NormSeries, window: tuple[float, float]) -> DecayFit:
     """Least-squares line through (log t, log value) restricted to window.
 
-    Every sample inside the window is checked: at least 10 of them, each
-    finite and positive.  The line is fitted to at most _FIT_SAMPLES of
-    them, picked by log_uniform_indices, so a dense uniform grid does not
-    weight the window's late decades more than its early ones.  The slope
-    is the decay exponent; the rms residual diagnoses whether a single
-    power law is the right model at all.
+    Every sample inside the window (window_mask) is checked: each finite
+    and positive.  The line is fitted to at most _FIT_SAMPLES of them,
+    picked by log_uniform_indices, so a dense uniform grid does not weight
+    the window's late decades more than its early ones.  The slope is the
+    decay exponent; the rms residual diagnoses whether a single power law
+    is the right model at all.
     """
+    mask = window_mask(series.times, window)
     lo, hi = float(window[0]), float(window[1])
-    if not (lo >= 1.0 and hi > lo):
-        raise DomainError(f"window must satisfy 1 <= lo < hi, got {window}")
-    mask = (series.times >= lo) & (series.times <= hi)
-    n = int(np.count_nonzero(mask))
-    if n < 10:
-        raise DomainError(f"only {n} samples inside window {window}; need >= 10")
     t = series.times[mask]
     v = series.values[mask]
     if not np.all(np.isfinite(v) & (v > 0.0)):
@@ -96,6 +91,19 @@ def fit_exponent(series: NormSeries, window: tuple[float, float]) -> DecayFit:
     rms = float(np.sqrt(np.mean(resid**2)))
     return DecayFit(window=(lo, hi), exponent=float(slope),
                     intercept=float(intercept), rms_residual=rms, n_samples=sel.size)
+
+
+def window_mask(times: np.ndarray, window) -> np.ndarray:
+    """The samples of times inside window, lo <= t <= hi, as a mask: a fit
+    needs 1 <= lo < hi and at least 10 samples there, or DomainError."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (lo >= 1.0 and hi > lo):
+        raise DomainError(f"window must satisfy 1 <= lo < hi, got {window}")
+    mask = (times >= lo) & (times <= hi)
+    n = int(np.count_nonzero(mask))
+    if n < 10:
+        raise DomainError(f"only {n} samples inside window {window}; need >= 10")
+    return mask
 
 
 def l2_norm(profile, dx: float):

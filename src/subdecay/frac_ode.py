@@ -447,23 +447,6 @@ def picard_monotonicity(iterates) -> bool:
     return True
 
 
-def check_decay_assumption(kappa0: float, C_Omega: float,
-                           c12_sup: float, c21_sup: float) -> bool:
-    """Sufficient condition for the sharp decay rates: the spectral-gap
-    quotient kappa0/C_Omega^2 must strictly dominate both coupling sups."""
-    if min(kappa0, C_Omega, c12_sup, c21_sup) <= 0.0:
-        raise DomainError("all inputs must be positive")
-    return kappa0 / C_Omega**2 > max(c12_sup, c21_sup)
-
-
-def poincare_constant(L: float) -> float:
-    """Optimal Poincare constant of the interval (0, L): first Dirichlet
-    eigenvalue (pi/L)^2 gives C = L/pi."""
-    if not L > 0.0:
-        raise DomainError(f"interval length must be positive, got {L}")
-    return L / math.pi
-
-
 # ---------------------------------------------------------------------------
 # Laplace-domain symbols and branch-cut inversion
 

@@ -35,6 +35,7 @@ disks of the matrix itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,6 +55,8 @@ _GAUSS_NODES = 8
 # and the largest exponent lag * s_q a scale factor may reach (2^20)
 _PERIOD = 64
 _SCALE_LOG = 20.0 * math.log(2.0)
+# the time steppers, by the name a run config gives them
+SCHEMES = ("semi-implicit", "fully-implicit")
 
 
 # ---------------------------------------------------------------------------
@@ -529,21 +532,19 @@ class _Stepper:
 
 
 def levels(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit"):
-    """Yield the interior of every time level, shape (K, I-1), n = 0..N:
-    the initial profiles sampled with zero walls (homogeneous Dirichlet),
-    then one stepper's levels.  A consumer may keep a level but must not
-    write to it, as the stepper reads it to make the next."""
-    if scheme not in ("semi-implicit", "fully-implicit"):
+    """An iterator over the interior of every time level, shape (K, I-1),
+    n = 0..N: the initial profiles sampled with zero walls (homogeneous
+    Dirichlet), then one stepper's levels.  The scheme is checked and the
+    stepper built when it is called.  A consumer may keep a level but must
+    not write to it, as the stepper reads it to make the next."""
+    if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
     u = np.zeros((spec.K, grid.I + 1))
     for k, initial in enumerate(spec.initials):
         u[k] = initial(grid.x)
     u = u[:, 1:-1]
     stepper = _Stepper(spec, grid, scheme, u)
-    yield u
-    for n in range(grid.N):
-        u = stepper.step(n, u)
-        yield u
+    return itertools.accumulate(range(grid.N), lambda u, n: stepper.step(n, u), initial=u)
 
 
 def simulate(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit") -> History:

@@ -132,6 +132,33 @@ class TestRunConfig:
                 "16 GB of physical memory"]
         RunConfig.from_dict({**SMALL, "n_time": 10**6, "n_space": 128})  # 0.096 GB
 
+    def test_unknown_scheme_refused(self):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**SMALL, "scheme": "crank-nicolson"})
+        assert err.value.problems == ["unknown scheme 'crank-nicolson'"]
+
+    def test_missing_output_directory_refused(self, tmp_path):
+        out = tmp_path / "missing" / "run.csv"
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**SMALL, "output": str(out)})
+        assert err.value.problems == [f"output directory {out.parent} does not exist"]
+        RunConfig.from_dict({**SMALL, "output": str(tmp_path / "run.csv")})
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("stride", 400, "only 9 samples inside window (200.0, 1000.0); need >= 10"),
+        ("window", [999, 1000], "only 1 samples inside window (999.0, 1000.0); need >= 10")])
+    def test_too_few_kept_levels_to_fit_refused(self, key, value, problem):
+        # 4000 steps of 0.25 would run before the fit found the window short
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({"orders": [0.9, 0.5], "ic_case": "ii", key: value})
+        assert err.value.problems == [problem]
+
+    def test_ten_kept_levels_suffice(self):
+        cfg = RunConfig.from_dict({"orders": [0.9, 0.5], "ic_case": "ii", "stride": 320})
+        times = cfg.grid().times[::320]
+        kept = times[subdecay.decay.window_mask(times, cfg.fit_window())]
+        assert kept.tolist() == [240.0 + 80.0 * j for j in range(10)]
+
     def test_readme_documents_every_field(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text().split("### PDE run configuration", 1)[1]
@@ -156,9 +183,31 @@ class TestRun:
         assert rep1.component_fits[0].exponent == rep2.component_fits[0].exponent
         header = buf1.getvalue().splitlines()[0]
         assert header == "t,norm_1,norm_2,pointwise_exp_1,pointwise_exp_2"
-        assert rep1.stability_ok and rep1.stability_marginal
+        assert rep1.stability_margin == 0.0
         assert not rep1.assumption_ok  # reference setup exceeds the condition
         assert "exponent" in rep1.to_text()
+
+    @pytest.mark.parametrize("couplings, ic_case, margin, assumption_ok, stability", [
+        # kappa0 / C^2 = 1 on (0, pi) against c_sup = 1: not strictly above
+        ([[1, -1], [-1, 1]], "ii", 0.0, False,
+         "satisfied (marginal: disks touch the unit circle)"),
+        ([[1, -0.5], [-0.5, 1]], "ii", 0.5, True, "satisfied"),
+        # no coupling at all; case ii would leave a zero V with nothing to fit
+        ([[1, 0], [0, 1]], "i", 1.0, False, "satisfied"),
+        ([[1, -2], [-2, 1]], "ii", -1.0, False, "violated")],
+        ids=["reference", "small-couplings", "decoupled", "not-row-dominant"])
+    def test_verdicts(self, couplings, ic_case, margin, assumption_ok, stability):
+        rep = run(RunConfig.from_dict({**SMALL, "couplings": couplings, "ic_case": ic_case}))
+        assert rep.stability_margin == margin and rep.assumption_ok is assumption_ok
+        lines = rep.to_text().splitlines()
+        verdicts = ["stability condition: " + stability,
+                    "decay assumption (spectral gap vs couplings): "
+                    + ("satisfied" if assumption_ok else "not satisfied")]
+        if not assumption_ok:
+            verdicts.append("note: experiment exceeds the sufficient decay assumption (as the "
+                            "reference experiments do); rates are observed, not guaranteed")
+        assert lines[-1 - len(verdicts):-1] == verdicts
+        assert lines[-1].startswith("wall time: ")
 
     def test_zero_initial_data_rejected_clearly(self):
         cfg = RunConfig.from_dict({**SMALL, "ic_scale": 0.0})
@@ -482,6 +531,54 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == lines[:3]
         assert "numerical failure: norms diverged" in captured.err
+
+    @pytest.mark.parametrize("rows_missed", [0, 1])
+    def test_report_tables_returns_whether_every_row_passed(self, rows_missed, monkeypatch,
+                                                            capsys):
+        ic_nonzero = {"ii": (True, True, False), "iii": (True, False, False)}
+        calls = []
+
+        def on_target(cfg):  # the last row misses its target by 0.08
+            calls.append(cfg)
+            miss = 0.08 if rows_missed and len(calls) == 12 else 0.0
+            exponent = conjectured_rate(cfg.orders, ic_nonzero[cfg.ic_case]) + miss
+            return types.SimpleNamespace(total_fit=types.SimpleNamespace(exponent=exponent))
+
+        monkeypatch.setattr(cli, "run", on_target)
+        assert cli.report_tables() is (rows_missed == 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 16
+        assert sum(line.endswith("FAIL") for line in lines) == rows_missed
+        assert sum(line.endswith("pass") for line in lines) == 12 - rows_missed
+
+    @pytest.mark.parametrize("argv", [
+        ["pde"],
+        ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1", "--t-max", "5",
+         "--n-steps", "64"],
+        ["oracle", "--beta", "0.5", "--t-max", "100", "--n-modes", "4", "--n-points", "6"]],
+        ids=lambda argv: argv[0])
+    def test_output_in_missing_directory_exit_one(self, argv, tmp_path, capsys):
+        # refused before the work: no map residual, no run
+        out = tmp_path / "missing" / "out.csv"
+        if argv == ["pde"]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**SMALL, "output": str(out)}))
+            argv = ["pde", "--config", str(cfg)]
+        else:
+            argv = argv + ["--output", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output directory {out.parent} does not exist\n"
+        assert captured.out == "" and not out.parent.exists()
+
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        # a directory in the file's place passes the directory check and fails the write
+        argv = ["oracle", "--beta", "0.5", "--t-max", "100", "--n-modes", "4",
+                "--n-points", "6", "--output", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_parser_rejects_missing_subcommand(self):
         with pytest.raises(SystemExit):

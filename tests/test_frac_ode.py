@@ -15,9 +15,8 @@ from subdecay import frac_ode, mittag_leffler
 from subdecay.errors import DomainError, NumericalError, QuadratureError
 from subdecay.frac_ode import (_CELL_W, _CELL_X, LaplaceSymbol, OdeSpec, _cheb_table,
                                _convolve_linear, _end_weights, _fft_size,
-                               _kernel_moments, branch_cut_invert, check_decay_assumption,
-                               im_parts, picard_monotonicity, picard_solve, poincare_constant,
-                               q_of_r)
+                               _kernel_moments, branch_cut_invert, im_parts,
+                               picard_monotonicity, picard_solve, q_of_r)
 
 
 def random_symbol(rng):
@@ -715,20 +714,3 @@ class TestBranchCutInversion:
         U, _ = branch_cut_invert(sym, 10.0)
         assert U > 0.0
 
-
-class TestDecayAssumption:
-    def test_boundary_equality_fails(self):
-        assert not check_decay_assumption(1.0, 1.0, 1.0, 1.0)
-
-    def test_small_couplings_pass(self):
-        assert check_decay_assumption(1.0, 1.0, 0.5, 0.5)
-
-    def test_reference_experiment_exceeds_condition(self):
-        # the standard experiment on (0, pi): kappa0 = 1, C = 1, couplings 1
-        c = poincare_constant(math.pi)
-        assert c == pytest.approx(1.0, rel=1e-15)
-        assert not check_decay_assumption(1.0, c, 1.0, 1.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            check_decay_assumption(0.0, 1.0, 1.0, 1.0)

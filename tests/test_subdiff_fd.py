@@ -12,7 +12,7 @@ from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
 from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _BandedLU,
                                  _Stepper, _soe_modes, assemble_block_matrix, banded_solve,
-                                 gershgorin_disks, l1_weights, simulate,
+                                 gershgorin_disks, l1_weights, levels, simulate,
                                  stability_margin)
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
@@ -325,6 +325,12 @@ class TestStabilityCondition:
 
 
 class TestStepping:
+    def test_unknown_scheme_refused_when_called(self):
+        # the refusal comes before any level is asked for
+        spec = single_component(0.5)
+        with pytest.raises(DomainError, match="^unknown scheme 'bogus'$"):
+            levels(spec, Grid(L=math.pi, I=4, T=1.0, N=4), "bogus")
+
     def test_zero_data_stays_zero(self):
         grid = Grid(L=math.pi, I=16, T=1.0, N=16)
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
