@@ -211,7 +211,10 @@ def _domain_problems(build) -> list:
 
 
 def _output_problems(output) -> list:
-    """The problem list of an output file name whose directory does not exist."""
+    """The problem list of an output file name that names a directory or
+    whose directory does not exist."""
+    if output and os.path.isdir(output):
+        return [f"cannot write {output}: is a directory"]
     folder = os.path.dirname(output or "") or "."
     return [] if os.path.isdir(folder) else [f"output directory {folder} does not exist"]
 

@@ -15,11 +15,15 @@ every step costs the same and ``levels``, which yields each level as it is
 made, holds O(modes) floats per node.  Its modes are a log-s trapezoid rule
 for the fast part and, for the slow modes with s N <= 1/2, the 8-node Gauss
 rule of their own measure: 29-66 modes per order for N from 2 to 16,000.
-Each order's states are carried scaled by e^{lag s_q}, so a step reads them
-out with one matrix-vector product and folds the new level in with one BLAS
-rank-1 update, from tables of exact-rate exponentials; each mode is
-renormalised at least every 64 steps, often enough that no scale factor
-leaves 2^+-20 and data near either end of the float range steps finitely.
+The states are carried scaled by e^{lag s_q}, as columns of one array
+beside u^0 and the current level, so a step reads its whole right-hand side
+out with one matrix product against a table of its phase: the weights b^n,
+b^0 - b^1 and w_q e^{-lag s_q} and, for the semi-implicit scheme with
+constant couplings, the lagged coupling load.  Each order then folds the new
+level in with one BLAS rank-1 update, from tables of exact-rate
+exponentials; each mode is renormalised at least every 64 steps, often
+enough that no scale factor leaves 2^+-20 and data near either end of the
+float range steps finitely.
 Each step makes one banded solve: LAPACK gbtrf factors, and two BLAS band
 sweeps (tbsv) solve, or gbtrs where pivoting interchanged rows.  Its 1e-12
 residual check takes A x from BLAS gbmv and forms its scale only past 1e-12.
@@ -266,8 +270,9 @@ class _BandedLU:
         if info != 0:
             raise SolverError(f"banded solve failed: gbtrf info {info}"
                               + (" (singular matrix)" if info > 0 else ""))
+        # gbtrf's piv[i] >= i, so piv is the identity iff it sums to n(n-1)/2
         self.l_band = (buf[kl + ku:].reshape((rows, n), order="F")
-                      if np.array_equal(self.piv, np.arange(n)) else None)
+                      if self.piv.sum() == n * (n - 1) // 2 else None)
         self.matrix = matrix
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -422,16 +427,27 @@ class _Stepper:
     which advance by z_q <- e^{-s_q} (z_q + u^n), so a step costs O(modes),
     not O(n).
 
-    Each order keeps its states scaled, as the columns of one (I-1, Q)
-    array y with z_q = e^{-lag s_q} y_q, where lag counts the steps since
-    mode q was last renormalised.  A step reads the memory out as
-    y @ (w e^{-lag s}) and folds u^n in by one in-place rank-1 update
-    y += u^n (e^{lag s})^T, from 64 x Q tables built here from the exact
-    rates, and defers the decay.  Every R_q = min(64, 2^floor(log2(L/s_q)))
-    steps (at least 1; 64 for a zero rate), with L = 20 ln 2, mode q is
-    renormalised, y_q <- e^{-R_q s_q} y_q, and its lag restarts at 0.  With
-    the modes sorted by rate, R_q falls as s_q grows, so the modes due at
-    one phase are a suffix.  The bound keeps every table factor within
+    One Fortran-ordered (I-1, 2K + sum_k Q_k) array S holds u^0, u^n and
+    every order's states as its columns, each order's Q_k states one block.
+    The states are scaled: z_q = e^{-lag s_q} y_q, where lag counts the
+    steps since mode q was last renormalised.  A step copies u^n into S and
+    reads its right-hand side out as one matrix product of S with the table
+    of its phase, whose column k holds b^n_k on u^0_k's row (written at each
+    step), d0_k = b^0_k - b^1_k on u^n_k's row and w e^{-lag s} on order k's
+    mode rows.  The semi-implicit scheme with constant couplings lags the
+    coupling load -fac_k sum_l c_kl u^n_l in the same product: the u^n rows
+    hold diag(d0) - diag(fac) C.  Step n = 0 has a table of its own, with
+    neither d0 nor modes.  The fully implicit scheme takes S @ table, (I-1,
+    K), in its node-interleaved order; the semi-implicit takes table^T S^T,
+    (K, I-1), in its component blocks.
+
+    Each order then folds u^n in by one in-place rank-1 update y += u^n
+    (e^{lag s})^T on its block, from 64 x Q tables built here from the
+    exact rates, and defers the decay.  Every R_q = min(64, 2^floor(log2(L
+    / s_q))) steps (at least 1; 64 for a zero rate), with L = 20 ln 2, mode
+    q is renormalised, y_q <- e^{-R_q s_q} y_q, and its lag restarts at 0.
+    With the modes sorted by rate, R_q falls as s_q grows, so the modes due
+    at one phase are a suffix.  The bound keeps every table factor within
     2^+-20, so data near either end of the float range steps finitely:
     with factors up to e^300, states of data of size 1e300 overflow.
     Rounding enters at each renormalisation instead of each step, so the
@@ -441,20 +457,37 @@ class _Stepper:
 
     def __init__(self, spec: SystemSpec, grid: Grid, scheme: str, u0: np.ndarray):
         K, m = spec.K, grid.I - 1
-        self.spec, self.grid, self.scheme = spec, grid, scheme
+        self.spec, self.grid = spec, grid
         self.x = grid.x[1:-1]
         self.times = grid.times
-        self.u0 = np.array(u0, dtype=float)
         self.b = np.array([l1_weights(a, grid.N) for a in spec.orders])
-        self.d0 = -2.0 * np.expm1(-math.log(2.0) * np.array(spec.orders))  # b^0 - b^1
-        # per order with modes: (k, y, readout, grow, renorms); row p of the
-        # tables serves the step at phase p = (n-1) mod 64, and renorms[p] is
-        # the modes renormalised then, as views of y and of its factors
-        self.memories = []
+        r = _r_coeffs(spec, grid)
+        self.fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
+        constant = spec.couplings_constant()
+        self.interleaved = scheme == "fully-implicit"
+        # the lagged load of callable couplings is made at each step
+        self.coupling_load = not (constant or self.interleaved)
+        self.sourced = [k for k in range(K)
+                        if spec.sources is not None and spec.sources[k] is not None]
+        modes = [_soe_modes(a, grid.N) for a in spec.orders]
+        state = np.zeros((m, 2 * K + sum(s.size for s, _ in modes)), order="F")
+        state[:, :K] = np.transpose(u0)
+        self.state, self.level = state, state[:, K:2 * K]
+        # tables[p] serves the step at phase p = (n-1) mod 64, tables[64] step
+        # n = 0; diagonals[p] is its u^0 rows' b^n, and folds[p] the updates
+        # and renormalisations then, as views of the state and of its factors
+        self.tables = tables = np.zeros((_PERIOD + 1, state.shape[1], K))
+        self.diagonals = tables[:, :K].reshape(_PERIOD + 1, K * K)[:, ::K + 1]
+        d0 = -2.0 * np.expm1(-math.log(2.0) * np.array(spec.orders))  # b^0 - b^1
+        load = (-self.fac[:, None] * np.array(spec.couplings, dtype=float)
+                if constant and not self.interleaved else np.zeros((K, K)))
+        tables[:_PERIOD, K:2 * K] = (np.diag(d0) + load).T
+        tables[_PERIOD, K:2 * K] = load.T
+        self.folds = [[] for _ in range(_PERIOD + 1)]
         phase = np.arange(_PERIOD)
         due = (phase + 1) & -(phase + 1)  # largest power of 2 dividing p+1
-        for k, a in enumerate(spec.orders):
-            s, w = _soe_modes(a, grid.N)
+        col = 2 * K
+        for k, (s, w) in enumerate(modes):
             if s.size == 0:
                 continue
             by_rate = np.argsort(s)
@@ -462,19 +495,16 @@ class _Stepper:
             _, e = np.frexp(_SCALE_LOG / np.maximum(s, _SCALE_LOG / _PERIOD))
             period = 2 ** np.maximum(e - 1, 0)
             lag = phase[:, None] % period * s
+            y = state[:, col:col + s.size]
+            tables[:_PERIOD, col:col + s.size, k] = w * np.exp(-lag)
+            grow = np.exp(lag)
             # the factors are laid out as y, so a multiply is one contiguous pass
-            y = np.zeros((m, s.size), order="F")
             renorm = np.asfortranarray(np.broadcast_to(np.exp(-period * s), y.shape))
             start = np.count_nonzero(period > due[:, None], axis=1)
-            self.memories.append((k, y, w * np.exp(-lag), np.exp(lag),
-                                  [(y[:, q:], renorm[:, q:]) for q in start]))
-        r = _r_coeffs(spec, grid)
-        self.fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
-        self.couplings = (np.array(spec.couplings, dtype=float)
-                          if spec.couplings_constant() else None)
-        self.sourced = [k for k in range(K)
-                        if spec.sources is not None and spec.sources[k] is not None]
-        if scheme == "semi-implicit":
+            for p, q in enumerate(start):
+                self.folds[p].append((state[:, K + k], grow[p], y, y[:, q:], renorm[:, q:]))
+            col += s.size
+        if not self.interleaved:
             ab = np.zeros((3, K * m), order="F")
             ab[0] = ab[2] = -np.repeat(r, m)
             ab[1] = 1.0 + 2.0 * np.repeat(r, m)
@@ -482,52 +512,45 @@ class _Stepper:
             ab[2, m - 1::m] = 0.0     # A[j+1, j] at ab[2, j]
             self.lu = _BandedLU(BandedMatrix(lower=1, upper=1, ab=ab))
         else:
-            self.lu = (_BandedLU(assemble_block_matrix(spec, grid, 0))
-                       if self.couplings is not None else None)
+            self.lu = _BandedLU(assemble_block_matrix(spec, grid, 0)) if constant else None
 
     def memory(self, n: int, u: np.ndarray) -> np.ndarray:
-        """The L1 memory of step n -> n+1, shape (K, I-1), given level n.
+        """The L1 memory of step n -> n+1, shape (K, I-1), given level n;
+        for the semi-implicit scheme with constant couplings, the lagged
+        coupling load is in it.  The fully implicit scheme's is a view of
+        the node-interleaved product.
 
         Call once per step with n = 0, 1, 2, ...: it folds u^n into the
         exponential states for the steps that follow.
         """
-        out = self.b[:, n, None] * self.u0
-        if n == 0:
-            return out
-        out += self.d0[:, None] * u
-        p = (n - 1) % _PERIOD
-        for k, y, readout, grow, renorms in self.memories:
-            out[k] += y @ readout[p]
-            dger(1.0, u[k], grow[p], a=y, overwrite_a=True)
-            states, renorm = renorms[p]
+        p = (n - 1) % _PERIOD if n else _PERIOD
+        table = self.tables[p]
+        self.level[...] = u.T
+        self.diagonals[p] = self.b[:, n]
+        out = (self.state @ table).T if self.interleaved else table.T @ self.state.T
+        for level, grow, y, states, renorm in self.folds[p]:
+            dger(1.0, level, grow, a=y, overwrite_a=True)
             np.multiply(states, renorm, out=states)
         return out
-
-    def _coupled(self, t: float, u: np.ndarray) -> np.ndarray:
-        """sum_l c_kl(x, t) u_l for every k."""
-        if self.couplings is not None:
-            return self.couplings @ u
-        K = self.spec.K
-        return np.array([sum(self.spec.coupling_at(k, l, self.x, t) * u[l] for l in range(K))
-                         for k in range(K)])
 
     def step(self, n: int, u: np.ndarray) -> np.ndarray:
         """Level n+1 on the interior nodes, shape (K, I-1), from level n."""
         rhs = self.memory(n, u)
         K, m = rhs.shape
-        if self.scheme == "semi-implicit":
-            t = float(self.times[n])
-            load = -self._coupled(t, u)
-            for k in self.sourced:
-                load[k] += self.spec.source_at(k, self.x, t)
-            rhs += self.fac[:, None] * load
-            return banded_solve(self.lu, rhs.reshape(-1)).reshape(K, m)
-        t = float(self.times[n + 1])
+        # the semi-implicit scheme lags the couplings and sources one level
+        t = float(self.times[n + 1 if self.interleaved else n])
+        if self.coupling_load:  # -fac_k sum_l c_kl(x, t) u_l
+            rhs -= self.fac[:, None] * np.array([
+                sum(self.spec.coupling_at(k, l, self.x, t) * u[l] for l in range(K))
+                for k in range(K)])
         for k in self.sourced:
             rhs[k] += self.fac[k] * self.spec.source_at(k, self.x, t)
+        if not self.interleaved:
+            return banded_solve(self.lu, rhs.reshape(-1)).reshape(K, m)
         matrix = self.lu if self.lu is not None else \
             assemble_block_matrix(self.spec, self.grid, n + 1)
-        # node-interleaved ordering: unknown (i, k) at row i*K + k
+        # node-interleaved ordering, unknown (i, k) at row i*K + k: rhs.T is
+        # the product as memory made it, so the flattening copies nothing
         return banded_solve(matrix, rhs.T.reshape(-1)).reshape(m, K).T
 
 

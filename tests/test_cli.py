@@ -571,6 +571,19 @@ class TestCommandLine:
         assert captured.err == f"error: output directory {out.parent} does not exist\n"
         assert captured.out == "" and not out.parent.exists()
 
+    def test_output_naming_a_directory_refused_before_the_run(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def no_levels(*args):
+            raise AssertionError("a level was made")
+
+        monkeypatch.setattr("subdecay.subdiff_fd.levels", no_levels)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "output": str(tmp_path)}))
+        assert main(["pde", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {tmp_path}: is a directory\n"
+        assert captured.out == ""
+
     def test_unwritable_output_exit_one(self, tmp_path, capsys):
         # a directory in the file's place passes the directory check and fails the write
         argv = ["oracle", "--beta", "0.5", "--t-max", "100", "--n-modes", "4",

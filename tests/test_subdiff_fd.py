@@ -397,14 +397,18 @@ class TestStepping:
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
     def test_callable_couplings_match_constants(self, scheme):
-        grid = Grid(L=math.pi, I=16, T=1.0, N=16)
+        """Constant couplings, which the semi-implicit scheme folds into the
+        memory's tables, against the same couplings as callables, whose
+        load is made at each step; 130 steps wrap the phase past 64."""
         consts = [[1.0, -0.5], [-0.25, 0.75]]
         as_callables = [[(lambda x, t, c=c: c + 0.0 * x) for c in row] for row in consts]
-        runs = [simulate(SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 0.5),
-                                    couplings=couplings, initials=[np.sin, HAT]),
-                         grid, scheme)
-                for couplings in (consts, as_callables)]
-        np.testing.assert_allclose(runs[1].values, runs[0].values, rtol=0, atol=1e-14)
+        for N in (16, 130):
+            grid = Grid(L=math.pi, I=16, T=1.0, N=N)
+            runs = [simulate(SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 0.5),
+                                        couplings=couplings, initials=[np.sin, HAT]),
+                             grid, scheme)
+                    for couplings in (consts, as_callables)]
+            np.testing.assert_allclose(runs[1].values, runs[0].values, rtol=0, atol=1e-14)
 
     def test_three_component_residual(self):
         grid = Grid(L=math.pi, I=24, T=1.0, N=8)
@@ -425,31 +429,39 @@ class TestStepping:
 
     def test_stepper_levels_match_direct_solve(self):
         """Every level simulate returns solves the scheme's system built
-        from the direct L1 sum, by a dense solve independent of the band."""
-        grid = Grid(L=math.pi, I=16, T=1.0, N=8)
-        spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
-                          couplings=[[1.0, -1.0], [-1.0, 1.0]],
-                          initials=[np.sin, HAT])
-        C = np.array(spec.couplings)
-        m = grid.I - 1
-        r = [d * math.gamma(2.0 - a) * grid.dt ** a / grid.dx ** 2
-             for a, d in zip(spec.orders, spec.diffusivities)]
-        fac = [grid.dx ** 2 * r[k] / spec.diffusivities[k] for k in range(2)]
-        full = band_to_dense(assemble_block_matrix(spec, grid, 0))
-        for scheme in ("semi-implicit", "fully-implicit"):
-            interior = simulate(spec, grid, scheme).values[..., 1:-1]
-            for n in range(grid.N):
-                memory = np.array([l1_history_direct(a, interior[:, k], n)
-                                   for k, a in enumerate(spec.orders)])
-                if scheme == "semi-implicit":
-                    load = memory - np.array(fac)[:, None] * (C @ interior[n])
-                    expected = np.array([
-                        np.linalg.solve((1 + 2 * r[k]) * np.eye(m)
-                                        - r[k] * (np.eye(m, k=1) + np.eye(m, k=-1)),
-                                        load[k]) for k in range(2)])
-                else:
-                    expected = np.linalg.solve(full, memory.T.reshape(-1)).reshape(m, 2).T
-                assert np.allclose(interior[n + 1], expected, rtol=0.0, atol=1e-14)
+        from the direct L1 sum, by a dense solve independent of the band.
+        The K = 3 run has an order of 1, which has no modes, and 130 steps,
+        so every phase's table serves and the phase wraps past 64."""
+        cases = [
+            (Grid(L=math.pi, I=16, T=1.0, N=8),
+             SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
+                        couplings=[[1.0, -1.0], [-1.0, 1.0]], initials=[np.sin, HAT])),
+            (Grid(L=math.pi, I=16, T=1.0, N=130),
+             SystemSpec(orders=(1.0, 0.5, 0.3), diffusivities=(1.0, 0.5, 2.0),
+                        couplings=[[1.0, -0.5, -0.25], [-0.25, 1.0, -0.5],
+                                   [-0.5, -0.5, 1.0]],
+                        initials=[np.sin, HAT, lambda x: x * (np.pi - x)]))]
+        for grid, spec in cases:
+            K, m = spec.K, grid.I - 1
+            C = np.array(spec.couplings)
+            r = [d * math.gamma(2.0 - a) * grid.dt ** a / grid.dx ** 2
+                 for a, d in zip(spec.orders, spec.diffusivities)]
+            fac = [grid.dx ** 2 * r[k] / spec.diffusivities[k] for k in range(K)]
+            full = band_to_dense(assemble_block_matrix(spec, grid, 0))
+            for scheme in ("semi-implicit", "fully-implicit"):
+                interior = simulate(spec, grid, scheme).values[..., 1:-1]
+                for n in range(grid.N):
+                    memory = np.array([l1_history_direct(a, interior[:, k], n)
+                                       for k, a in enumerate(spec.orders)])
+                    if scheme == "semi-implicit":
+                        load = memory - np.array(fac)[:, None] * (C @ interior[n])
+                        expected = np.array([
+                            np.linalg.solve((1 + 2 * r[k]) * np.eye(m)
+                                            - r[k] * (np.eye(m, k=1) + np.eye(m, k=-1)),
+                                            load[k]) for k in range(K)])
+                    else:
+                        expected = np.linalg.solve(full, memory.T.reshape(-1)).reshape(m, K).T
+                    assert np.allclose(interior[n + 1], expected, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
     def test_source_drives_zero_data(self, scheme):
