@@ -89,6 +89,11 @@ def _field_type(f):
     return _FIELD_TYPES[f.type.split(" | ")[0]]
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is or nests true or false, which pass as ints."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated PDE run configuration; see the README for the JSON schema."""
@@ -170,6 +175,8 @@ class RunConfig:
                       or raw[f.name] is None and "| None" in f.type):
                 problems.append(
                     f"key {f.name!r} has wrong type {type(raw[f.name]).__name__}")
+            elif _holds_bool(raw[f.name]):
+                problems.append(f"key {f.name!r} holds a boolean where a number belongs")
         if problems:
             raise ConfigError(problems)
         try:

@@ -519,8 +519,9 @@ def _bromwich_rule(n: int):
     s(u) = 1.5 (1 + iu)^2, u in [0, 5] (the tail is e^-36), so that
     f(t) = sum_k Im(w_k F(s_k / t)) / t for a real transform F analytic off
     the negative axis (Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356).
-    spectral reads the same rule from mittag_leffler, which Picard's tables
-    use: the Laplace route builds its own, so the two solvers share no numerics.
+    spectral's mode convolution sums the same rule; none of it comes from
+    mittag_leffler, whose contour Picard's tables use, so the two solvers
+    share no numerics.
     """
     u = np.linspace(0.0, 5.0, n + 1)
     s = 1.5 * (1.0 + 1j * u) ** 2

@@ -21,8 +21,8 @@ The mode convolution f(t) is the inverse Laplace transform of
 F(s) = 1/((s^beta + lam)(s + lam)), analytic off the negative real axis.
 mode_convolution sums it for all eigenvalues at once by the trapezoid rule
 on the parabola s = 1.5 (1 + iu)^2 / t, cut at e^-36 (the nodes and weights
-of mittag_leffler._contour_rule(1, 1, n) over t); no Mittag-Leffler value
-enters.  Each mode takes one of two integrands, by lam * t:
+of frac_ode._bromwich_rule(n) over t); no Mittag-Leffler value enters.
+Each mode takes one of two integrands, by lam * t:
 
 * lam t <= 1: plain F.  The nodes have |s| >~ 1/t >= lam, so nothing
   cancels; the form below is near -1/lam^2 there (1.3e-4 relative error at
@@ -33,8 +33,9 @@ enters.  Each mode takes one of two integrands, by lam * t:
   error at lam = 4096, t = 1e4, beta = 0.99).
 
 The estimate |I_43 - I_64| + eps sum |terms| (43 against 64 nodes, plus
-rounding) raises QuadratureError past _RTOL.  Against 40-digit Talbot
-inversion (beta 0.05-0.99, lam 1-4096, t 1e-8-1e4) the worst error is 5e-12.
+rounding) raises QuadratureError past frac_ode's _BROMWICH_RTOL.  Against
+40-digit Talbot inversion (beta 0.05-0.99, lam 1-4096, t 1e-8-1e4) the
+worst error is 5e-12.
 """
 
 from __future__ import annotations
@@ -45,14 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .mittag_leffler import _EPS, _contour_rule, _rgamma, ml_neg
+from .frac_ode import _BROMWICH, _BROMWICH_RTOL
+from .mittag_leffler import _rgamma, ml_neg
 
-# nodes s_k and weights w_k at t = 1: the 43-node estimate, the 64-node value
-_RULES = tuple(_contour_rule(1.0, 1.0, n) for n in (43, 64))
 # trapezoid cells of the initial-datum projection on (0, pi)
 _N_QUAD = 16384
-# relative error the mode convolution's estimate must meet
-_RTOL = 1e-10
 
 
 def _positive_time(t) -> float:
@@ -118,15 +116,15 @@ def mode_convolution(lam, beta: float, t: float):
     lp = lams[pos]
     plain = lp * t <= 1.0
     sums = []
-    for s1, w in _RULES:
+    for s1, w in _BROMWICH:
         s = s1[:, None] / t
         sb = s ** beta
         num = np.where(plain, lp * lp, -(sb * s + lp * (sb + s)))
         terms = (w[:, None] * num / (lp * lp * (sb + lp) * (s + lp))).imag / t
         sums.append(terms.sum(axis=0))
     rough, total = sums
-    err = np.abs(rough - total) + _EPS * np.abs(terms).sum(axis=0)
-    bad = np.flatnonzero(~(err <= _RTOL * np.abs(total)))
+    err = np.abs(rough - total) + np.finfo(float).eps * np.abs(terms).sum(axis=0)
+    bad = np.flatnonzero(~(err <= _BROMWICH_RTOL * np.abs(total)))
     if bad.size:
         raise QuadratureError(f"mode convolution at lam={lp[bad[0]]:g}, t={t:g}: error "
                               f"{err[bad[0]]:.2e} vs value {total[bad[0]]:.6e}")

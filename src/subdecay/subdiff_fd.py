@@ -24,15 +24,16 @@ level in with one BLAS rank-1 update, from tables of exact-rate
 exponentials; each mode is renormalised at least every 64 steps, often
 enough that no scale factor leaves 2^+-20 and data near either end of the
 float range steps finitely.
-Each step makes one banded solve: LAPACK gbtrf factors, and two BLAS band
+Each step makes one banded solve of the K components together, in
+node-interleaved ordering (bandwidth K each side), whose matrix
+assemble_block_matrix alone writes: LAPACK gbtrf factors, and two BLAS band
 sweeps (tbsv) solve, or gbtrs where pivoting interchanged rows.  Its 1e-12
 residual check takes A x from BLAS gbmv and forms its scale only past 1e-12.
-The semi-implicit scheme lags the coupling and source one level, so the K
-components decouple into one block-diagonal tridiagonal system, factored
-once per run.  The fully implicit scheme keeps the couplings at the new
-level and solves one banded system in node-interleaved ordering (bandwidth
-K each side), factored once per run when the couplings are constant and at
-every step otherwise.  The stability check c_kk >= sum_{l != k} |c_kl|
+The semi-implicit scheme lags the couplings and sources one level, so its
+matrix is that of zero couplings, factored once per run.  The fully
+implicit scheme keeps them at the new level, and its matrix is factored
+once per run when the couplings are constant and at every step otherwise.
+The stability check c_kk >= sum_{l != k} |c_kl|
 (stability_margin) reads the couplings directly; gershgorin_disks gives the
 disks of the matrix itself.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -340,8 +341,9 @@ def stability_margin(spec: SystemSpec) -> float:
 
 
 def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> BandedMatrix:
-    """Fully implicit system matrix at the given time level, in
-    node-interleaved ordering (unknown (i, k) at row i*K + k), bandwidth K.
+    """System matrix with spec's couplings at the given time level, in
+    node-interleaved ordering (unknown (i, k) at row i*K + k), bandwidth K;
+    the semi-implicit scheme's is that of zero couplings.
 
     Diagonal: 1 + 2 r_k + (dx^2 r_k / d_k) c_kk; spatial neighbours: -r_k;
     cross-component couplings at the same node: (dx^2 r_k / d_k) c_kl.
@@ -437,9 +439,8 @@ class _Stepper:
     mode rows.  The semi-implicit scheme with constant couplings lags the
     coupling load -fac_k sum_l c_kl u^n_l in the same product: the u^n rows
     hold diag(d0) - diag(fac) C.  Step n = 0 has a table of its own, with
-    neither d0 nor modes.  The fully implicit scheme takes S @ table, (I-1,
-    K), in its node-interleaved order; the semi-implicit takes table^T S^T,
-    (K, I-1), in its component blocks.
+    neither d0 nor modes.  Both schemes take S @ table, (I-1, K): row i
+    holds node i's K components, the node-interleaved order of the solve.
 
     Each order then folds u^n in by one in-place rank-1 update y += u^n
     (e^{lag s})^T on its block, from 64 x Q tables built here from the
@@ -452,7 +453,8 @@ class _Stepper:
     with factors up to e^300, states of data of size 1e300 overflow.
     Rounding enters at each renormalisation instead of each step, so the
     memory's error does not grow with the lag as powers of a rounded
-    e^{-s_q} would.  A constant system matrix is factored here, once.
+    e^{-s_q} would.  A constant system matrix, which the semi-implicit
+    scheme's always is, is factored here, once.
     """
 
     def __init__(self, spec: SystemSpec, grid: Grid, scheme: str, u0: np.ndarray):
@@ -461,12 +463,11 @@ class _Stepper:
         self.x = grid.x[1:-1]
         self.times = grid.times
         self.b = np.array([l1_weights(a, grid.N) for a in spec.orders])
-        r = _r_coeffs(spec, grid)
-        self.fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
+        self.fac = grid.dx ** 2 * _r_coeffs(spec, grid) / np.asarray(spec.diffusivities)
         constant = spec.couplings_constant()
-        self.interleaved = scheme == "fully-implicit"
+        self.lagged = scheme == "semi-implicit"
         # the lagged load of callable couplings is made at each step
-        self.coupling_load = not (constant or self.interleaved)
+        self.coupling_load = self.lagged and not constant
         self.sourced = [k for k in range(K)
                         if spec.sources is not None and spec.sources[k] is not None]
         modes = [_soe_modes(a, grid.N) for a in spec.orders]
@@ -480,7 +481,7 @@ class _Stepper:
         self.diagonals = tables[:, :K].reshape(_PERIOD + 1, K * K)[:, ::K + 1]
         d0 = -2.0 * np.expm1(-math.log(2.0) * np.array(spec.orders))  # b^0 - b^1
         load = (-self.fac[:, None] * np.array(spec.couplings, dtype=float)
-                if constant and not self.interleaved else np.zeros((K, K)))
+                if constant and self.lagged else np.zeros((K, K)))
         tables[:_PERIOD, K:2 * K] = (np.diag(d0) + load).T
         tables[_PERIOD, K:2 * K] = load.T
         self.folds = [[] for _ in range(_PERIOD + 1)]
@@ -504,21 +505,15 @@ class _Stepper:
             for p, q in enumerate(start):
                 self.folds[p].append((state[:, K + k], grow[p], y, y[:, q:], renorm[:, q:]))
             col += s.size
-        if not self.interleaved:
-            ab = np.zeros((3, K * m), order="F")
-            ab[0] = ab[2] = -np.repeat(r, m)
-            ab[1] = 1.0 + 2.0 * np.repeat(r, m)
-            ab[0, ::m] = 0.0          # A[j, j+1] at ab[0, j+1]: none across blocks
-            ab[2, m - 1::m] = 0.0     # A[j+1, j] at ab[2, j]
-            self.lu = _BandedLU(BandedMatrix(lower=1, upper=1, ab=ab))
-        else:
-            self.lu = _BandedLU(assemble_block_matrix(spec, grid, 0)) if constant else None
+        # the semi-implicit scheme's couplings are all on the right-hand side
+        held = replace(spec, couplings=np.zeros((K, K))) if self.lagged else spec
+        self.lu = _BandedLU(assemble_block_matrix(held, grid, 0)) \
+            if held.couplings_constant() else None
 
     def memory(self, n: int, u: np.ndarray) -> np.ndarray:
-        """The L1 memory of step n -> n+1, shape (K, I-1), given level n;
-        for the semi-implicit scheme with constant couplings, the lagged
-        coupling load is in it.  The fully implicit scheme's is a view of
-        the node-interleaved product.
+        """The L1 memory of step n -> n+1, shape (K, I-1), given level n,
+        as a view of the node-interleaved product; for the semi-implicit
+        scheme with constant couplings, the lagged coupling load is in it.
 
         Call once per step with n = 0, 1, 2, ...: it folds u^n into the
         exponential states for the steps that follow.
@@ -527,7 +522,7 @@ class _Stepper:
         table = self.tables[p]
         self.level[...] = u.T
         self.diagonals[p] = self.b[:, n]
-        out = (self.state @ table).T if self.interleaved else table.T @ self.state.T
+        out = (self.state @ table).T
         for level, grow, y, states, renorm in self.folds[p]:
             dger(1.0, level, grow, a=y, overwrite_a=True)
             np.multiply(states, renorm, out=states)
@@ -538,15 +533,13 @@ class _Stepper:
         rhs = self.memory(n, u)
         K, m = rhs.shape
         # the semi-implicit scheme lags the couplings and sources one level
-        t = float(self.times[n + 1 if self.interleaved else n])
+        t = float(self.times[n if self.lagged else n + 1])
         if self.coupling_load:  # -fac_k sum_l c_kl(x, t) u_l
             rhs -= self.fac[:, None] * np.array([
                 sum(self.spec.coupling_at(k, l, self.x, t) * u[l] for l in range(K))
                 for k in range(K)])
         for k in self.sourced:
             rhs[k] += self.fac[k] * self.spec.source_at(k, self.x, t)
-        if not self.interleaved:
-            return banded_solve(self.lu, rhs.reshape(-1)).reshape(K, m)
         matrix = self.lu if self.lu is not None else \
             assemble_block_matrix(self.spec, self.grid, n + 1)
         # node-interleaved ordering, unknown (i, k) at row i*K + k: rhs.T is

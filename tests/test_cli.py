@@ -46,6 +46,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"key '{field}' has wrong type"):
             RunConfig.from_dict({**SMALL, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("orders", [True, 0.5]), ("diffusivities", [1.0, False]),
+        ("couplings", [[1.0, -1.0], [True, 1.0]]), ("window", [10.0, True]),
+        ("ic_scale", True), ("L", True), ("T", False), ("n_time", True),
+        ("n_space", True), ("stride", True)])
+    def test_boolean_refused_where_a_number_belongs(self, field, value, tmp_path, capsys):
+        # JSON true and false are Python ints: they must not pass as 1 and 0
+        raw = {**SMALL, field: value}
+        with pytest.raises(ConfigError, match=f"key '{field}' holds a boolean"):
+            RunConfig.from_dict(raw)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(raw))
+        assert main(["pde", "--config", str(path)]) == 1
+        assert f"key '{field}' holds a boolean" in capsys.readouterr().err
+
     def test_null_means_default_only_where_documented(self):
         for key in ("diffusivities", "couplings", "window", "output"):
             base = {k: v for k, v in SMALL.items() if k != key}

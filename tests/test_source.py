@@ -145,6 +145,13 @@ def test_branch_cut_shares_no_numerics_with_picard():
     assert reads_from(tree, "branch_cut_invert", "mittag_leffler") == []
 
 
+def test_mode_convolution_shares_no_numerics_with_mittag_leffler():
+    # the mode convolution sums frac_ode's Bromwich rule: it reads neither
+    # mittag_leffler's contour nor any other of its numerics
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    assert reads_from(tree, "mode_convolution", "mittag_leffler") == []
+
+
 def test_shared_numerics_detected():
     tree = ast.parse("from .mittag_leffler import ml_neg, _contour_rule as rule\n"
                      "from . import mittag_leffler\n"

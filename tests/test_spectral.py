@@ -124,7 +124,7 @@ class TestModeConvolution:
 
     def test_estimate_above_rtol_raises(self, monkeypatch):
         # the rounding part of the estimate alone is ~1e-16 relative
-        monkeypatch.setattr(spectral, "_RTOL", 1e-20)
+        monkeypatch.setattr(spectral, "_BROMWICH_RTOL", 1e-20)
         with pytest.raises(QuadratureError):
             mode_convolution(1.0, 0.5, 1.0)
 
