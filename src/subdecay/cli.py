@@ -69,62 +69,71 @@ _IC_PROFILES = {
 }
 
 
-def _floats(values) -> tuple:
-    """Nested lists of numbers as nested tuples of floats."""
-    return tuple(_floats(v) if isinstance(v, (list, tuple)) else float(v) for v in values)
+def _floats(value):
+    """A number as a float, nested lists of numbers as nested tuples of floats."""
+    return tuple(map(_floats, value)) if isinstance(value, (list, tuple)) else float(value)
 
 
-# JSON type and converter of each RunConfig field, by its annotation's first
-# name (annotations are strings here); "| None" marks the keys where an
-# explicit null means "use the default"
-_FIELD_TYPES = {
-    "tuple": (list, _floats),
-    "float": ((int, float), float),
-    "int": (int, int),
-    "str": (str, str),
-}
+# the values a RunConfig key holds, by its annotation: lists hold floats, and floats take ints
+_LEAF_TYPES = {"float": (int, float), "int": int, "str": str}
 
 
-def _field_type(f):
-    return _FIELD_TYPES[f.type.split(" | ")[0]]
-
-
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is or nests true or false, which pass as ints."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+def _value_problem(value, depth: int, leaf, entry: bool = False) -> str | None:
+    """What is wrong with value, a list's entry if entry, against a list nested
+    depth deep (0: a scalar) of leaf values, in the float range; None if nothing."""
+    if depth and isinstance(value, (list, tuple)):
+        return next(filter(None, (_value_problem(v, depth - 1, leaf, True) for v in value)), None)
+    if isinstance(value, bool) and leaf is not str and not depth:  # true and false are ints
+        return "holds a boolean where a number belongs"
+    if depth or not isinstance(value, leaf):
+        if not entry:
+            return f"has wrong type {type(value).__name__}"
+        return (f"holds an entry of type {type(value).__name__} where a "
+                f"{'list' if depth else 'number'} belongs")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "holds an int beyond the float range"
+    return None
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated PDE run configuration; see the README for the JSON schema."""
+    """Validated PDE run configuration on (0, pi); see the README for the JSON schema."""
 
-    orders: tuple
+    orders: tuple[float, ...]
     ic_case: str
     scheme: str = "semi-implicit"
-    diffusivities: tuple | None = None
-    couplings: tuple | None = None
+    diffusivities: tuple[float, ...] | None = None
+    couplings: tuple[tuple[float, ...], ...] | None = None
     ic_scale: float = 1.0
-    L: float = math.pi
     T: float = 1000.0
     n_time: int = 4000
     n_space: int = 128
-    window: tuple | None = None
+    window: tuple[float, ...] | None = None
     stride: int = 10
     output: str | None = None
 
     def __post_init__(self):
-        """K-dependent defaults, lists as tuples of floats, then every rule checked."""
+        """Each key's type, then K-dependent defaults and every rule: the one
+        check, whether built directly or by from_dict; lists become tuples of floats."""
         from . import subdiff_fd
-        K = len(self.orders)
-        if self.diffusivities is None:
-            object.__setattr__(self, "diffusivities", [1.0] * K)
-        if self.couplings is None:
-            object.__setattr__(self, "couplings", _default_couplings(K))
+        problems = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None:
-                object.__setattr__(self, f.name, _field_type(f)[1](value))
-        problems = []
+            if value is None and f.default is None:  # null means the default
+                continue
+            depth = f.type.count("tuple[")  # 1: a list of numbers, 2: of rows of them
+            leaf = _LEAF_TYPES["float" if depth else f.type.removesuffix(" | None")]
+            if problem := _value_problem(value, depth, leaf):
+                problems.append(f"key {f.name!r} {problem}")
+            elif depth or f.type == "float":
+                object.__setattr__(self, f.name, _floats(value))
+        if problems:
+            raise ConfigError(problems)
+        K = len(self.orders)
+        if self.diffusivities is None:
+            object.__setattr__(self, "diffusivities", (1.0,) * K)
+        if self.couplings is None:
+            object.__setattr__(self, "couplings", _default_couplings(K))
         if self.scheme not in subdiff_fd.SCHEMES:
             problems.append(f"unknown scheme {self.scheme!r}")
         if K not in (2, 3):
@@ -140,8 +149,9 @@ class RunConfig:
             problems += grid_problems
         # per step: 2K L1 weights, 6 temporaries, 2 time grids; per node and order:
         # 2 floats a mode, <= 8 + 4 (ln 2N + 5) modes, and 8K of bands and levels
-        elif (run_gb := 8e-9 * ((2 * K + 8) * (self.n_time + 1) + K * (self.n_space - 1) * (
-                8 * (K + 2 + math.log(2 * self.n_time) + 5)))) > _MEMORY_GB:
+        # (float factors first: a product of huge ints may not fit a float)
+        elif (run_gb := 8e-9 * (2 * K + 8) * (self.n_time + 1) + 8e-9 * K * (self.n_space - 1) * (
+                8 * (K + 2 + math.log(2 * self.n_time) + 5))) > _MEMORY_GB:
             problems.append(f"n_time and n_space need {run_gb:.3g} GB for the run, more "
                             f"than the {_MEMORY_GB:.3g} GB of physical memory")
         if self.window is not None and not (
@@ -160,31 +170,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """The config a JSON object's keys build, none of them unknown or missing."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         problems = []
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
+        if unknown := sorted(set(raw) - {f.name for f in fields(cls)}, key=str):
             problems.append(f"unknown config keys: {unknown}")
-        for f in fields(cls):
-            json_type = _field_type(f)[0]
-            if f.name not in raw:
-                if f.default is MISSING:
-                    problems.append(f"missing required key {f.name!r}")
-            elif not (isinstance(raw[f.name], json_type)
-                      or raw[f.name] is None and "| None" in f.type):
-                problems.append(
-                    f"key {f.name!r} has wrong type {type(raw[f.name]).__name__}")
-            elif _holds_bool(raw[f.name]):
-                problems.append(f"key {f.name!r} holds a boolean where a number belongs")
+        problems += [f"missing required key {f.name!r}" for f in fields(cls)
+                     if f.default is MISSING and f.name not in raw]
         if problems:
             raise ConfigError(problems)
-        try:
-            return cls(**raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:  # null order, flat couplings, huge n_time
-            raise ConfigError(f"malformed config entry: {exc}") from None
+        return cls(**raw)
 
     def to_dict(self) -> dict:
         """The config as JSON values, tuples written as lists."""
@@ -201,7 +197,7 @@ class RunConfig:
 
     def grid(self) -> subdiff_fd.Grid:
         from . import subdiff_fd
-        return subdiff_fd.Grid(L=self.L, I=self.n_space, T=self.T, N=self.n_time)
+        return subdiff_fd.Grid(L=math.pi, I=self.n_space, T=self.T, N=self.n_time)
 
     def fit_window(self) -> tuple:
         """The window the run's decay fits use: window, or (T/5, T)."""
@@ -228,8 +224,8 @@ def _output_problems(output) -> list:
 
 def _default_couplings(K: int):
     if K == 2:
-        return [[1.0, -1.0], [-1.0, 1.0]]
-    return [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]]
+        return ((1.0, -1.0), (-1.0, 1.0))
+    return ((1.0, -0.5, -0.5), (-0.5, 1.0, -0.5), (-0.5, -0.5, 1.0))
 
 
 @dataclass
@@ -312,8 +308,8 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
     total_fit = decay_mod.fit_exponent(decay_mod.NormSeries(times, norms.sum(axis=1)), window)
 
     # the energy method's sufficient decay condition: the spectral gap
-    # kappa0 / C^2, with Poincare constant C = L / pi on (0, L), strictly
-    # above every off-diagonal coupling, and some coupling at all
+    # kappa0 / C^2, with Poincare constant C = 1 on (0, pi), strictly above
+    # every off-diagonal coupling, and some coupling at all
     c_sup = max(abs(c) for k, row in enumerate(config.couplings)
                 for l, c in enumerate(row) if k != l)
     return RunReport(
@@ -321,7 +317,7 @@ def run(config: RunConfig, csv_sink=None) -> RunReport:
         component_fits=fits,
         total_fit=total_fit,
         stability_margin=margin,
-        assumption_ok=0.0 < c_sup < min(config.diffusivities) / (config.L / math.pi) ** 2,
+        assumption_ok=0.0 < c_sup < min(config.diffusivities),
         wall_time_s=time.perf_counter() - t_start,
     )
 
@@ -434,24 +430,27 @@ def _cmd_ode(args) -> int:
         raise DomainError(f"horizon --t-max must be finite and positive, got {args.t_max}")
     if args.n_steps < 1:
         raise DomainError(f"--n-steps must be at least 1, got {args.n_steps}")
+    # the times each method returns: the fit window is refused before the solve
+    times = (np.linspace(0.0, args.t_max, args.n_steps + 1) if args.method == "picard"
+             else np.logspace(0.0, math.log10(args.t_max), args.n_steps))
+    mask = times > 0
+    if args.fit_window:
+        decay_mod.window_mask(times[mask], tuple(args.fit_window))
     if args.method == "picard":
         spec = frac_ode.OdeSpec(alpha=args.alpha, beta=args.beta, a=1.0, b=0.0,
                                 eta1=args.c1, eta2=args.c1,
                                 mu1=args.c2, mu2=args.c2)
         path = frac_ode.picard_solve(spec, T=args.t_max, n_steps=args.n_steps)
-        times, U, V = path.times, path.U, path.V
+        U, V = path.U, path.V
         print(f"map residual {path.residual:.3e}", file=sys.stderr)
     else:
         sym = frac_ode.LaplaceSymbol(c1=args.c1, c2=args.c2,
                                      alpha=args.alpha, beta=args.beta)
-        times = np.logspace(0.0, math.log10(args.t_max), args.n_steps)
         U, V = frac_ode.branch_cut_invert(sym, times)
     _write_csv("t,U,V", zip(times, U, V), args.output)
     if args.fit_window:
         lo, hi = args.fit_window
-        mask = times > 0
-        fit = decay_mod.fit_exponent(decay_mod.NormSeries(times[mask], (U + V)[mask]),
-                                     (lo, hi))
+        fit = decay_mod.fit_exponent(decay_mod.NormSeries(times[mask], (U + V)[mask]), (lo, hi))
         trend = "growth" if fit.growing else "slope"
         print(f"{trend} of U+V on [{lo:g}, {hi:g}]: {fit.exponent:+.4f} "
               f"(rms {fit.rms_residual:.2e})", file=sys.stderr)

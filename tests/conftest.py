@@ -161,6 +161,23 @@ def branch_cut_talbot_reference(sym, t: float, dps: int = 30) -> tuple[float, fl
                      for F in transforms)
 
 
+def mode_one_norms(alpha: float, beta: float, dx: float, times) -> np.ndarray:
+    """The exact time-continuous L2 norms, shape (2, times), of the K = 2
+    space-discrete system on (0, pi) with unit diffusivities, couplings
+    [[1, -1], [-1, 1]] and case (ii) data u0 = sin x, v0 = 0, for t >= 1.
+    sin x is discrete sine mode 1 on every grid, with eigenvalue
+    lam = (4/dx^2) sin^2(dx/2), so the solution stays (U(t), V(t)) sin x,
+    with (U, V) the coupled ODE pair of c1 = lam + 1, c2 = 1, by branch-cut
+    inversion: it shares no numerics with the L1 stepper.  The trapezoid norm
+    of sin x on any grid of (0, pi) is sqrt(pi/2)."""
+    from subdecay.frac_ode import LaplaceSymbol, branch_cut_invert
+
+    lam = 4.0 / dx ** 2 * math.sin(0.5 * dx) ** 2
+    U, V = branch_cut_invert(LaplaceSymbol(c1=lam + 1.0, c2=1.0, alpha=alpha, beta=beta),
+                             np.asarray(times, dtype=float))
+    return math.sqrt(0.5 * math.pi) * np.abs([U, V])
+
+
 def principal_zero_count(sym) -> int:
     """Zeros of D(s) = (s^alpha + c1)(s^beta + c1) - c2^2 in the box
     |Re s| < R, 1e-9 R < Im s < R of the upper half plane, R = 4 c1^(1/beta)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subdecay
 from subdecay import cli
@@ -29,6 +31,31 @@ SMALL = {
     "stride": 5,
 }
 
+# values a RunConfig key accepts, and values of every wrong kind: booleans,
+# None, strings, floats where ints belong, ints past the float range, and
+# lists nested too deep or not deep enough
+_VALID = {
+    "orders": st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3).map(
+        lambda orders: sorted(orders, reverse=True)),
+    "ic_case": st.sampled_from(["i", "ii", "iii"]),
+    "scheme": st.sampled_from(["semi-implicit", "fully-implicit"]),
+    "diffusivities": st.lists(st.floats(0.5, 2.0) | st.integers(1, 2), min_size=2, max_size=3),
+    "couplings": st.sampled_from([[[1, -0.5], [-0.5, 1]],
+                                  [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]]]),
+    "ic_scale": st.floats(0.0, 2.0) | st.integers(0, 2),
+    "T": st.floats(50.0, 200.0) | st.integers(50, 200),
+    "n_time": st.integers(50, 400),
+    "n_space": st.integers(4, 32),
+    "window": st.just([10.0, 50.0]),
+    "stride": st.integers(1, 5),
+    "output": st.none(),
+}
+_JUNK = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=2), st.floats(), st.integers(-2, 3),
+    st.sampled_from([10**308, 10**400]),
+    st.lists(st.one_of(st.floats(), st.integers(-2, 3), st.booleans(), st.none(),
+                       st.lists(st.floats(-1.0, 1.0) | st.booleans(), max_size=3)), max_size=3))
+
 
 class TestRunConfig:
     def test_unknown_keys_rejected(self):
@@ -37,9 +64,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"unknown config keys: \['mode'\]"):
             RunConfig.from_dict({**SMALL, "mode": "pde"})
 
+    def test_domain_length_is_not_a_key(self, tmp_path, capsys):
+        # the standard profiles vanish at both walls only on (0, pi)
+        path = tmp_path / "length.json"
+        path.write_text(json.dumps({**SMALL, "L": 2.0}))
+        assert main(["pde", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['L']\n"
+        assert RunConfig.from_dict(SMALL).grid().L == math.pi
+
     @pytest.mark.parametrize("field, value", [
         ("orders", "0.9"), ("ic_case", 2), ("scheme", 1), ("diffusivities", 1.0),
-        ("couplings", "C2"), ("ic_scale", "1"), ("L", [3.0]), ("T", "50"),
+        ("couplings", "C2"), ("ic_scale", "1"), ("T", "50"),
         ("n_time", 250.0), ("n_space", "24"), ("window", 10.0), ("stride", 1.5),
         ("output", 3)])
     def test_wrong_type_rejected(self, field, value):
@@ -49,7 +84,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("field, value", [
         ("orders", [True, 0.5]), ("diffusivities", [1.0, False]),
         ("couplings", [[1.0, -1.0], [True, 1.0]]), ("window", [10.0, True]),
-        ("ic_scale", True), ("L", True), ("T", False), ("n_time", True),
+        ("ic_scale", True), ("T", False), ("n_time", True),
         ("n_space", True), ("stride", True)])
     def test_boolean_refused_where_a_number_belongs(self, field, value, tmp_path, capsys):
         # JSON true and false are Python ints: they must not pass as 1 and 0
@@ -71,10 +106,56 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("orders", [0.9, None]), ("couplings", [1.0, -1.0]), ("window", [10.0]),
-        pytest.param("n_time", 10**400, id="n_time-beyond-float")])
+        pytest.param("n_time", 10**400, id="n_time-beyond-float"),
+        ("orders", [0.9, [0.5]]), ("diffusivities", [[1], [1]])])
     def test_malformed_entries_rejected(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             RunConfig.from_dict({**SMALL, field: value})
+        assert err.value.problems and all(field in p for p in err.value.problems)
+
+    @pytest.mark.parametrize("raw, problems", [
+        (dict(orders=[True, 0.5], ic_case="ii", n_time=400.7, n_space=24.9, T="50",
+              stride=5.5, ic_scale="2"),
+         ["key 'orders' holds a boolean where a number belongs",
+          "key 'ic_scale' has wrong type str", "key 'T' has wrong type str",
+          "key 'n_time' has wrong type float", "key 'n_space' has wrong type float",
+          "key 'stride' has wrong type float"]),
+        (dict(orders=[True, 0.5], ic_case="ii", stride=True, n_time=40, n_space=8, T=50.0),
+         ["key 'orders' holds a boolean where a number belongs",
+          "key 'stride' holds a boolean where a number belongs"]),
+        (dict(orders="ab", ic_case="ii"), ["key 'orders' has wrong type str"]),
+        ({**SMALL, "couplings": [1.0, -1.0]},
+         ["key 'couplings' holds an entry of type float where a list belongs"]),
+        ({**SMALL, "couplings": [[1.0, -1.0], [-1.0, [1.0]]]},
+         ["key 'couplings' holds an entry of type list where a number belongs"]),
+        ({**SMALL, "orders": [0.9, [0.5]], "diffusivities": [[1], [1]]},
+         ["key 'orders' holds an entry of type list where a number belongs",
+          "key 'diffusivities' holds an entry of type list where a number belongs"]),
+        ({**SMALL, "n_time": 10**400}, ["key 'n_time' holds an int beyond the float range"]),
+        ({**SMALL, "ic_scale": -10**400}, ["key 'ic_scale' holds an int beyond the float range"])],
+        ids=["six-keys", "booleans", "string-orders", "flat-couplings", "deep-couplings",
+             "nested-lists", "huge-int", "huge-float-key"])
+    def test_direct_construction_refuses_what_json_refuses(self, raw, problems):
+        for build in (lambda: RunConfig(**raw), lambda: RunConfig.from_dict(raw)):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.problems == problems
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.fixed_dictionaries(
+        {key: st.one_of(_VALID[key], _JUNK) for key in ("orders", "ic_case")},
+        optional={key: st.one_of(_VALID[key], _JUNK) for key in _VALID
+                  if key not in ("orders", "ic_case")}))
+    def test_entry_points_agree(self, raw):
+        # from_dict adds only the unknown and missing key checks to the constructor's
+        outcomes = []
+        for build in (lambda: RunConfig(**raw), lambda: RunConfig.from_dict(raw)):
+            try:
+                outcomes.append(build())
+            except ConfigError as exc:
+                assert exc.problems
+                outcomes.append(exc.problems)
+        assert outcomes[0] == outcomes[1]
 
     def test_missing_required_keys_enumerated(self):
         with pytest.raises(ConfigError) as err:
@@ -125,7 +206,7 @@ class TestRunConfig:
         assert err.value.problems == ["ic_case 'iii' undefined for K=2; valid: ['i', 'ii']"]
 
     @pytest.mark.parametrize("field, value", [
-        ("T", math.inf), ("L", math.nan), ("ic_scale", math.inf),
+        ("T", math.inf), ("ic_scale", math.nan), ("ic_scale", math.inf),
         ("diffusivities", [1.0, math.inf]), ("couplings", [[1.0, -1.0], [-1.0, math.nan]]),
         ("window", [10.0, math.inf])])
     def test_non_finite_fields_rejected(self, field, value):
@@ -185,7 +266,6 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({"orders": [0.9, 0.5], "ic_case": "i"})
         assert cfg.couplings == ((1.0, -1.0), (-1.0, 1.0))
         assert cfg.n_time == 4000 and cfg.n_space == 128
-        assert cfg.L == pytest.approx(math.pi)
 
 
 class TestRun:
@@ -370,6 +450,21 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert f"error: --n-steps must be at least 1, got {n_steps}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("method, n_steps, window, refusal", [
+        ("laplace", "30", ["50", "10"], "window must satisfy 1 <= lo < hi, got (50.0, 10.0)"),
+        ("picard", "64", ["200", "300"], "only 0 samples inside window (200.0, 300.0)")],
+        ids=["laplace", "picard"])
+    def test_ode_fit_window_refused_before_the_solve(self, method, n_steps, window, refusal,
+                                                     tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        argv = ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
+                "--t-max", "100", "--method", method, "--n-steps", n_steps,
+                "--fit-window", *window, "--output", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert refusal in captured.err and "map residual" not in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, refusal", [
         (["--alpha", "1", "--beta", "1", "--c1", "2", "--c2", "1"], "no cut"),

@@ -11,6 +11,8 @@ import subdecay
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subdecay"
+# the most lines src/subdecay may hold outside docstrings (source_lines)
+_SRC_LINES = 1937
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -34,6 +36,29 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def source_lines(text: str) -> int:
+    """Lines of a module outside its module, class and function docstrings,
+    by AST: the count the source size is tracked by."""
+    tree = ast.parse(text)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(text.splitlines()) - len(docstrings)
+
+
+def test_source_line_count():
+    # a change that grows src/ raises _SRC_LINES in its own diff
+    assert sum(source_lines(path.read_text()) for path in SRC.glob("*.py")) <= _SRC_LINES
+
+
+def test_source_lines_skip_docstrings():
+    text = ('"""Module\ndocstring."""\n\nclass C:\n    """One line."""\n\n'
+            '    def f(self):\n        """Two\n        lines."""\n        return "text"\n')
+    assert source_lines(text) == 10 - 5
 
 
 def test_unused_import_detected():

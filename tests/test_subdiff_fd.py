@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrs
 
-from conftest import band_to_dense, l1_history_direct, l1_weights_reference
+from conftest import band_to_dense, l1_history_direct, l1_weights_reference, mode_one_norms
 from subdecay.decay import l2_norm
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
@@ -401,6 +402,26 @@ class TestStepping:
 
         d1, d2 = diff_at(64), diff_at(128)
         assert d1 / d2 == pytest.approx(2.0, abs=0.6)
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    @pytest.mark.parametrize("orders", [(0.9, 0.5), (1.0, 0.5)])
+    def test_case_ii_norms_converge_to_the_exact_mode(self, orders, scheme):
+        """Case (ii) of the reference experiment on I = 128 against its exact
+        time-continuous norms (mode_one_norms): the largest relative error
+        over t >= 10, at every (N/100)-th level, halves with dt."""
+        spec = SystemSpec(orders=orders, diffusivities=(1.0, 1.0),
+                          couplings=[[1.0, -1.0], [-1.0, 1.0]], initials=[np.sin, ZERO])
+        errors = []
+        for N in (4000, 8000):
+            grid = Grid(L=math.pi, I=128, T=1000.0, N=N)
+            times = grid.times[::N // 100]
+            norms = np.array([l2_norm(np.pad(u, ((0, 0), (1, 1))), grid.dx) for u in
+                              itertools.islice(levels(spec, grid, scheme), 0, None, N // 100)])
+            late = times >= 10.0
+            exact = mode_one_norms(*orders, grid.dx, times[late]).T
+            errors.append(np.max(np.abs(norms[late] - exact) / exact, axis=0))
+        ratios = errors[0] / errors[1]
+        assert np.all((1.9 <= ratios) & (ratios <= 2.2)), ratios
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
     def test_callable_couplings_match_constants(self, scheme):
