@@ -27,12 +27,18 @@ float range steps finitely.
 Each step makes one banded solve of the K components together, in
 node-interleaved ordering (bandwidth K each side), whose matrix
 assemble_block_matrix alone writes: LAPACK gbtrf factors, and two BLAS band
-sweeps (tbsv) solve, or gbtrs where pivoting interchanged rows.  Its 1e-12
-residual check takes A x from BLAS gbmv and forms its scale only past 1e-12.
-The semi-implicit scheme lags the couplings and sources one level, so its
+sweeps (tbsv) solve, or gbtrs where pivoting interchanged rows.  The
+semi-implicit scheme lags the couplings and sources one level, so its
 matrix is that of zero couplings, factored once per run.  The fully
 implicit scheme keeps them at the new level, and its matrix is factored
 once per run when the couplings are constant and at every step otherwise.
+A factor made once per run is certified at its second solve, once: a bound
+on A - L U and on the sweeps' rounding, from its bands, that implies the
+1e-12 residual bound for every finite x, so its later solves check only
+that x is finite.  The first solve of every factor, all solves of a
+per-step factor and of one with row interchanges, and those of a factor
+the certificate refuses check the residual itself, with A x from BLAS gbmv
+and the bound's scale formed only past 1e-12.
 The stability check c_kk >= sum_{l != k} |c_kl|
 (stability_margin) reads the couplings directly; gershgorin_disks gives the
 disks of the matrix itself.
@@ -46,7 +52,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dger, dtbsv
+from scipy.linalg.blas import ddot, dgbmv, dger, dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError, SolverError
@@ -253,12 +259,27 @@ def _band_product(matrix: BandedMatrix, ab: np.ndarray, x: np.ndarray) -> np.nda
 
 class _BandedLU:
     """LU factors of a banded matrix by LAPACK gbtrf (partial pivoting), kept
-    with the matrix for the residual check of every solve.  Built once per
-    run for a constant matrix, once per step for a time-varying one.  gbtrf
-    factors in place, in a flat buffer with kl + ku spare entries at its end;
-    from entry kl + ku on, at gbtrf's leading dimension, it is L's band.
-    Factors without row interchanges solve by two BLAS band sweeps (tbsv),
-    the arithmetic of gbtrs without its call per column."""
+    with the matrix for the residual check.  Built once per run for a
+    constant matrix, once per step for a time-varying one.  gbtrf factors in
+    place, in a flat buffer with kl + ku spare entries at its end; from entry
+    kl + ku on, at gbtrf's leading dimension, it is L's band.  Factors
+    without row interchanges solve by two BLAS band sweeps (tbsv), the
+    arithmetic of gbtrs without its call per column.
+
+    Every solve checks its residual, except those of a certified factor.  A
+    factor without interchanges is put to the certificate once, at its
+    second solve, so a factor used once never pays for it: with
+    gamma_k = k u / (1 - k u), u = 2^-53, it passes when
+
+        ||A - L U||_inf + gamma_{3n} || |L| |U| ||_inf <= 1e-12 max|A|.
+
+    The sweeps return an x with (L U + dA) x = b, |dA| <= gamma_{3n} |L| |U|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
+    9.4), so max|b - A x| is at most that sum times max|x|: every finite x
+    meets the residual bound, and a certified solve checks only that x is
+    finite.  BLAS ddot of x with zeros is NaN exactly where x holds NaN or
+    inf, cannot overflow on finite data near the float limit, and unlike
+    numpy's product it warns of no inf * 0."""
 
     def __init__(self, matrix: BandedMatrix):
         kl, ku, n = matrix.lower, matrix.upper, matrix.n
@@ -275,12 +296,36 @@ class _BandedLU:
         self.l_band = (buf[kl + ku:].reshape((rows, n), order="F")
                       if self.piv.sum() == n * (n - 1) // 2 else None)
         self.matrix = matrix
+        # zeros once certified: x . 0 by BLAS ddot is NaN iff x is not finite
+        self.solves, self.zeros = 0, None
+
+    def certify(self) -> bool:
+        """The certificate of the class docstring, from the band storage.
+        A - L U is formed in the layout of lu, over U's kl + ku
+        superdiagonals, all that the sweep reads, from the products
+        L[k + p, k] U[k, k + q], k < n - max(p, q), and its row sums are
+        taken by gbmv, which skips the band's unused corners as the solve
+        does.  A NaN anywhere fails it."""
+        kl, uu, n = self.matrix.lower, self.matrix.lower + self.matrix.upper, self.matrix.n
+        diff = np.vstack((np.zeros((kl, n)), self.matrix.ab))
+        size = np.zeros(n)  # the row sums of |L| |U|
+        for p in range(min(kl, n - 1) + 1):
+            for q in range(min(uu, n - 1) + 1):
+                count = n - max(p, q)
+                term = (self.lu[uu + p, :count] if p else 1.0) * self.lu[uu - q, q:q + count]
+                diff[uu + p - q, q:q + count] -= term
+                size[p:p + count] += np.abs(term)
+        gamma = 3 * n * 2.0 ** -53 / (1.0 - 3 * n * 2.0 ** -53)
+        error = _band_product(BandedMatrix(kl, uu, diff), np.abs(diff), np.ones(n)).max()
+        return bool(error + gamma * size.max() <= 1e-12 * np.abs(self.matrix.ab).max())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with A x = rhs, for rhs a float vector of length n (banded_solve
+        checks that); SolverError where the check below refuses x."""
         matrix = self.matrix
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (matrix.n,):
-            raise DomainError(f"rhs shape {rhs.shape} does not match n={matrix.n}")
+        if self.solves == 1 and self.l_band is not None and self.certify():
+            self.zeros = np.zeros(matrix.n)
+        self.solves += 1
         if self.l_band is not None:
             x = dtbsv(matrix.lower + matrix.upper, self.lu,
                       dtbsv(matrix.lower, self.l_band, rhs, lower=1, diag=1), overwrite_x=1)
@@ -288,6 +333,10 @@ class _BandedLU:
             x, info = dgbtrs(self.lu, matrix.lower, matrix.upper, rhs, self.piv)
             if info != 0:
                 raise SolverError(f"banded solve failed: gbtrs info {info}")
+        if self.zeros is not None:
+            if math.isnan(ddot(x, self.zeros)):
+                raise SolverError("banded solve residual not finite: x holds NaN or inf")
+            return x
         resid = np.abs(_band_product(matrix, matrix.ab, x) - rhs).max()
         # the bound is never below 1e-12, so its scale is formed only past that
         if not resid <= 1e-12 and not resid <= 1e-12 * max(
@@ -301,8 +350,15 @@ def banded_solve(matrix: BandedMatrix | _BandedLU, rhs: np.ndarray) -> np.ndarra
     then two BLAS band sweeps, or gbtrs after row interchanges); an already
     factored matrix skips the factoring.  A singular system, or a residual
     above 1e-12 max(1, max|A| max(|x|, 1) + max|b|), raises SolverError, as
-    non-finite input always does; the scale is formed only past 1e-12."""
+    non-finite input always does.  A raw BandedMatrix is factored for this
+    one solve, which checks its residual, forming the scale only past
+    1e-12.  A _BandedLU checks it at its first solve, and is certified to
+    meet it at its second where it has no row interchanges (see there);
+    from then on its solves check only that x is finite."""
     lu = matrix if isinstance(matrix, _BandedLU) else _BandedLU(matrix)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (lu.matrix.n,):
+        raise DomainError(f"rhs shape {rhs.shape} does not match n={lu.matrix.n}")
     return lu.solve(rhs)
 
 
@@ -532,19 +588,21 @@ class _Stepper:
         """Level n+1 on the interior nodes, shape (K, I-1), from level n."""
         rhs = self.memory(n, u)
         K, m = rhs.shape
-        # the semi-implicit scheme lags the couplings and sources one level
-        t = float(self.times[n if self.lagged else n + 1])
-        if self.coupling_load:  # -fac_k sum_l c_kl(x, t) u_l
-            rhs -= self.fac[:, None] * np.array([
-                sum(self.spec.coupling_at(k, l, self.x, t) * u[l] for l in range(K))
-                for k in range(K)])
-        for k in self.sourced:
-            rhs[k] += self.fac[k] * self.spec.source_at(k, self.x, t)
-        matrix = self.lu if self.lu is not None else \
-            assemble_block_matrix(self.spec, self.grid, n + 1)
+        if self.coupling_load or self.sourced:
+            # the semi-implicit scheme lags the couplings and sources one level
+            t = float(self.times[n if self.lagged else n + 1])
+            if self.coupling_load:  # -fac_k sum_l c_kl(x, t) u_l
+                rhs -= self.fac[:, None] * np.array([
+                    sum(self.spec.coupling_at(k, l, self.x, t) * u[l] for l in range(K))
+                    for k in range(K)])
+            for k in self.sourced:
+                rhs[k] += self.fac[k] * self.spec.source_at(k, self.x, t)
         # node-interleaved ordering, unknown (i, k) at row i*K + k: rhs.T is
         # the product as memory made it, so the flattening copies nothing
-        return banded_solve(matrix, rhs.T.reshape(-1)).reshape(m, K).T
+        rhs = rhs.T.reshape(-1)
+        x = self.lu.solve(rhs) if self.lu is not None else \
+            banded_solve(assemble_block_matrix(self.spec, self.grid, n + 1), rhs)
+        return x.reshape(m, K).T
 
 
 def levels(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit"):

@@ -180,6 +180,105 @@ class TestBandedSolve:
         with pytest.raises(DomainError):
             banded_solve(eye, np.ones(5))
 
+    @settings(max_examples=150, deadline=None)
+    @given(lower=st.integers(0, 3), upper=st.integers(0, 3), n=st.integers(1, 60),
+           dominant=st.booleans(), scale=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_certified_solves_meet_the_residual_bound(self, lower, upper, n, dominant,
+                                                      scale, seed):
+        """A factor is certified at its second solve, and only where gbtrf
+        made no interchanges; every certified solve meets the per-solve
+        residual bound, computed here with the dense matrix."""
+        rng = np.random.default_rng(seed)
+        matrix = self._random_band(rng, lower, upper, n, dominant)
+        matrix.ab *= 10.0 ** scale
+        dense = band_to_dense(matrix)
+        lu = _BandedLU(matrix)
+        for solve in range(5):
+            rhs = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-8, 9)
+            try:
+                x = banded_solve(lu, rhs)
+            except SolverError:
+                # only the per-solve check may refuse; a certified factor
+                # would have passed every finite x
+                assert lu.zeros is None
+                continue
+            assert (lu.zeros is not None) == (solve >= 1 and lu.l_band is not None
+                                              and lu.certify())
+            if lu.zeros is not None:
+                assert np.array_equal(lu.piv, np.arange(n))
+                resid = np.abs(dense @ x - rhs).max()
+                assert resid <= 1e-12 * max(np.abs(matrix.ab).max() * max(np.abs(x).max(), 1.0)
+                                            + np.abs(rhs).max(), 1.0)
+        if dominant:
+            assert lu.zeros is not None
+
+    @pytest.mark.parametrize("scheme, band, offset", [
+        ("semi-implicit", "L", 2), ("semi-implicit", "U", 0), ("semi-implicit", "U", 2),
+        ("fully-implicit", "L", 1), ("fully-implicit", "L", 2), ("fully-implicit", "U", 0),
+        ("fully-implicit", "U", 1), ("fully-implicit", "U", 2)])
+    def test_certificate_refuses_a_perturbed_factor(self, scheme, band, offset):
+        """One entry of the run's factor, in L's band or U's, moved by 1e-6
+        relative before its second solve: the certificate refuses the
+        factor, and the solve's residual check raises.  (The semi-implicit
+        band's offset-1 diagonals hold its zero couplings.)"""
+        grid = Grid(L=math.pi, I=8, T=1.0, N=4)
+        spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
+                          couplings=[[1.0, -1.0], [-1.0, 1.0]], initials=[np.sin, HAT])
+        u0 = np.array([np.sin(grid.x[1:-1]), HAT(grid.x[1:-1])])
+        stepper = _Stepper(spec, grid, scheme, u0)
+        u1 = stepper.step(0, u0)
+        # K = 2: gbtrf keeps L's offset p at row 4 + p, U's offset q at row 4 - q
+        factors, row = stepper.lu, 4 + (offset if band == "L" else -offset)
+        column = factors.matrix.n // 2
+        assert factors.lu[row, column] != 0.0
+        factors.lu[row, column] *= 1.0 + 1e-6
+        assert not factors.certify()
+        with pytest.raises(SolverError, match="residual"):
+            stepper.step(1, u1)
+        assert factors.zeros is None
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_certified_factor_refuses_non_finite_right_hand_sides(self, rng, bad):
+        """A certified solve checks only that x is finite: an inf or NaN in
+        the right-hand side raises SolverError, and no RuntimeWarning; finite
+        data of size 1e300 still solves."""
+        matrix = self._random_band(rng, 2, 2, 40, dominant=True)
+        lu = _BandedLU(matrix)
+        rhs = rng.uniform(-1.0, 1.0, size=40)
+        first = banded_solve(lu, rhs)
+        assert np.array_equal(banded_solve(lu, rhs), first) and lu.zeros is not None
+        x = banded_solve(lu, 1e300 * rhs)
+        assert np.all(np.isfinite(x)) and np.abs(x / 1e300 - first).max() <= 1e-14
+        rhs[7] = bad
+        with pytest.raises(SolverError, match="residual"):
+            banded_solve(lu, rhs)
+
+    def test_certificate_counts_rounding_by_gamma_3n(self):
+        """L U = A to rounding, yet the gamma_{3n} || |L| |U| || term alone
+        refuses a long enough band: diag 4, off-diagonals -1 has |L| |U|
+        row sums near 6 = 1.5 max|A|, so it certifies up to n of about 2000."""
+        for n, certified in ((1000, True), (2500, False)):
+            ab = np.array([[-1.0] * n, [4.0] * n, [-1.0] * n])
+            assert _BandedLU(BandedMatrix(lower=1, upper=1, ab=ab)).certify() is certified
+
+    def test_one_shot_factors_compute_no_certificate(self, monkeypatch):
+        """The factor of a raw BandedMatrix, and each per-step factor of a
+        fully implicit run with callable couplings, solves once and is never
+        put to the certificate; a run's constant factor is, once."""
+        calls = []
+        certify = _BandedLU.certify
+        monkeypatch.setattr(_BandedLU, "certify", lambda lu: calls.append(lu) or certify(lu))
+        eye = BandedMatrix(lower=1, upper=1, ab=np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
+        banded_solve(eye, np.ones(2))
+        grid = Grid(L=math.pi, I=8, T=1.0, N=6)
+        couplings = [[1.0, lambda x, t: -0.5 * np.cos(t) + 0.0 * x], [-0.5, 1.0]]
+        spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
+                          couplings=couplings, initials=[np.sin, HAT])
+        list(levels(spec, grid, "fully-implicit"))
+        assert calls == []
+        list(levels(spec, grid, "semi-implicit"))
+        assert len(calls) == 1
+
 
 class TestGrid:
     @pytest.mark.parametrize("name", ["L", "T"])
@@ -518,8 +617,9 @@ class TestStepping:
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
     def test_nan_through_factored_matrix_raises(self, scheme):
-        """The constant matrix is factored once per run, and every solve with
-        those factors still runs the residual check."""
+        """The constant matrix is factored once per run; its first solve runs
+        the residual check and later solves, certified, still refuse a
+        solution that is not finite."""
         grid = Grid(L=math.pi, I=8, T=1.0, N=4)
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=[[1.0, -1.0], [-1.0, 1.0]], initials=[np.sin, HAT])
