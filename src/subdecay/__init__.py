@@ -6,11 +6,9 @@ estimation."""
 
 from .decay import (DecayFit, NormSeries, fit_exponent, l2_norm,
                     pointwise_exponent)
-from .frac_ode import (LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert, im_parts,
-                       picard_monotonicity, picard_solve, q_of_r)
+from .frac_ode import LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert, picard_solve
 from .mittag_leffler import ml_eval
-from .spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
-                       mode_convolution, q_integral, r_series_identity)
+from .spectral import SpectralSolution, asymptotic_v, decoupled_solve, mode_convolution
 
 # subdiff_fd loads scipy's BLAS and LAPACK, which only the PDE solver needs:
 # its names are looked up on first use (PEP 562); every other export is
@@ -26,12 +24,9 @@ def __getattr__(name):
 
 __all__ = [
     "ml_eval",
-    "OdeSpec", "OdePath", "LaplaceSymbol", "picard_solve",
-    "picard_monotonicity", "q_of_r", "im_parts", "branch_cut_invert",
+    "OdeSpec", "OdePath", "LaplaceSymbol", "picard_solve", "branch_cut_invert",
     "Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights",
-    "assemble_block_matrix", "banded_solve", "gershgorin_disks",
-    "levels", "simulate",
+    "assemble_block_matrix", "banded_solve", "levels", "simulate",
     "NormSeries", "DecayFit", "pointwise_exponent", "fit_exponent", "l2_norm",
-    "SpectralSolution", "decoupled_solve", "mode_convolution",
-    "q_integral", "r_series_identity", "asymptotic_v",
+    "SpectralSolution", "decoupled_solve", "mode_convolution", "asymptotic_v",
 ]

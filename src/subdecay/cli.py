@@ -143,8 +143,8 @@ class RunConfig:
                             f"{sorted(c for (k, c) in _IC_PROFILES if k == K)}")
         else:
             problems += _domain_problems(self.system_spec)
-        if not 0.0 <= self.ic_scale < math.inf:
-            problems.append(f"ic_scale must be finite and nonnegative, got {self.ic_scale}")
+        if not 0.0 < self.ic_scale < math.inf:
+            problems.append(f"ic_scale must be finite and positive, got {self.ic_scale}")
         if grid_problems := _domain_problems(self.grid):
             problems += grid_problems
         # per step: 2K L1 weights, 6 temporaries, 2 time grids; per node and order:
@@ -370,11 +370,13 @@ TABLE_ORDER_ROWS = [
 def table_configs(case: str):
     """The twelve desk-scale table rows: six order triples, run with the
     K=3 initial-condition case 'ii' (third component zero) or 'iii' (second
-    and third zero)."""
+    and third zero), as (config, target) pairs: the target is the
+    conjectured rate for the components whose profile is not _zero."""
     if case not in ("ii", "iii"):
         raise ConfigError("table case must be 'ii' or 'iii'")
-    return [RunConfig.from_dict({"orders": list(rows), "ic_case": case})
-            for rows in TABLE_ORDER_ROWS]
+    nonzero = [f is not _zero for f in _IC_PROFILES[(3, case)]]
+    return [(RunConfig.from_dict({"orders": list(rows), "ic_case": case}),
+             conjectured_rate(rows, nonzero)) for rows in TABLE_ORDER_ROWS]
 
 
 def report_tables() -> bool:
@@ -384,13 +386,11 @@ def report_tables() -> bool:
     norms over the default window, annotated pass/fail against the
     conjectured power within _TABLE_TOLERANCE."""
     all_pass = True
-    ic_nonzero = {"ii": (True, True, False), "iii": (True, False, False)}
     for case, title in (("ii", "third component starts at zero"),
                         ("iii", "second and third components start at zero")):
         print(f"table ({title}):", flush=True)
         print("  alpha  beta  gamma   target   fitted      status", flush=True)
-        for cfg in table_configs(case):
-            target = conjectured_rate(cfg.orders, ic_nonzero[case])
+        for cfg, target in table_configs(case):
             fitted = run(cfg).total_fit.exponent
             passed = abs(fitted - target) <= _TABLE_TOLERANCE
             all_pass &= passed
@@ -428,8 +428,10 @@ def _cmd_mlf(args) -> int:
 def _cmd_ode(args) -> int:
     if not (math.isfinite(args.t_max) and args.t_max > 0.0):
         raise DomainError(f"horizon --t-max must be finite and positive, got {args.t_max}")
-    if args.n_steps < 1:
-        raise DomainError(f"--n-steps must be at least 1, got {args.n_steps}")
+    floor = frac_ode._MIN_STEPS if args.method == "picard" else 1
+    if args.n_steps < floor:
+        raise DomainError(f"--n-steps must be at least {floor} for --method {args.method}, "
+                          f"got {args.n_steps}")
     # the times each method returns: the fit window is refused before the solve
     times = (np.linspace(0.0, args.t_max, args.n_steps + 1) if args.method == "picard"
              else np.logspace(0.0, math.log10(args.t_max), args.n_steps))

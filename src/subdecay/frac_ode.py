@@ -33,11 +33,9 @@ have arguments in (0, alpha theta) and (0, beta theta), so their product has
 argument in (0, 2 pi) and is never the positive real c2^2; on the positive
 axis the product is at least c1^2 > c2^2, and conjugation covers theta < 0.
 With no residues, the inverse is one fixed trapezoid sum of the symbols on a
-parabola around the cut, for all times at once (see branch_cut_invert).  The
-cut's closed-form imaginary parts (q_of_r, im_parts) stay for the identity
-checks and the quadrature reference in the tests.  The two solvers share
-nothing numerically, which is exactly why the cross-check between them is
-trusted.
+parabola around the cut, for all times at once (see branch_cut_invert).
+The two solvers share nothing numerically, which is exactly why the
+cross-check between them is trusted.
 """
 
 from __future__ import annotations
@@ -52,6 +50,8 @@ from .mittag_leffler import _rgamma, ml_neg
 
 # record_iterates sweeps from zero at most _MAX_SWEEPS times
 _MAX_SWEEPS = 200
+# the fewest steps picard_solve takes
+_MIN_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +391,8 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int,
     """
     if not (math.isfinite(T) and T > 0.0):
         raise DomainError(f"horizon must be finite and positive, got {T}")
-    if n_steps < 16:
-        raise DomainError(f"n_steps must be >= 16, got {n_steps}")
+    if n_steps < _MIN_STEPS:
+        raise DomainError(f"n_steps must be >= {_MIN_STEPS}, got {n_steps}")
     times = np.linspace(0.0, T, n_steps + 1)
     h = times[1]
 
@@ -432,21 +432,6 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int,
     return OdePath(times=times, U=U, V=V, residual=residual, iterates=iterates)
 
 
-def picard_monotonicity(iterates) -> bool:
-    """True iff the recorded iterate pairs are pointwise non-decreasing.
-
-    Valid only for runs with nonnegative data, where successive differences
-    are convolutions of nonnegative kernels against nonnegative differences.
-    A floating-point slack of 1e-12 of the iterate scale is allowed.
-    """
-    for (U0, V0), (U1, V1) in zip(iterates, iterates[1:]):
-        slack_u = 1e-12 * max(1.0, float(np.max(np.abs(U1))))
-        slack_v = 1e-12 * max(1.0, float(np.max(np.abs(V1))))
-        if np.any(U1 - U0 < -slack_u) or np.any(V1 - V0 < -slack_v):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Laplace-domain symbols and branch-cut inversion
 
@@ -474,46 +459,6 @@ class LaplaceSymbol:
                               "axis and leaves no cut; need alpha < 1 or beta < 1")
 
 
-def _cut_parts(sym: LaplaceSymbol, ra, rb):
-    """Re q, Im q, Im(e^{i alpha pi} conj(q)) and Im(p conj(q)) on the upper
-    side of the cut, s = r e^{i pi}, from ra = r^alpha and rb = r^beta."""
-    a, b, c1, c2 = sym.alpha, sym.beta, sym.c1, sym.c2
-    sin_a, sin_b, sin_amb = (math.sin(x * math.pi) for x in (a, b, a - b))
-    gap = c1 * c1 - c2 * c2
-    rab = ra * rb
-    re = (ra * math.cos(a * math.pi) + rb * math.cos(b * math.pi)) * c1 + gap \
-        + rab * math.cos((a + b) * math.pi)
-    im = (ra * sin_a + rb * sin_b) * c1 + rab * math.sin((a + b) * math.pi)
-    im_exp = c1 * rb * sin_amb + gap * sin_a - rab * sin_b
-    im_p = ((c1 * c1 * sin_amb + gap * math.sin((a + b) * math.pi)) * rb
-            + c1 * gap * sin_a + c1 * sin_a * rb * rb)
-    return re, im, im_exp, im_p
-
-
-def q_of_r(sym: LaplaceSymbol, r):
-    """Denominator along the upper side of the cut, s = r e^{i pi}, in the
-    closed form grouping real and imaginary parts."""
-    r = np.asarray(r, dtype=float)
-    re, im, _, _ = _cut_parts(sym, r ** sym.alpha, r ** sym.beta)
-    out = re + 1j * im
-    return complex(out) if out.ndim == 0 else out
-
-
-def im_parts(sym: LaplaceSymbol, r):
-    """Closed forms of Im(e^{i alpha pi} conj(q)) and Im(p conj(q)).
-
-    Over |q|^2 they are the cut densities of V/c2 and of U:
-    (1/pi) int_0^inf e^{-rt} r^{alpha-1} n(r)/|q(r)|^2 dr is V/c2 for
-    n = im_exp and U for n = im_p.  Each equals the directly computed complex
-    expression to ~1e-12 relative.
-    """
-    r = np.asarray(r, dtype=float)
-    _, _, im_exp, im_p = _cut_parts(sym, r ** sym.alpha, r ** sym.beta)
-    if im_exp.ndim == 0:
-        return float(im_exp), float(im_p)
-    return im_exp, im_p
-
-
 def _bromwich_rule(n: int):
     """Nodes s_k and weights w_k of the n-step trapezoid rule on the parabola
     s(u) = 1.5 (1 + iu)^2, u in [0, 5] (the tail is e^-36), so that
@@ -536,6 +481,31 @@ _BROMWICH = tuple(_bromwich_rule(n) for n in (43, 64))
 _BROMWICH_RTOL = 1e-10
 
 
+def _bromwich_sum(terms_at, where, exact=0.0):
+    """The 64-node sums of terms_at(s1, w), the terms Im(w_k F(s_k / t)) / t of
+    each rule (s1, w) of _BROMWICH along axis -2 (w inside their product),
+    plus exact, an inverse the transforms had subtracted.  A sum out of
+    float64 range, or whose estimate |I_43 - I_64| + eps sum |terms| exceeds
+    _BROMWICH_RTOL of it, raises QuadratureError, where(i) naming entry i."""
+    sums = []
+    # past the float64 range the sums hold inf or nan, and are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s1, w in _BROMWICH:
+            terms = terms_at(s1, w)
+            sums.append(terms.sum(axis=-2))
+        rough, total = sums
+        err = np.abs(rough - total) + np.finfo(float).eps * np.abs(terms).sum(axis=-2)
+        total += exact
+    finite = np.isfinite(total)
+    ok = finite & (err <= _BROMWICH_RTOL * np.abs(total))
+    if not ok.all():
+        i = tuple(np.argwhere(~ok)[0])
+        problem = (f"has error {err[i]:.3e} (value {total[i]:.6e})" if finite[i]
+                   else "overflows float64")
+        raise QuadratureError(f"Bromwich sum {where(i)} {problem}")
+    return total
+
+
 def branch_cut_invert(sym: LaplaceSymbol, t):
     """(U(t), V(t)) by one fixed Bromwich sum over the symbols, valid for t >= 1.
 
@@ -549,7 +519,8 @@ def branch_cut_invert(sym: LaplaceSymbol, t):
     -c2 s^{alpha-1}(s^{alpha+beta} + c1 s^alpha + c1 s^beta) and c2 in place
     of c1.  Elsewhere it sums U^ and V^ as they are.  The estimate
     |I_43 - I_64| + eps sum |terms|, relative to the value, raises
-    QuadratureError past 1e-10, and so does a sum out of float64 range.
+    QuadratureError past 1e-10, and so does a sum out of float64 range (see
+    _bromwich_sum).
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -562,31 +533,19 @@ def branch_cut_invert(sym: LaplaceSymbol, t):
     a, b, c1, c2 = sym.alpha, sym.beta, sym.c1, sym.c2
     gap = (c1 - c2) * (c1 + c2)
     lead = t_arr ** b * gap >= c1
-    sums = []
-    # past the float64 range the sums hold inf or nan, and are refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s1, w in _BROMWICH:
-            s = s1[:, None] / t_arr
-            sa, sb = s ** a, s ** b
-            u_num = np.where(lead, -(c2 * c2 * sb + c1 * sa * sb + c1 * c1 * sa) / gap, sb + c1)
-            v_num = np.where(lead, -(sa * sb + c1 * sa + c1 * sb) / gap, 1.0) * c2
-            D = gap + c1 * (sa + sb) + sa * sb
-            terms = (w[:, None] * s ** (a - 1.0) / D * np.stack((u_num, v_num))).imag / t_arr
-            sums.append(terms.sum(axis=1))
-        rough, total = sums
-        err = np.abs(rough - total) + np.finfo(float).eps * np.abs(terms).sum(axis=1)
-        # its own 1/Gamma(1 - a): this check on Picard reads nothing from mittag_leffler
-        inv_gamma = 0.0 if a == 1.0 else 1.0 / math.gamma(1.0 - a)
-        total += np.where(lead, np.array([[c1], [c2]]) / gap * inv_gamma * t_arr ** -a, 0.0)
-    if not np.all(np.isfinite(total)):
-        raise QuadratureError("branch-cut integrand overflows float64 for "
-                              f"c1={sym.c1:g}, c2={sym.c2:g}")
-    bad = np.argwhere(~(err <= _BROMWICH_RTOL * np.abs(total)))
-    if bad.size:
-        k, i = bad[0]
-        raise QuadratureError(f"Bromwich sum error {err[k, i]:.3e} in {'UV'[k]} at "
-                              f"t={t_arr[i]:g} (value {total[k, i]:.6e})")
-    U, V = total
+
+    def terms_at(s1, w):
+        s = s1[:, None] / t_arr
+        sa, sb = s ** a, s ** b
+        u_num = np.where(lead, -(c2 * c2 * sb + c1 * sa * sb + c1 * c1 * sa) / gap, sb + c1)
+        v_num = np.where(lead, -(sa * sb + c1 * sa + c1 * sb) / gap, 1.0) * c2
+        D = gap + c1 * (sa + sb) + sa * sb
+        return (w[:, None] * s ** (a - 1.0) / D * np.stack((u_num, v_num))).imag / t_arr
+
+    # its own 1/Gamma(1 - a): this check on Picard reads nothing from mittag_leffler
+    inv_gamma = 0.0 if a == 1.0 else 1.0 / math.gamma(1.0 - a)
+    exact = np.where(lead, np.array([[c1], [c2]]) / gap * inv_gamma * t_arr ** -a, 0.0)
+    U, V = _bromwich_sum(terms_at, lambda i: f"in {'UV'[i[0]]} at t={t_arr[i[1]]:g}", exact)
     if scalar:
         return float(U[0]), float(V[0])
     return U, V

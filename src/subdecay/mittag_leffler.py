@@ -330,8 +330,8 @@ def ml_neg(eta: float, mu: float, z, rtol: float = 1e-12):
     """E_{eta,mu}(z) for arrays of z <= 0, without the public envelope check.
 
     Internal workhorse: callers that need parameters outside the validated
-    public envelope (e.g. large mu in series identities, or z below -1e4
-    where the expansion only gets better) come through here.  ``rtol`` is the
+    public envelope (e.g. z below -1e4, where the expansion only gets
+    better) come through here.  ``rtol`` is the
     relative error a float64 route must certify before the point falls
     through to the next route; kernel builders pass 1e-10.  mu <= 0 raises
     DomainError: every internal caller has mu >= eta.

@@ -14,8 +14,7 @@ and for large t the slow component approaches the separated form
     v(t) ~ (A^{-3} u0) t^{-(1+beta)} / (-Gamma(-beta)),
 
 with the next correction (A^{-4} u0) t^{-(2+beta)} / Gamma(-1-beta).  This
-module is the independent oracle for that superlinear regime, plus the
-series identities used to cross-check the convolution algebra.
+module is the independent oracle for that superlinear regime.
 
 The mode convolution f(t) is the inverse Laplace transform of
 F(s) = 1/((s^beta + lam)(s + lam)), analytic off the negative real axis.
@@ -33,7 +32,8 @@ Each mode takes one of two integrands, by lam * t:
   error at lam = 4096, t = 1e4, beta = 0.99).
 
 The estimate |I_43 - I_64| + eps sum |terms| (43 against 64 nodes, plus
-rounding) raises QuadratureError past frac_ode's _BROMWICH_RTOL.  Against
+rounding) raises QuadratureError past frac_ode's _BROMWICH_RTOL, as does a
+sum out of float64 range (frac_ode._bromwich_sum).  Against
 40-digit Talbot inversion (beta 0.05-0.99, lam 1-4096, t 1e-8-1e4) the
 worst error is 5e-12.
 """
@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .frac_ode import _BROMWICH, _BROMWICH_RTOL
-from .mittag_leffler import _rgamma, ml_neg
+from .errors import DomainError
+from .frac_ode import _bromwich_sum
+from .mittag_leffler import _rgamma
 
 # trapezoid cells of the initial-datum projection on (0, pi)
 _N_QUAD = 16384
@@ -115,20 +115,14 @@ def mode_convolution(lam, beta: float, t: float):
     pos = lams > 0.0
     lp = lams[pos]
     plain = lp * t <= 1.0
-    sums = []
-    for s1, w in _BROMWICH:
+
+    def terms_at(s1, w):
         s = s1[:, None] / t
         sb = s ** beta
         num = np.where(plain, lp * lp, -(sb * s + lp * (sb + s)))
-        terms = (w[:, None] * num / (lp * lp * (sb + lp) * (s + lp))).imag / t
-        sums.append(terms.sum(axis=0))
-    rough, total = sums
-    err = np.abs(rough - total) + np.finfo(float).eps * np.abs(terms).sum(axis=0)
-    bad = np.flatnonzero(~(err <= _BROMWICH_RTOL * np.abs(total)))
-    if bad.size:
-        raise QuadratureError(f"mode convolution at lam={lp[bad[0]]:g}, t={t:g}: error "
-                              f"{err[bad[0]]:.2e} vs value {total[bad[0]]:.6e}")
-    out[pos] = total
+        return (w[:, None] * num / (lp * lp * (sb + lp) * (s + lp))).imag / t
+
+    out[pos] = _bromwich_sum(terms_at, lambda i: f"of mode lam={lp[i[0]]:g} at t={t:g}")
     return float(out[0]) if np.ndim(lam) == 0 else out
 
 
@@ -143,52 +137,6 @@ def decoupled_solve(u0_coeffs, beta: float, t: float):
     nz = coeffs != 0.0
     v_coeffs[nz] = coeffs[nz] * mode_convolution(lam[nz], beta, t)
     return u_coeffs, v_coeffs
-
-
-def q_integral(t: float, j: int, k: int, beta: float) -> float:
-    """Closed form t^{beta(j+1)+k-j} / Gamma(beta j + k - j + beta + 1) of the
-    Beta-function integral int_0^t tau^{beta(j+1)-1} (t-tau)^{k-j}
-    / (Gamma(beta j + beta) Gamma(k-j+1)) dtau."""
-    if not (t > 0.0 and 0 <= j <= k and 0.0 < beta < 1.0):
-        raise DomainError("need t > 0, 0 <= j <= k, beta in (0, 1)")
-    return t ** (beta * (j + 1) + k - j) / math.gamma(beta * j + k - j + beta + 1.0)
-
-
-def r_series_identity(lam: float, beta: float, t: float, k_max: int = 25):
-    """Both sides of the double-series rearrangement:
-
-    lhs = sum_{k<=k_max} (-lam)^k sum_{j<=k} t^{beta j + (k-j)br}
-          / Gamma(beta j + (k-j) + beta + 1),
-    rhs = sum_{k<=k_max} (-lam t^beta)^k E_{1, beta(k+1)+1}(-lam t).
-
-    Valid comparison regime lam * t <= 5 where both converge fast in float.
-    """
-    if k_max < 20:
-        raise DomainError(f"k_max must be >= 20, got {k_max}")
-    if not (t > 0.0 and lam >= 0.0):
-        raise DomainError("need t > 0 and lam >= 0")
-    if lam * t > 5.0:
-        raise DomainError("identity check restricted to lam * t <= 5")
-    log_t = math.log(t)
-    log_lam = math.log(lam) if lam > 0.0 else -math.inf
-    lhs = 0.0
-    for k in range(k_max + 1):
-        inner = 0.0
-        for j in range(k + 1):
-            # exp/lgamma form: plain Gamma overflows beyond argument ~171
-            inner += math.exp((beta * j + (k - j)) * log_t
-                              - math.lgamma(beta * j + (k - j) + beta + 1.0))
-        sign = -1.0 if k % 2 else 1.0
-        lhs += sign * math.exp(k * log_lam) * inner if lam > 0.0 else (inner if k == 0 else 0.0)
-    rhs = 0.0
-    for k in range(k_max + 1):
-        mu = beta * (k + 1) + 1.0
-        sign = -1.0 if k % 2 else 1.0
-        coeff = sign * math.exp(k * (log_lam + beta * log_t)) if lam > 0.0 else (1.0 if k == 0 else 0.0)
-        if coeff == 0.0:
-            continue
-        rhs += coeff * float(ml_neg(1.0, mu, -lam * t))
-    return lhs, rhs
 
 
 def asymptotic_v(u0_coeffs, beta: float, t: float) -> np.ndarray:

@@ -40,8 +40,7 @@ per-step factor and of one with row interchanges, and those of a factor
 the certificate refuses check the residual itself, with A x from BLAS gbmv
 and the bound's scale formed only past 1e-12.
 The stability check c_kk >= sum_{l != k} |c_kl|
-(stability_margin) reads the couplings directly; gershgorin_disks gives the
-disks of the matrix itself.
+(stability_margin) reads the couplings directly.
 """
 
 from __future__ import annotations
@@ -360,14 +359,6 @@ def banded_solve(matrix: BandedMatrix | _BandedLU, rhs: np.ndarray) -> np.ndarra
     if rhs.shape != (lu.matrix.n,):
         raise DomainError(f"rhs shape {rhs.shape} does not match n={lu.matrix.n}")
     return lu.solve(rhs)
-
-
-def gershgorin_disks(matrix: BandedMatrix):
-    """One (center, radius) pair per row: center the diagonal entry, radius
-    the absolute off-diagonal row sum, |A| times ones less |center|."""
-    centers = matrix.ab[matrix.upper]
-    radii = _band_product(matrix, np.abs(matrix.ab), np.ones(matrix.n)) - np.abs(centers)
-    return [(float(c), float(r)) for c, r in zip(centers, radii)]
 
 
 # ---------------------------------------------------------------------------

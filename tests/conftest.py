@@ -9,6 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from identities import im_parts, q_of_r
+
 
 def ml_series_reference(eta: float, mu: float, z: float) -> float:
     """Extended-precision truncated power series for E_{eta,mu}(z), z <= 0.
@@ -118,6 +120,14 @@ def band_to_dense(matrix) -> np.ndarray:
     return dense
 
 
+def gershgorin_gap(matrix) -> float:
+    """min over rows of |centre| - radius of a BandedMatrix's Gershgorin disks,
+    read off band_to_dense: centre a_ii, radius sum_{j != i} |a_ij|."""
+    dense = np.abs(band_to_dense(matrix))
+    centres = np.diag(dense)
+    return float(np.min(centres - (dense.sum(axis=1) - centres)))
+
+
 def branch_cut_quad_reference(sym, t: float, numerator: str) -> float:
     """(1/pi) int_0^{45/t} e^{-rt} r^{alpha-1} n(r)/|q(r)|^2 dr by scalar
     QUADPACK (the algebraic-weight rule qawse, epsrel 1e-11), n = im_p for
@@ -125,8 +135,6 @@ def branch_cut_quad_reference(sym, t: float, numerator: str) -> float:
     checks: U and V/c2 along the cut, a second oracle for branch_cut_invert
     where the cut density has a narrow dip.  The closed forms q_of_r and
     im_parts are held to complex arithmetic in test_frac_ode."""
-    from subdecay.frac_ode import im_parts, q_of_r
-
     pick = 1 if numerator == "p" else 0
     A = 45.0 / t
 
@@ -159,6 +167,18 @@ def branch_cut_talbot_reference(sym, t: float, dps: int = 30) -> tuple[float, fl
                       lambda s: c2 * s ** (a - 1) / D(s))
         return tuple(float(mpmath.invertlaplace(F, mpmath.mpf(t), method="talbot"))
                      for F in transforms)
+
+
+def picard_monotonicity(iterates) -> bool:
+    """True iff the recorded Picard iterate pairs are pointwise
+    non-decreasing, as they are for nonnegative data, with a slack of 1e-12
+    of the iterate scale (see picard_solve's record_iterates)."""
+    for (U0, V0), (U1, V1) in zip(iterates, iterates[1:]):
+        slack_u = 1e-12 * max(1.0, float(np.max(np.abs(U1))))
+        slack_v = 1e-12 * max(1.0, float(np.max(np.abs(V1))))
+        if np.any(U1 - U0 < -slack_u) or np.any(V1 - V0 < -slack_v):
+            return False
+    return True
 
 
 def mode_one_norms(alpha: float, beta: float, dx: float, times) -> np.ndarray:

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
+from conftest import gershgorin_gap, picard_monotonicity
+from identities import im_parts, q_integral, q_of_r, r_series_identity
 from subdecay import decay as decay_mod
 from subdecay import frac_ode, spectral, subdiff_fd
-from subdecay.cli import RunConfig, conjectured_rate, run, table_configs
+from subdecay.cli import RunConfig, run, table_configs
 from subdecay.mittag_leffler import ml_neg
 from subdecay.subdiff_fd import Grid, SystemSpec, simulate
 
@@ -99,10 +101,8 @@ class TestCriterion5:
         t0 = time.perf_counter()
         details = []
         ok = True
-        ic_flags = {"ii": (True, True, False), "iii": (True, False, False)}
         for case in ("ii", "iii"):
-            for cfg in table_configs(case):
-                target = conjectured_rate(cfg.orders, ic_flags[case])
+            for cfg, target in table_configs(case):
                 rep = run(cfg)
                 fitted = rep.total_fit.exponent
                 row_ok = abs(fitted - target) <= 0.07
@@ -226,9 +226,7 @@ class TestCriterion10:
         hist = simulate(spec, grid, "fully-implicit")
         norms = decay_mod.l2_norm(hist.values, grid.dx)
         growth = float(np.max(norms / norms[0]))
-        disks = subdiff_fd.gershgorin_disks(
-            subdiff_fd.assemble_block_matrix(spec, grid, 1))
-        min_gap = min(abs(c) - r for c, r in disks)
+        min_gap = gershgorin_gap(subdiff_fd.assemble_block_matrix(spec, grid, 1))
         ok = growth <= 10.0 and min_gap >= 1.0 - 1e-9
         _report(10, ok,
                 f"norm growth {growth:.3f} <= 10; min |center|-radius "
@@ -273,8 +271,8 @@ class TestCriterion11:
             r = rng.uniform(0.0, 30.0)
             s = r * np.exp(1j * np.pi)
             q_direct = (s ** alpha + c1) * (s ** beta + c1) - c2 ** 2
-            qc = frac_ode.q_of_r(sym, r)
-            im_exp, im_p = frac_ode.im_parts(sym, r)
+            qc = q_of_r(sym, r)
+            im_exp, im_p = im_parts(sym, r)
             d_exp = (np.exp(1j * np.pi * alpha) * np.conj(q_direct)).imag
             p = np.exp(1j * np.pi * alpha) * (s ** beta + c1)
             d_p = (p * np.conj(q_direct)).imag
@@ -303,12 +301,12 @@ class TestCriterion11:
                                   * mpmath.gamma(k - j + 1))
                 ref = float(pref * mpmath.quad(
                     lambda sig: (tt - tt * sig ** (1 / c)) ** (k - j), [0, 1]))
-            got = spectral.q_integral(float(t), j, k, float(beta))
+            got = q_integral(float(t), j, k, float(beta))
             worst_q = max(worst_q, abs(got - ref) / abs(ref))
         worst_r = 0.0
         for lam, beta, t in ((1.0, 0.5, 1.0), (1.0, 0.3, 1.0), (2.0, 0.5, 1.0),
                              (0.5, 0.7, 4.0), (4.0, 0.5, 1.0)):
-            lhs, rhs = spectral.r_series_identity(lam, beta, t, k_max=130)
+            lhs, rhs = r_series_identity(lam, beta, t, k_max=130)
             worst_r = max(worst_r, abs(lhs - rhs) / max(1.0, abs(lhs)))
         ok = worst_q <= 1e-8 and worst_r <= 1e-8
         _report("11-series", ok,
@@ -320,7 +318,7 @@ class TestCriterion11:
                                 eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
         path = frac_ode.picard_solve(spec, T=10.0, n_steps=512,
                                      record_iterates=True)
-        mono = frac_ode.picard_monotonicity(path.iterates)
+        mono = picard_monotonicity(path.iterates)
         strict = bool(np.all(path.U[1:] > 0.0) and np.all(path.V[1:] > 0.0))
         ok = path.converged and mono and strict
         _report("11-picard", ok,

@@ -42,7 +42,7 @@ _VALID = {
     "diffusivities": st.lists(st.floats(0.5, 2.0) | st.integers(1, 2), min_size=2, max_size=3),
     "couplings": st.sampled_from([[[1, -0.5], [-0.5, 1]],
                                   [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]]]),
-    "ic_scale": st.floats(0.0, 2.0) | st.integers(0, 2),
+    "ic_scale": st.floats(0.0, 2.0, exclude_min=True) | st.integers(1, 2),
     "T": st.floats(50.0, 200.0) | st.integers(50, 200),
     "n_time": st.integers(50, 400),
     "n_space": st.integers(4, 32),
@@ -305,9 +305,8 @@ class TestRun:
         assert lines[-1].startswith("wall time: ")
 
     def test_zero_initial_data_rejected_clearly(self):
-        cfg = RunConfig.from_dict({**SMALL, "ic_scale": 0.0})
-        with pytest.raises(NumericalError, match="zero norm series"):
-            run(cfg)
+        with pytest.raises(ConfigError, match="ic_scale must be finite and positive, got 0.0"):
+            RunConfig.from_dict({**SMALL, "ic_scale": 0.0})
 
     def test_unstable_semi_implicit_run_refused(self, tmp_path, capsys):
         """dt = 10 on I = 16: the lagged coupling makes the semi-implicit
@@ -370,12 +369,9 @@ class TestConjecturedRate:
         assert conjectured_rate((1.0, 0.5, 0.3), (True, False, False)) == -1.3
 
     def test_table_targets(self):
-        t1 = [conjectured_rate(c.orders, (True, True, False))
-              for c in table_configs("ii")]
-        assert t1 == [-0.5, -0.5, -0.7, -1.3, -1.5, -1.7]
-        t2 = [conjectured_rate(c.orders, (True, False, False))
-              for c in table_configs("iii")]
-        assert t2 == [-1.3, -1.5, -1.5, -1.3, -1.5, -1.7]
+        # third component zero in case ii, second and third in case iii
+        assert [t for _, t in table_configs("ii")] == [-0.5, -0.5, -0.7, -1.3, -1.5, -1.7]
+        assert [t for _, t in table_configs("iii")] == [-1.3, -1.5, -1.5, -1.3, -1.5, -1.7]
 
 
 class TestCommandLine:
@@ -442,13 +438,16 @@ class TestCommandLine:
         assert captured.out == ""
 
     @pytest.mark.parametrize("method, n_steps", [("laplace", "-3"), ("laplace", "0"),
-                                                 ("picard", "-3")])
+                                                 ("picard", "-3"), ("picard", "8")])
     def test_ode_step_count_below_one_exit_one(self, method, n_steps, capsys):
+        # a count below 1, or below picard_solve's floor of 16
         argv = ["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2", "--c2", "1",
                 "--t-max", "20", "--method", method, "--n-steps", n_steps]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert f"error: --n-steps must be at least 1, got {n_steps}" in captured.err
+        floor = 16 if method == "picard" else 1
+        assert (f"error: --n-steps must be at least {floor} for --method {method}, "
+                f"got {n_steps}") in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("method, n_steps, window, refusal", [
@@ -564,10 +563,12 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "stride" in err and "Traceback" not in err
 
-    def test_pde_numerical_failure_exit_two(self, tmp_path):
+    def test_pde_numerical_failure_exit_two(self, tmp_path, capsys):
+        # a positive scale whose norms all underflow to zero
         path = tmp_path / "zero.json"
-        path.write_text(json.dumps({**SMALL, "ic_scale": 0.0}))
+        path.write_text(json.dumps({**SMALL, "ic_scale": 1e-320}))
         assert main(["pde", "--config", str(path)]) == 2
+        assert "numerical failure: zero norm series" in capsys.readouterr().err
 
     def test_oracle_csv(self, capsys):
         rc = main(["oracle", "--beta", "0.5", "--t-max", "1000",
@@ -645,13 +646,13 @@ class TestCommandLine:
     @pytest.mark.parametrize("rows_missed", [0, 1])
     def test_report_tables_returns_whether_every_row_passed(self, rows_missed, monkeypatch,
                                                             capsys):
-        ic_nonzero = {"ii": (True, True, False), "iii": (True, False, False)}
+        targets = dict(table_configs("ii") + table_configs("iii"))
         calls = []
 
         def on_target(cfg):  # the last row misses its target by 0.08
             calls.append(cfg)
             miss = 0.08 if rows_missed and len(calls) == 12 else 0.0
-            exponent = conjectured_rate(cfg.orders, ic_nonzero[cfg.ic_case]) + miss
+            exponent = targets[cfg] + miss
             return types.SimpleNamespace(total_fit=types.SimpleNamespace(exponent=exponent))
 
         monkeypatch.setattr(cli, "run", on_target)

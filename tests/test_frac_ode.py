@@ -10,13 +10,14 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from conftest import (branch_cut_quad_reference, branch_cut_talbot_reference,
-                      kernel_gauss_nodes, ml_series_reference, principal_zero_count)
+                      kernel_gauss_nodes, ml_series_reference, picard_monotonicity,
+                      principal_zero_count)
+from identities import im_parts, q_of_r
 from subdecay import frac_ode, mittag_leffler
 from subdecay.errors import DomainError, NumericalError, QuadratureError
 from subdecay.frac_ode import (_CELL_W, _CELL_X, LaplaceSymbol, OdeSpec, _cheb_table,
                                _convolve_linear, _end_weights, _fft_size,
-                               _kernel_moments, branch_cut_invert, im_parts,
-                               picard_monotonicity, picard_solve, q_of_r)
+                               _kernel_moments, branch_cut_invert, picard_solve)
 
 
 def random_symbol(rng):

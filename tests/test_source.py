@@ -12,7 +12,7 @@ import subdecay
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subdecay"
 # the most lines src/subdecay may hold outside docstrings (source_lines)
-_SRC_LINES = 1962
+_SRC_LINES = 1883
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -94,13 +94,13 @@ def unreferenced_public(modules: dict[str, ast.Module], readers: list[ast.Module
 
 
 def test_no_test_only_public_surface():
-    # what only tests call is not library code: the commands, the acceptance
-    # gates and the benchmark workloads are the library's callers
+    # what only tests call is not library code: the commands and the
+    # benchmark workloads are the library's callers, and the acceptance
+    # gates are tests
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
                for path in sorted(SRC.glob("*.py"))}
     readers = [ast.parse(path.read_text(), filename=str(path))
-               for path in [*sorted((ROOT / "perfbench").glob("*.py")),
-                            ROOT / "tests" / "test_acceptance.py"]]
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unreferenced_public(modules, readers) == []
 
 

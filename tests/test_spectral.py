@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import rgamma
 
-from subdecay import spectral
+from subdecay import frac_ode, spectral
 from subdecay.errors import DomainError, QuadratureError
 from subdecay.spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
-                               eigenvalues, mode_convolution, project_initial,
-                               q_integral, r_series_identity)
+                               eigenvalues, mode_convolution, project_initial)
 
 from conftest import ml_series_reference
+from identities import q_integral, r_series_identity
 
 SQRT_PI_HALF = math.sqrt(math.pi / 2.0)
 
@@ -124,9 +124,13 @@ class TestModeConvolution:
 
     def test_estimate_above_rtol_raises(self, monkeypatch):
         # the rounding part of the estimate alone is ~1e-16 relative
-        monkeypatch.setattr(spectral, "_BROMWICH_RTOL", 1e-20)
+        monkeypatch.setattr(frac_ode, "_BROMWICH_RTOL", 1e-20)
         with pytest.raises(QuadratureError):
             mode_convolution(1.0, 0.5, 1.0)
+
+    def test_overflowing_eigenvalue_refused(self):
+        with pytest.raises(QuadratureError, match=r"lam=1e\+300 at t=1 overflows float64"):
+            mode_convolution(1e300, 0.5, 1.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -234,12 +238,6 @@ class TestRSeriesIdentity:
             lhs, _ = r_series_identity(lam, 0.5, t, k_max=60)
             conv = mode_convolution(lam, 0.5, t)
             assert t ** 0.5 * lhs == pytest.approx(conv, abs=1e-7)
-
-    def test_regime_guards(self):
-        with pytest.raises(DomainError):
-            r_series_identity(10.0, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            r_series_identity(1.0, 0.5, 1.0, k_max=10)
 
 
 class TestAsymptoticForm:

@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrs
 
-from conftest import band_to_dense, l1_history_direct, l1_weights_reference, mode_one_norms
+from conftest import (band_to_dense, gershgorin_gap, l1_history_direct, l1_weights_reference,
+                      mode_one_norms)
 from subdecay.decay import l2_norm
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
-from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _BandedLU,
-                                 _Stepper, _soe_modes, assemble_block_matrix, banded_solve,
-                                 gershgorin_disks, l1_weights, levels, simulate,
-                                 stability_margin)
+from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _band_product,
+                                 _BandedLU, _Stepper, _soe_modes, assemble_block_matrix,
+                                 banded_solve, l1_weights, levels, simulate, stability_margin)
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
 ZERO = lambda x: np.zeros_like(x)
@@ -358,33 +358,26 @@ class TestAssembly:
 
 
 class TestGershgorin:
-    def test_identity_disks(self):
-        disks = gershgorin_disks(BandedMatrix(lower=0, upper=0, ab=np.ones((1, 4))))
-        assert disks == [(1.0, 0.0)] * 4
-
     def test_interior_row_formulas(self):
         grid = Grid(L=math.pi, I=8, T=1.0, N=4)
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=[[1.0, -1.0], [-1.0, 1.0]],
                           initials=[np.sin, HAT])
-        A = assemble_block_matrix(spec, grid, 0)
-        disks = gershgorin_disks(A)
+        row = band_to_dense(assemble_block_matrix(spec, grid, 0))[2]  # node 1, component 1
         r1 = math.gamma(1.1) * grid.dt ** 0.9 / grid.dx ** 2
         fac1 = grid.dx ** 2 * r1
-        interior = disks[2]  # node 1 (interior), component 1
-        assert interior[0] == pytest.approx(1 + 2 * r1 + fac1 * 1.0, rel=1e-14)
-        assert interior[1] == pytest.approx(2 * r1 + fac1 * 1.0, rel=1e-14)
+        assert row[2] == pytest.approx(1 + 2 * r1 + fac1 * 1.0, rel=1e-14)
+        assert np.abs(row).sum() - abs(row[2]) == pytest.approx(2 * r1 + fac1 * 1.0, rel=1e-14)
 
     @pytest.mark.parametrize("lower, upper, n", [
         (1, 1, 2), (2, 1, 2), (1, 3, 3), (3, 2, 4), (0, 2, 5), (2, 0, 5), (3, 1, 40)])
     def test_random_bands_against_dense_row_sums(self, rng, lower, upper, n):
-        # n < lower + upper + 1 in the first four: fewer rows than the band
+        # |A| times ones by gbmv, as the certificate forms it; n < lower + upper
+        # + 1 in the first four: fewer rows than the band, which gbmv refuses
         matrix = BandedMatrix(lower=lower, upper=upper,
                               ab=rng.uniform(-1.0, 1.0, size=(lower + upper + 1, n)))
-        dense = band_to_dense(matrix)
-        centers, radii = np.array(gershgorin_disks(matrix)).T
-        assert np.array_equal(centers, np.diag(dense))
-        np.testing.assert_allclose(radii, np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense)),
+        np.testing.assert_allclose(_band_product(matrix, np.abs(matrix.ab), np.ones(n)),
+                                   np.sum(np.abs(band_to_dense(matrix)), axis=1),
                                    rtol=1e-14, atol=1e-15)
 
     def test_disks_outside_unit_ball_when_stable(self):
@@ -392,8 +385,7 @@ class TestGershgorin:
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=[[1.0, -1.0], [-1.0, 1.0]],
                           initials=[np.sin, HAT])
-        disks = gershgorin_disks(assemble_block_matrix(spec, grid, 0))
-        assert min(abs(c) - r for c, r in disks) >= 1.0 - 1e-9
+        assert gershgorin_gap(assemble_block_matrix(spec, grid, 0)) >= 1.0 - 1e-9
 
 
 class TestStabilityCondition:
