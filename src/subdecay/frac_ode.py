@@ -533,18 +533,19 @@ def branch_cut_invert(sym: LaplaceSymbol, t):
     a, b, c1, c2 = sym.alpha, sym.beta, sym.c1, sym.c2
     gap = (c1 - c2) * (c1 + c2)
     lead = t_arr ** b * gap >= c1
+    divisor = np.where(lead, gap, 1.0)  # gap > 0 where lead holds, and may underflow to 0
 
     def terms_at(s1, w):
         s = s1[:, None] / t_arr
         sa, sb = s ** a, s ** b
-        u_num = np.where(lead, -(c2 * c2 * sb + c1 * sa * sb + c1 * c1 * sa) / gap, sb + c1)
-        v_num = np.where(lead, -(sa * sb + c1 * sa + c1 * sb) / gap, 1.0) * c2
+        u_num = np.where(lead, -(c2 * c2 * sb + c1 * sa * sb + c1 * c1 * sa) / divisor, sb + c1)
+        v_num = np.where(lead, -(sa * sb + c1 * sa + c1 * sb) / divisor, 1.0) * c2
         D = gap + c1 * (sa + sb) + sa * sb
         return (w[:, None] * s ** (a - 1.0) / D * np.stack((u_num, v_num))).imag / t_arr
 
     # its own 1/Gamma(1 - a): this check on Picard reads nothing from mittag_leffler
     inv_gamma = 0.0 if a == 1.0 else 1.0 / math.gamma(1.0 - a)
-    exact = np.where(lead, np.array([[c1], [c2]]) / gap * inv_gamma * t_arr ** -a, 0.0)
+    exact = np.where(lead, np.array([[c1], [c2]]) / divisor * inv_gamma * t_arr ** -a, 0.0)
     U, V = _bromwich_sum(terms_at, lambda i: f"in {'UV'[i[0]]} at t={t_arr[i[1]]:g}", exact)
     if scalar:
         return float(U[0]), float(V[0])

@@ -25,13 +25,19 @@ exponentials; each mode is renormalised at least every 64 steps, often
 enough that no scale factor leaves 2^+-20 and data near either end of the
 float range steps finitely.
 Each step makes one banded solve of the K components together, in
-node-interleaved ordering (bandwidth K each side), whose matrix
-assemble_block_matrix alone writes: LAPACK gbtrf factors, and two BLAS band
-sweeps (tbsv) solve, or gbtrs where pivoting interchanged rows.  The
-semi-implicit scheme lags the couplings and sources one level, so its
-matrix is that of zero couplings, factored once per run.  The fully
-implicit scheme keeps them at the new level, and its matrix is factored
-once per run when the couplings are constant and at every step otherwise.
+node-interleaved ordering (bandwidth K each side): LAPACK gbtrf factors,
+and two BLAS band sweeps (tbsv) solve, or gbtrs where pivoting interchanged
+rows.  The stepper keeps one band per run; one writer fills its 2K - 1
+coupling diagonals, for it and for assemble_block_matrix alike.  The
+semi-implicit scheme lags the couplings and sources one level, so its band
+holds no coupling and is factored once per run.  The fully implicit scheme
+keeps them at the new level: its band is factored once per run when the
+couplings are constant, and otherwise has its coupling diagonals rewritten
+in place and is factored anew at every step.  SystemSpec's one sampler
+gives all couplings and sources at a time level as two arrays, calling
+each callable once, so a step samples at most once (at t_n for the
+semi-implicit scheme, at t_{n+1} for the fully implicit one) and a run
+with constant couplings and no sources samples nothing per step.
 A factor made once per run is certified at its second solve, once: a bound
 on A - L U and on the sweeps' rounding, from its bands, that implies the
 1e-12 residual bound for every finite x, so its later solves check only
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,19 +137,6 @@ SourceEntry = Callable[[np.ndarray, float], np.ndarray] | None
 InitialEntry = Callable[[np.ndarray], np.ndarray]
 
 
-def _at_nodes(values, x: np.ndarray, name: str, t: float) -> np.ndarray:
-    """A coefficient callable's return as floats of the nodes' shape: node
-    arrays as they are, scalars broadcast.  DomainError, naming the
-    coefficient and t, where a sample is NaN or infinite."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != x.shape:
-        values = values * np.ones_like(x)
-    # count_nonzero is the cheapest full reduction of the mask
-    if np.count_nonzero(np.isfinite(values)) < values.size:
-        raise DomainError(f"{name} not finite at t={t:g}")
-    return values
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """Coefficients of the coupled system: orders, diffusivities, the coupling
@@ -175,14 +168,15 @@ class SystemSpec:
             problems.append("diffusivities length disagrees with orders")
         problems += [f"diffusivities must be finite and positive, got {d}"
                      for d in self.diffusivities if not 0.0 < d < math.inf]
+        constants, calls = np.zeros((K * K + K, 1)), []  # _sample's table
         if len(self.couplings) != K or any(len(row) != K for row in self.couplings):
             problems.append("couplings must be a K x K matrix")
         else:
             for k, row in enumerate(self.couplings):
                 for l, c in enumerate(row):
-                    if callable(c):  # checked at each step by coupling_at
-                        continue
-                    if not math.isfinite(float(c)):
+                    if callable(c):  # checked where _sample samples it
+                        calls.append((k * K + l, f"coupling c[{k}][{l}]", c))
+                    elif not math.isfinite(float(c)):
                         problems.append(f"couplings must be finite, got c[{k}][{l}] = {c}")
                     elif k == l and float(c) < 0.0:
                         problems.append(f"couplings need c[{k}][{k}] >= 0, got {c}")
@@ -192,28 +186,44 @@ class SystemSpec:
             problems.append("sources length disagrees with component count")
         if problems:
             raise DomainError("; ".join(problems))
+        constants[:K * K, 0] = [0.0 if callable(c) else c for row in self.couplings for c in row]
+        calls += [(K * K + k, f"source[{k}]", f)
+                  for k, f in enumerate(self.sources or ()) if f is not None]
+        object.__setattr__(self, "_constants", constants)
+        object.__setattr__(self, "_calls", calls)
 
     @property
     def K(self) -> int:
         return len(self.orders)
 
-    def coupling_at(self, k: int, l: int, x: np.ndarray, t: float) -> np.ndarray:
-        """c_kl at the nodes x and time t; DomainError where a sample is not
-        finite or c_kk < 0."""
-        c = self.couplings[k][l]
-        if not callable(c):
-            return np.full_like(x, float(c))
-        vals = _at_nodes(c(x, t), x, f"coupling c[{k}][{l}]", t)
-        if k == l and vals.min() < 0.0:
-            raise DomainError(f"diagonal coupling c[{k}][{k}] negative at t={t:g}")
-        return vals
-
-    def source_at(self, k: int, x: np.ndarray, t: float) -> np.ndarray:
-        """Source k at the nodes x and time t; DomainError where a sample is
-        not finite."""
-        if self.sources is None or self.sources[k] is None:
-            return np.zeros_like(x)
-        return _at_nodes(self.sources[k](x, t), x, f"source[{k}]", t)
+    def _sample(self, x: np.ndarray, t: float, sources: bool = True):
+        """The couplings, shape (K, K, m), and sources, shape (K, m), at the m
+        nodes x and time t; with sources=False the sources are left zero.
+        Row k K + l of one (K^2 + K, m) array holds c_kl, row K^2 + k source
+        k: constants and absent sources are copied from the column built at
+        construction, and each callable writes its row, called once.  One
+        finiteness check covers every entry and one sign check the diagonal
+        couplings; only where one fails is the first bad coefficient, in the
+        order c[0][0], c[0][1], ..., source[0], ..., looked for.
+        DomainError, naming the coefficient and t, where a sample does not
+        broadcast to the nodes, is NaN or infinite, or c_kk < 0."""
+        K = self.K
+        values = np.repeat(self._constants, x.size, axis=1)
+        calls = [call for call in self._calls if sources or call[0] < K * K]
+        for row, name, f in calls:
+            value = np.asarray(f(x, t), dtype=float)
+            try:
+                values[row] = value
+            except ValueError:
+                raise DomainError(f"{name} of shape {value.shape} does not broadcast "
+                                  f"to the {x.size} nodes at t={t:g}") from None
+        if np.count_nonzero(np.isfinite(values)) < values.size or values[:K * K:K + 1].min() < 0:
+            for row, name, _ in calls:
+                if not np.isfinite(values[row]).all():
+                    raise DomainError(f"{name} not finite at t={t:g}")
+                if row < K * K and row % (K + 1) == 0 and values[row].min() < 0.0:
+                    raise DomainError(f"diagonal {name} negative at t={t:g}")
+        return values[:K * K].reshape(K, K, -1), values[K * K:]
 
     def couplings_constant(self) -> bool:
         return all(not callable(c) for row in self.couplings for c in row)
@@ -379,40 +389,48 @@ def stability_margin(spec: SystemSpec) -> float:
     (still stable)."""
     if not spec.couplings_constant():
         raise DomainError("the stability margin needs constant couplings")
-    K = spec.K
-    margins = []
+    c = spec._constants[:spec.K ** 2].reshape(spec.K, spec.K)
+    return float(np.min(np.diag(c) - np.abs(c - np.diag(np.diag(c))).sum(axis=1)))
+
+
+def _band(r: np.ndarray, m: int) -> BandedMatrix:
+    """The system matrix of zero couplings on m interior nodes, in
+    node-interleaved ordering (unknown (i, k) at row i*K + k), bandwidth K:
+    1 + 2 r_k on the diagonal, -r_k on the spatial neighbours."""
+    K = r.size
+    ab = np.zeros((2 * K + 1, m * K), order="F")
     for k in range(K):
-        row = [float(spec.couplings[k][l]) for l in range(K)]
-        margins.append(row[k] - sum(abs(row[l]) for l in range(K) if l != k))
-    return float(min(margins))
+        ab[K, k::K] = 1.0 + 2.0 * r[k]
+        ab[0, K + k::K] = -r[k]          # A[i, i+K] stored at ab[0, i+K]
+        ab[2 * K, k:-K:K] = -r[k]        # A[i, i-K] stored at ab[2K, i-K]
+    return BandedMatrix(lower=K, upper=K, ab=ab)
+
+
+def _write_couplings(band: BandedMatrix, r, fac, couplings: np.ndarray) -> BandedMatrix:
+    """Rewrite in place the 2K - 1 coupling diagonals of a _band from
+    couplings of shape (K, K, m): A[i*K + k, i*K + l] = fac_k c_kl(x_i),
+    plus 1 + 2 r_k where l = k.  The neighbours stay; returns the band."""
+    K = r.size
+    for k, l in itertools.product(range(K), repeat=2):
+        # A[i*K + k, i*K + l] is stored at ab[K + k - l, i*K + l]
+        entry = fac[k] * couplings[k, l]
+        band.ab[K + k - l, l::K] = entry + (1.0 + 2.0 * r[k]) if k == l else entry
+    return band
 
 
 def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> BandedMatrix:
     """System matrix with spec's couplings at the given time level, in
-    node-interleaved ordering (unknown (i, k) at row i*K + k), bandwidth K;
-    the semi-implicit scheme's is that of zero couplings.
+    node-interleaved ordering (unknown (i, k) at row i*K + k), bandwidth K,
+    from one sample of its callable couplings (not of the sources); the
+    semi-implicit scheme's is that of zero couplings.
 
     Diagonal: 1 + 2 r_k + (dx^2 r_k / d_k) c_kk; spatial neighbours: -r_k;
     cross-component couplings at the same node: (dx^2 r_k / d_k) c_kl.
     """
-    K = spec.K
-    n = (grid.I - 1) * K
-    # grid.x[1:-1] and grid.times[time_index], bit for bit, without
-    # building every node and all N+1 levels
-    x = np.arange(1, grid.I) * grid.dx
-    t = grid.T if time_index == grid.N else time_index * (grid.T / grid.N)
     r = _r_coeffs(spec, grid)
+    couplings, _ = spec._sample(grid.x[1:-1], float(grid.times[time_index]), sources=False)
     fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
-    ab = np.zeros((2 * K + 1, n), order="F")
-    for k in range(K):
-        for l in range(K):
-            # A[i*K + k, i*K + l] is stored at ab[K + k - l, i*K + l]
-            entry = fac[k] * spec.coupling_at(k, l, x, float(t))
-            ab[K + k - l, l::K] = entry + (1.0 + 2.0 * r[k]) if k == l else entry
-        # spatial neighbours: columns shifted by +-K
-        ab[0, K + k::K] = -r[k]          # A[i, i+K] stored at ab[0, i+K]
-        ab[2 * K, k:n - K:K] = -r[k]     # A[i, i-K] stored at ab[2K, i-K]
-    return BandedMatrix(lower=K, upper=K, ab=ab)
+    return _write_couplings(_band(r, grid.I - 1), r, fac, couplings)
 
 
 def _gauss_rule(s: np.ndarray, w: np.ndarray, n: int):
@@ -500,23 +518,31 @@ class _Stepper:
     with factors up to e^300, states of data of size 1e300 overflow.
     Rounding enters at each renormalisation instead of each step, so the
     memory's error does not grow with the lag as powers of a rounded
-    e^{-s_q} would.  A constant system matrix, which the semi-implicit
-    scheme's always is, is factored here, once.
+    e^{-s_q} would.
+
+    The band is built here, once: with no coupling for the semi-implicit
+    scheme, whose coupling load is on the right-hand side, and with the
+    couplings for the fully implicit one, by assemble_block_matrix where
+    they are constant.  A constant band, which the semi-implicit scheme's
+    always is, is factored here, once.  Where a coefficient is a callable,
+    a step samples them all once, and from that sample takes the lagged
+    load (C u summed over l, for callable couplings), rewrites the fully
+    implicit band's coupling diagonals in place before its per-step factor,
+    and adds the sources in one product.
     """
 
     def __init__(self, spec: SystemSpec, grid: Grid, scheme: str, u0: np.ndarray):
         K, m = spec.K, grid.I - 1
-        self.spec, self.grid = spec, grid
+        self.spec = spec
         self.x = grid.x[1:-1]
         self.times = grid.times
         self.b = np.array([l1_weights(a, grid.N) for a in spec.orders])
-        self.fac = grid.dx ** 2 * _r_coeffs(spec, grid) / np.asarray(spec.diffusivities)
+        self.r = _r_coeffs(spec, grid)
+        self.fac = grid.dx ** 2 * self.r / np.asarray(spec.diffusivities)
         constant = spec.couplings_constant()
         self.lagged = scheme == "semi-implicit"
         # the lagged load of callable couplings is made at each step
         self.coupling_load = self.lagged and not constant
-        self.sourced = [k for k in range(K)
-                        if spec.sources is not None and spec.sources[k] is not None]
         modes = [_soe_modes(a, grid.N) for a in spec.orders]
         state = np.zeros((m, 2 * K + sum(s.size for s, _ in modes)), order="F")
         state[:, :K] = np.transpose(u0)
@@ -527,7 +553,7 @@ class _Stepper:
         self.tables = tables = np.zeros((_PERIOD + 1, state.shape[1], K))
         self.diagonals = tables[:, :K].reshape(_PERIOD + 1, K * K)[:, ::K + 1]
         d0 = -2.0 * np.expm1(-math.log(2.0) * np.array(spec.orders))  # b^0 - b^1
-        load = (-self.fac[:, None] * np.array(spec.couplings, dtype=float)
+        load = (-self.fac[:, None] * spec._constants[:K * K].reshape(K, K)
                 if constant and self.lagged else np.zeros((K, K)))
         tables[:_PERIOD, K:2 * K] = (np.diag(d0) + load).T
         tables[_PERIOD, K:2 * K] = load.T
@@ -552,10 +578,11 @@ class _Stepper:
             for p, q in enumerate(start):
                 self.folds[p].append((state[:, K + k], grow[p], y, y[:, q:], renorm[:, q:]))
             col += s.size
-        # the semi-implicit scheme's couplings are all on the right-hand side
-        held = replace(spec, couplings=np.zeros((K, K))) if self.lagged else spec
-        self.lu = _BandedLU(assemble_block_matrix(held, grid, 0)) \
-            if held.couplings_constant() else None
+        # the semi-implicit scheme's couplings are all on the right-hand side,
+        # and the fully implicit scheme writes callable ones at each step
+        self.band = (assemble_block_matrix(spec, grid, 0) if constant and not self.lagged
+                     else _band(self.r, m))
+        self.lu = _BandedLU(self.band) if constant or self.lagged else None
 
     def memory(self, n: int, u: np.ndarray) -> np.ndarray:
         """The L1 memory of step n -> n+1, shape (K, I-1), given level n,
@@ -578,22 +605,18 @@ class _Stepper:
     def step(self, n: int, u: np.ndarray) -> np.ndarray:
         """Level n+1 on the interior nodes, shape (K, I-1), from level n."""
         rhs = self.memory(n, u)
-        K, m = rhs.shape
-        if self.coupling_load or self.sourced:
-            # the semi-implicit scheme lags the couplings and sources one level
-            t = float(self.times[n if self.lagged else n + 1])
+        if self.spec._calls:  # one sample a step, a level late if the scheme lags it
+            couplings, sources = self.spec._sample(self.x, float(self.times[n + 1 - self.lagged]))
             if self.coupling_load:  # -fac_k sum_l c_kl(x, t) u_l
-                rhs -= self.fac[:, None] * np.array([
-                    sum(self.spec.coupling_at(k, l, self.x, t) * u[l] for l in range(K))
-                    for k in range(K)])
-            for k in self.sourced:
-                rhs[k] += self.fac[k] * self.spec.source_at(k, self.x, t)
+                rhs -= self.fac[:, None] * (couplings * u).sum(axis=1)
+            elif self.lu is None:
+                _write_couplings(self.band, self.r, self.fac, couplings)
+            rhs += self.fac[:, None] * sources
         # node-interleaved ordering, unknown (i, k) at row i*K + k: rhs.T is
         # the product as memory made it, so the flattening copies nothing
         rhs = rhs.T.reshape(-1)
-        x = self.lu.solve(rhs) if self.lu is not None else \
-            banded_solve(assemble_block_matrix(self.spec, self.grid, n + 1), rhs)
-        return x.reshape(m, K).T
+        x = self.lu.solve(rhs) if self.lu is not None else banded_solve(self.band, rhs)
+        return x.reshape(u.shape[::-1]).T
 
 
 def levels(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit"):

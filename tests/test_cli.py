@@ -394,6 +394,12 @@ class TestCommandLine:
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 1.0 and first[1] > 0.0 and first[2] > 0.0
 
+    def test_ode_laplace_with_underflowing_gap_is_silent(self, capsys):
+        # c1^2 - c2^2 underflows to 0: no warning reaches stderr
+        assert main(["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2e-200",
+                     "--c2", "1e-200", "--t-max", "10", "--method", "laplace"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_ode_picard_runs(self, capsys):
         rc = main(["ode", "--alpha", "0.9", "--beta", "0.5", "--c1", "2",
                    "--c2", "1", "--t-max", "5", "--method", "picard",

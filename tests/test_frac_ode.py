@@ -658,6 +658,14 @@ class TestBranchCutInversion:
         np.testing.assert_allclose(U, 1.0, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(V, 1e-160 * t ** 0.5 / math.gamma(1.5), rtol=1e-12, atol=0.0)
 
+    def test_underflowing_gap_divides_nowhere(self):
+        # c1^2 - c2^2 underflows to 0, so the subtracted form holds at no t
+        # and is not divided out (the suite makes RuntimeWarnings errors);
+        # the values are the plain sums', as before that
+        sym = LaplaceSymbol(c1=2e-200, c2=1e-200, alpha=0.9, beta=0.5)
+        assert branch_cut_invert(sym, 1.0) == (0.9999999999999998, 1.1283791670955125e-200)
+        assert branch_cut_invert(sym, 10.0) == (1.0, 3.568248232305542e-200)
+
     def test_near_pole_cut_against_quadpack(self):
         # at orders 1.0/0.2, c2 = 0.053, |q(r)|^2 dips to 4e-7 near r = c1 = 2
         sym = LaplaceSymbol(c1=2.0, c2=0.053, alpha=1.0, beta=0.2)

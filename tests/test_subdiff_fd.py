@@ -9,6 +9,7 @@ from scipy.linalg.lapack import dgbtrs
 
 from conftest import (band_to_dense, gershgorin_gap, l1_history_direct, l1_weights_reference,
                       mode_one_norms)
+from subdecay import subdiff_fd
 from subdecay.decay import l2_norm
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
@@ -733,3 +734,108 @@ class TestStepping:
         name = r"coupling c\[0\]\[1\]" if where == "coupling" else r"source\[0\]"
         with pytest.raises(DomainError, match=rf"{name} not finite at t=0\.5"):
             simulate(spec, Grid(L=math.pi, I=8, T=1.0, N=4), scheme)
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    @pytest.mark.parametrize("where, wrong, shape", [
+        ("coupling", lambda x, t: np.ones(3), r"\(3,\)"),
+        ("source", lambda x, t: x[:, None], r"\(7, 1\)")])
+    def test_wrong_shape_samples_refused_as_input(self, scheme, where, wrong, shape):
+        # a sample that does not broadcast to the 7 interior nodes is bad
+        # input, named with the coefficient and the first time sampled
+        couplings = [[1.0, wrong if where == "coupling" else 0.1], [0.1, 1.0]]
+        sources = [None, wrong] if where == "source" else None
+        spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0), couplings=couplings,
+                          initials=[np.sin, HAT], sources=sources)
+        name = r"coupling c\[0\]\[1\]" if where == "coupling" else r"source\[1\]"
+        t = "0" if scheme == "semi-implicit" else r"0\.25"
+        with pytest.raises(DomainError, match=rf"^{name} of shape {shape} does not broadcast "
+                                              rf"to the 7 nodes at t={t}$"):
+            simulate(spec, Grid(L=math.pi, I=8, T=1.0, N=4), scheme)
+
+    @staticmethod
+    def varying_spec(K, sources=None):
+        """K components with couplings 1 + 0.5 sin x cos^2 t on the diagonal
+        and (x, t)-varying ones off it."""
+        couplings = [[(lambda x, t: 1.0 + 0.5 * np.sin(x) * np.cos(t) ** 2) if k == l
+                      else (lambda x, t, k=k: -0.2 * (1 + k) * np.cos(x + t))
+                      for l in range(K)] for k in range(K)]
+        return SystemSpec(orders=(0.9, 0.5, 0.3)[:K], diffusivities=(1.0, 0.5, 2.0)[:K],
+                          couplings=couplings, initials=[np.sin, HAT, np.sin][:K],
+                          sources=sources)
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_factored_band_is_the_assembled_matrix(self, scheme, K, monkeypatch):
+        """Every band the stepper factors, recorded as it is factored, is
+        assemble_block_matrix of its level bit for bit: the fully implicit
+        scheme's is rewritten in place at each level, and the semi-implicit
+        scheme's, factored once, holds no coupling."""
+        factored = []
+
+        class Recording(_BandedLU):
+            def __init__(self, matrix):
+                factored.append(matrix.ab.copy())
+                super().__init__(matrix)
+
+        monkeypatch.setattr(subdiff_fd, "_BandedLU", Recording)
+        spec, grid = self.varying_spec(K), Grid(L=math.pi, I=9, T=2.0, N=70)
+        simulate(spec, grid, scheme)
+        if scheme == "semi-implicit":
+            uncoupled = SystemSpec(orders=spec.orders, diffusivities=spec.diffusivities,
+                                   couplings=np.zeros((K, K)), initials=spec.initials)
+            expected = [assemble_block_matrix(uncoupled, grid, 0).ab]
+        else:
+            expected = [assemble_block_matrix(spec, grid, n).ab for n in range(1, grid.N + 1)]
+        assert len(factored) == len(expected)
+        for band, matrix in zip(factored, expected):
+            assert band.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
+    def test_one_sample_per_step(self, scheme, monkeypatch):
+        """A step samples the coefficients once, calling each source once,
+        at t_n when the scheme lags them and at t_{n+1} otherwise; a run
+        with constant couplings and no sources samples nothing per step."""
+        grid = Grid(L=math.pi, I=8, T=1.0, N=6)
+        samples, times = [], []
+        sample = SystemSpec._sample
+        monkeypatch.setattr(SystemSpec, "_sample",
+                            lambda *args, **kwargs: samples.append(1) or sample(*args, **kwargs))
+
+        def source(x, t):
+            times.append(t)
+            return np.sin(x)
+
+        simulate(self.varying_spec(2, sources=[source, source]), grid, scheme)
+        steps = grid.times[:-1] if scheme == "semi-implicit" else grid.times[1:]
+        assert len(samples) == grid.N and times == list(np.repeat(steps, 2))
+        samples.clear()
+        simulate(SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
+                            couplings=[[1.0, -0.5], [-0.5, 1.0]], initials=[np.sin, HAT]),
+                 grid, scheme)
+        # the fully implicit band is assembled once, from the constants
+        assert len(samples) == (scheme == "fully-implicit")
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_lagged_load_is_the_loop_sum(self, K):
+        """The semi-implicit load taken from the step's one sample, summed by
+        numpy over l, is the loop sum_l c_kl u_l bit for bit: the levels
+        equal those of a reference step that forms it by the loop."""
+        spec = self.varying_spec(K, sources=[lambda x, t: np.cos(x) * t] * K)
+        grid = Grid(L=math.pi, I=12, T=2.0, N=70)
+        x, m = grid.x[1:-1], grid.I - 1
+        u0 = np.array([f(x) for f in spec.initials])
+        stepper = _Stepper(spec, grid, "semi-implicit", u0)
+        reference = _Stepper(spec, grid, "semi-implicit", u0)
+        fac = grid.dx ** 2 * np.array(
+            [d * math.gamma(2.0 - a) * grid.dt ** a / grid.dx ** 2
+             for a, d in zip(spec.orders, spec.diffusivities)]) / np.array(spec.diffusivities)
+        u = u0
+        for n in range(grid.N):
+            t = float(grid.times[n])
+            c = [[f(x, t) for f in row] for row in spec.couplings]
+            rhs = reference.memory(n, u) - fac[:, None] * np.array(
+                [sum(c[k][l] * u[l] for l in range(K)) for k in range(K)])
+            rhs += fac[:, None] * np.array([f(x, t) for f in spec.sources])
+            expected = reference.lu.solve(rhs.T.reshape(-1)).reshape(m, K).T
+            u = stepper.step(n, u)
+            assert u.tobytes() == expected.tobytes()
