@@ -25,8 +25,7 @@ def __getattr__(name):
 __all__ = [
     "ml_eval",
     "OdeSpec", "OdePath", "LaplaceSymbol", "picard_solve", "branch_cut_invert",
-    "Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights",
-    "assemble_block_matrix", "banded_solve", "levels", "simulate",
+    "Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights", "levels", "simulate",
     "NormSeries", "DecayFit", "pointwise_exponent", "fit_exponent", "l2_norm",
     "SpectralSolution", "decoupled_solve", "mode_convolution", "asymptotic_v",
 ]

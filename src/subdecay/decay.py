@@ -20,7 +20,7 @@ _FIT_SAMPLES = 60
 
 @dataclass(frozen=True)
 class NormSeries:
-    """A sampled time series over strictly increasing times.
+    """A sampled time series over finite, strictly increasing times.
 
     Holds norm histories (nonnegative values) as well as derived series such
     as the pointwise exponent ratio, so no sign constraint is imposed here;
@@ -37,6 +37,8 @@ class NormSeries:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
             raise DomainError("times and values must be 1-D and equally long")
+        if not np.isfinite(times).all():
+            raise DomainError("times must be finite")
         if times.size and np.any(np.diff(times) <= 0.0):
             raise DomainError("times must be strictly increasing")
 

@@ -41,15 +41,13 @@ cross-check between them is trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .mittag_leffler import _rgamma, ml_neg
 
-# record_iterates sweeps from zero at most _MAX_SWEEPS times
-_MAX_SWEEPS = 200
 # the fewest steps picard_solve takes
 _MIN_STEPS = 16
 
@@ -95,7 +93,6 @@ class OdePath:
     U: np.ndarray
     V: np.ndarray
     residual: float
-    iterates: list | None = field(default=None, repr=False)
     # picard_solve raises rather than return an uncertified path
     converged = True
 
@@ -364,8 +361,7 @@ def _solve_coupled(spec: OdeSpec, U1, V1, kA: _KernelWeights, kB: _KernelWeights
     return gU, gV
 
 
-def picard_solve(spec: OdeSpec, T: float, n_steps: int,
-                 record_iterates: bool = False) -> OdePath:
+def picard_solve(spec: OdeSpec, T: float, n_steps: int) -> OdePath:
     """Fixed point of the discrete Volterra map U = U1 + mu1 K_A V,
     V = V1 + mu2 K_B U on a uniform grid over [0, T].
 
@@ -376,12 +372,10 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int,
     certificate, a solution beyond the float64 range or a step too coarse
     for the coupling raises NumericalError.
 
-    record_iterates keeps the iterates of sweeps from the zero pair until one
-    meets the solution within that bound, in at most _MAX_SWEEPS sweeps.
-    With nonnegative data they increase monotonically: the discrete
-    convolutions K_A, K_B are nonnegative, so by induction U_{m+1} - U_m =
-    mu1 K_A (V_m - V_{m-1}) >= 0 and then V_{m+1} - V_m =
-    mu2 K_B (U_{m+1} - U_m) >= 0.
+    With nonnegative data the iterates of sweeps from the zero pair increase
+    monotonically to the solution: the discrete convolutions K_A, K_B are
+    nonnegative, so by induction U_{m+1} - U_m = mu1 K_A (V_m - V_{m-1}) >= 0
+    and then V_{m+1} - V_m = mu2 K_B (U_{m+1} - U_m) >= 0.
 
     Each datum E_order(-rate t^order) is one Chebyshev table (see
     _cheb_table).  A zero coefficient skips the tables it would multiply: no
@@ -424,12 +418,7 @@ def picard_solve(spec: OdeSpec, T: float, n_steps: int,
     if not residual <= 1e-12 * scale < math.inf:
         raise NumericalError(f"map residual {residual:.3e} at solution scale {scale:.3e}: "
                              "needs a finite scale and a residual <= 1e-12 of it")
-    iterates = [(np.zeros(n_steps + 1), np.zeros(n_steps + 1))] if record_iterates else None
-    while iterates and np.max(np.abs(np.subtract(iterates[-1], (U, V)))) > 1e-12 * scale:
-        if len(iterates) > _MAX_SWEEPS:
-            raise NumericalError(f"Picard iterates miss the solution after {_MAX_SWEEPS} sweeps")
-        iterates.append(sweep(iterates[-1][1]))
-    return OdePath(times=times, U=U, V=V, residual=residual, iterates=iterates)
+    return OdePath(times=times, U=U, V=V, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,18 @@ float range steps finitely.
 Each step makes one banded solve of the K components together, in
 node-interleaved ordering (bandwidth K each side): LAPACK gbtrf factors,
 and two BLAS band sweeps (tbsv) solve, or gbtrs where pivoting interchanged
-rows.  The stepper keeps one band per run; one writer fills its 2K - 1
-coupling diagonals, for it and for assemble_block_matrix alike.  The
-semi-implicit scheme lags the couplings and sources one level, so its band
-holds no coupling and is factored once per run.  The fully implicit scheme
-keeps them at the new level: its band is factored once per run when the
-couplings are constant, and otherwise has its coupling diagonals rewritten
-in place and is factored anew at every step.  SystemSpec's one sampler
-gives all couplings and sources at a time level as two arrays, calling
-each callable once, so a step samples at most once (at t_n for the
-semi-implicit scheme, at t_{n+1} for the fully implicit one) and a run
-with constant couplings and no sources samples nothing per step.
+rows.  The stepper keeps one band and one factor of it, with its gbtrf
+buffer, per run; one writer fills the band's 2K - 1 coupling diagonals.
+The semi-implicit scheme lags the couplings and sources one level, so its
+band holds no coupling and is factored once per run.  The fully implicit
+scheme keeps them at the new level: its band is factored once per run when
+the couplings are constant, and otherwise has its coupling diagonals
+rewritten in place and is factored again, in the same buffer, at every
+step.  SystemSpec's one sampler gives all couplings and sources at a time
+level as two arrays, calling each callable once, so a step samples at most
+once (at t_n for the semi-implicit scheme, at t_{n+1} for the fully
+implicit one) and a run with constant couplings and no sources samples
+nothing, neither per step nor to build its band.
 A factor made once per run is certified at its second solve, once: a bound
 on A - L U and on the sweeps' rounding, from its bands, that implies the
 1e-12 residual bound for every finite x, so its later solves check only
@@ -196,21 +197,20 @@ class SystemSpec:
     def K(self) -> int:
         return len(self.orders)
 
-    def _sample(self, x: np.ndarray, t: float, sources: bool = True):
+    def _sample(self, x: np.ndarray, t: float):
         """The couplings, shape (K, K, m), and sources, shape (K, m), at the m
-        nodes x and time t; with sources=False the sources are left zero.
-        Row k K + l of one (K^2 + K, m) array holds c_kl, row K^2 + k source
-        k: constants and absent sources are copied from the column built at
-        construction, and each callable writes its row, called once.  One
-        finiteness check covers every entry and one sign check the diagonal
-        couplings; only where one fails is the first bad coefficient, in the
-        order c[0][0], c[0][1], ..., source[0], ..., looked for.
+        nodes x and time t.  Row k K + l of one (K^2 + K, m) array holds
+        c_kl, row K^2 + k source k: constants and absent sources are copied
+        from the column built at construction, and each callable writes its
+        row, called once.  One finiteness check covers every entry and one
+        sign check the diagonal couplings; only where one fails is the first
+        bad coefficient, in the order c[0][0], c[0][1], ..., source[0], ...,
+        looked for.
         DomainError, naming the coefficient and t, where a sample does not
         broadcast to the nodes, is NaN or infinite, or c_kk < 0."""
         K = self.K
         values = np.repeat(self._constants, x.size, axis=1)
-        calls = [call for call in self._calls if sources or call[0] < K * K]
-        for row, name, f in calls:
+        for row, name, f in self._calls:
             value = np.asarray(f(x, t), dtype=float)
             try:
                 values[row] = value
@@ -218,7 +218,7 @@ class SystemSpec:
                 raise DomainError(f"{name} of shape {value.shape} does not broadcast "
                                   f"to the {x.size} nodes at t={t:g}") from None
         if np.count_nonzero(np.isfinite(values)) < values.size or values[:K * K:K + 1].min() < 0:
-            for row, name, _ in calls:
+            for row, name, _ in self._calls:
                 if not np.isfinite(values[row]).all():
                     raise DomainError(f"{name} not finite at t={t:g}")
                 if row < K * K and row % (K + 1) == 0 and values[row].min() < 0.0:
@@ -268,16 +268,18 @@ def _band_product(matrix: BandedMatrix, ab: np.ndarray, x: np.ndarray) -> np.nda
 
 class _BandedLU:
     """LU factors of a banded matrix by LAPACK gbtrf (partial pivoting), kept
-    with the matrix for the residual check.  Built once per run for a
-    constant matrix, once per step for a time-varying one.  gbtrf factors in
-    place, in a flat buffer with kl + ku spare entries at its end; from entry
-    kl + ku on, at gbtrf's leading dimension, it is L's band.  Factors
-    without row interchanges solve by two BLAS band sweeps (tbsv), the
-    arithmetic of gbtrs without its call per column.
+    with the matrix for the residual check.  Built once per run, and made
+    again by factor() wherever the matrix's band changes in place.  gbtrf
+    factors in place, in a flat buffer allocated once, with kl + ku spare
+    entries at its end; from entry kl + ku on, at gbtrf's leading
+    dimension, it is L's band.  Factors without row interchanges solve by
+    two BLAS band sweeps (tbsv), the arithmetic of gbtrs without its call
+    per column.
 
     Every solve checks its residual, except those of a certified factor.  A
     factor without interchanges is put to the certificate once, at its
-    second solve, so a factor used once never pays for it: with
+    second solve, so a factor used once never pays for it, and a factor
+    made again is certified again or not at all: with
     gamma_k = k u / (1 - k u), u = 2^-53, it passes when
 
         ||A - L U||_inf + gamma_{3n} || |L| |U| ||_inf <= 1e-12 max|A|.
@@ -295,16 +297,25 @@ class _BandedLU:
         rows = 2 * kl + ku + 1
         buf = np.zeros(rows * n + kl + ku)
         # gbtrf wants kl spare rows above the band for the fill-in of pivoting
-        ab = buf[:rows * n].reshape((rows, n), order="F")
-        ab[kl:] = matrix.ab
-        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        self.ab = buf[:rows * n].reshape((rows, n), order="F")
+        self._l_view = buf[kl + ku:].reshape((rows, n), order="F")
+        self.matrix = matrix
+        self.factor()
+
+    def factor(self):
+        """Factor the band the matrix holds now, in place of any earlier
+        factor, and drop that factor's certificate: the next two solves
+        check their residual, and the second puts the new factor to the
+        certificate.  gbtrf zeroes the spare rows itself where it needs them.
+        SolverError where gbtrf fails."""
+        kl, n = self.matrix.lower, self.matrix.n
+        self.ab[kl:] = self.matrix.ab
+        self.lu, self.piv, info = dgbtrf(self.ab, kl, self.matrix.upper, overwrite_ab=True)
         if info != 0:
             raise SolverError(f"banded solve failed: gbtrf info {info}"
                               + (" (singular matrix)" if info > 0 else ""))
         # gbtrf's piv[i] >= i, so piv is the identity iff it sums to n(n-1)/2
-        self.l_band = (buf[kl + ku:].reshape((rows, n), order="F")
-                      if self.piv.sum() == n * (n - 1) // 2 else None)
-        self.matrix = matrix
+        self.l_band = self._l_view if self.piv.sum() == n * (n - 1) // 2 else None
         # zeros once certified: x . 0 by BLAS ddot is NaN iff x is not finite
         self.solves, self.zeros = 0, None
 
@@ -329,8 +340,10 @@ class _BandedLU:
         return bool(error + gamma * size.max() <= 1e-12 * np.abs(self.matrix.ab).max())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs, for rhs a float vector of length n (banded_solve
-        checks that); SolverError where the check below refuses x."""
+        """x with A x = rhs, for rhs a float vector of length n; SolverError
+        where the check below refuses x: a residual above 1e-12 max(1, max|A|
+        max(|x|, 1) + max|rhs|), which a certified factor meets for every
+        finite x, or an x that is not finite."""
         matrix = self.matrix
         if self.solves == 1 and self.l_band is not None and self.certify():
             self.zeros = np.zeros(matrix.n)
@@ -352,23 +365,6 @@ class _BandedLU:
                 np.abs(matrix.ab).max() * max(np.abs(x).max(), 1.0) + np.abs(rhs).max(), 1.0):
             raise SolverError(f"banded solve residual {resid:.2e} exceeds tolerance")
         return x
-
-
-def banded_solve(matrix: BandedMatrix | _BandedLU, rhs: np.ndarray) -> np.ndarray:
-    """Solve a banded system by LAPACK banded LU with partial pivoting (gbtrf,
-    then two BLAS band sweeps, or gbtrs after row interchanges); an already
-    factored matrix skips the factoring.  A singular system, or a residual
-    above 1e-12 max(1, max|A| max(|x|, 1) + max|b|), raises SolverError, as
-    non-finite input always does.  A raw BandedMatrix is factored for this
-    one solve, which checks its residual, forming the scale only past
-    1e-12.  A _BandedLU checks it at its first solve, and is certified to
-    meet it at its second where it has no row interchanges (see there);
-    from then on its solves check only that x is finite."""
-    lu = matrix if isinstance(matrix, _BandedLU) else _BandedLU(matrix)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (lu.matrix.n,):
-        raise DomainError(f"rhs shape {rhs.shape} does not match n={lu.matrix.n}")
-    return lu.solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,9 @@ def stability_margin(spec: SystemSpec) -> float:
 def _band(r: np.ndarray, m: int) -> BandedMatrix:
     """The system matrix of zero couplings on m interior nodes, in
     node-interleaved ordering (unknown (i, k) at row i*K + k), bandwidth K:
-    1 + 2 r_k on the diagonal, -r_k on the spatial neighbours."""
+    1 + 2 r_k on the diagonal, -r_k on the spatial neighbours.  The
+    couplings c_kl at the same node add fac_k c_kl, fac_k = dx^2 r_k / d_k
+    (_write_couplings)."""
     K = r.size
     ab = np.zeros((2 * K + 1, m * K), order="F")
     for k in range(K):
@@ -406,31 +404,16 @@ def _band(r: np.ndarray, m: int) -> BandedMatrix:
     return BandedMatrix(lower=K, upper=K, ab=ab)
 
 
-def _write_couplings(band: BandedMatrix, r, fac, couplings: np.ndarray) -> BandedMatrix:
+def _write_couplings(band: BandedMatrix, r, fac, couplings: np.ndarray):
     """Rewrite in place the 2K - 1 coupling diagonals of a _band from
-    couplings of shape (K, K, m): A[i*K + k, i*K + l] = fac_k c_kl(x_i),
-    plus 1 + 2 r_k where l = k.  The neighbours stay; returns the band."""
+    couplings of shape (K, K, m), or (K, K, 1) for the same couplings at
+    every node: A[i*K + k, i*K + l] = fac_k c_kl(x_i), plus 1 + 2 r_k where
+    l = k.  The neighbours stay."""
     K = r.size
     for k, l in itertools.product(range(K), repeat=2):
         # A[i*K + k, i*K + l] is stored at ab[K + k - l, i*K + l]
         entry = fac[k] * couplings[k, l]
         band.ab[K + k - l, l::K] = entry + (1.0 + 2.0 * r[k]) if k == l else entry
-    return band
-
-
-def assemble_block_matrix(spec: SystemSpec, grid: Grid, time_index: int) -> BandedMatrix:
-    """System matrix with spec's couplings at the given time level, in
-    node-interleaved ordering (unknown (i, k) at row i*K + k), bandwidth K,
-    from one sample of its callable couplings (not of the sources); the
-    semi-implicit scheme's is that of zero couplings.
-
-    Diagonal: 1 + 2 r_k + (dx^2 r_k / d_k) c_kk; spatial neighbours: -r_k;
-    cross-component couplings at the same node: (dx^2 r_k / d_k) c_kl.
-    """
-    r = _r_coeffs(spec, grid)
-    couplings, _ = spec._sample(grid.x[1:-1], float(grid.times[time_index]), sources=False)
-    fac = grid.dx ** 2 * r / np.asarray(spec.diffusivities)
-    return _write_couplings(_band(r, grid.I - 1), r, fac, couplings)
 
 
 def _gauss_rule(s: np.ndarray, w: np.ndarray, n: int):
@@ -520,15 +503,16 @@ class _Stepper:
     memory's error does not grow with the lag as powers of a rounded
     e^{-s_q} would.
 
-    The band is built here, once: with no coupling for the semi-implicit
-    scheme, whose coupling load is on the right-hand side, and with the
-    couplings for the fully implicit one, by assemble_block_matrix where
-    they are constant.  A constant band, which the semi-implicit scheme's
-    always is, is factored here, once.  Where a coefficient is a callable,
-    a step samples them all once, and from that sample takes the lagged
-    load (C u summed over l, for callable couplings), rewrites the fully
-    implicit band's coupling diagonals in place before its per-step factor,
-    and adds the sources in one product.
+    The band and its one _BandedLU are built here: the band with no
+    coupling for the semi-implicit scheme, whose coupling load is on the
+    right-hand side, and with the couplings for the fully implicit one,
+    written from the constants where they are constant, with no sample.
+    A constant band, which the semi-implicit scheme's always is, is factored
+    here, once.  Where a coefficient is a callable, a step samples them all
+    once, and from that sample takes the lagged load (C u summed over l,
+    for callable couplings), or rewrites the fully implicit band's coupling
+    diagonals in place and factors it again, and adds the sources in one
+    product.
     """
 
     def __init__(self, spec: SystemSpec, grid: Grid, scheme: str, u0: np.ndarray):
@@ -541,8 +525,9 @@ class _Stepper:
         self.fac = grid.dx ** 2 * self.r / np.asarray(spec.diffusivities)
         constant = spec.couplings_constant()
         self.lagged = scheme == "semi-implicit"
-        # the lagged load of callable couplings is made at each step
+        # callable couplings: a lagged load, or a band refactored each step
         self.coupling_load = self.lagged and not constant
+        self.refactor = not (constant or self.lagged)
         modes = [_soe_modes(a, grid.N) for a in spec.orders]
         state = np.zeros((m, 2 * K + sum(s.size for s, _ in modes)), order="F")
         state[:, :K] = np.transpose(u0)
@@ -580,9 +565,11 @@ class _Stepper:
             col += s.size
         # the semi-implicit scheme's couplings are all on the right-hand side,
         # and the fully implicit scheme writes callable ones at each step
-        self.band = (assemble_block_matrix(spec, grid, 0) if constant and not self.lagged
-                     else _band(self.r, m))
-        self.lu = _BandedLU(self.band) if constant or self.lagged else None
+        self.band = _band(self.r, m)
+        if constant and not self.lagged:
+            _write_couplings(self.band, self.r, self.fac,
+                             spec._constants[:K * K].reshape(K, K, 1))
+        self.lu = _BandedLU(self.band)
 
     def memory(self, n: int, u: np.ndarray) -> np.ndarray:
         """The L1 memory of step n -> n+1, shape (K, I-1), given level n,
@@ -609,14 +596,14 @@ class _Stepper:
             couplings, sources = self.spec._sample(self.x, float(self.times[n + 1 - self.lagged]))
             if self.coupling_load:  # -fac_k sum_l c_kl(x, t) u_l
                 rhs -= self.fac[:, None] * (couplings * u).sum(axis=1)
-            elif self.lu is None:
+            elif self.refactor:
                 _write_couplings(self.band, self.r, self.fac, couplings)
+                self.lu.factor()
             rhs += self.fac[:, None] * sources
         # node-interleaved ordering, unknown (i, k) at row i*K + k: rhs.T is
         # the product as memory made it, so the flattening copies nothing
         rhs = rhs.T.reshape(-1)
-        x = self.lu.solve(rhs) if self.lu is not None else banded_solve(self.band, rhs)
-        return x.reshape(u.shape[::-1]).T
+        return self.lu.solve(rhs).reshape(u.shape[::-1]).T
 
 
 def levels(spec: SystemSpec, grid: Grid, scheme: str = "semi-implicit"):

@@ -1,6 +1,9 @@
-"""Shared test oracles, all independent of the library's evaluation paths."""
+"""Shared test oracles, all independent of the library's evaluation paths,
+and the Picard iterates the monotonicity checks read, swept by the
+library's own discrete map."""
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -10,6 +13,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from identities import im_parts, q_of_r
+from subdecay.frac_ode import (LaplaceSymbol, _convolve_linear, _kernel_moments,
+                               branch_cut_invert, picard_solve)
 
 
 def ml_series_reference(eta: float, mu: float, z: float) -> float:
@@ -120,10 +125,33 @@ def band_to_dense(matrix) -> np.ndarray:
     return dense
 
 
-def gershgorin_gap(matrix) -> float:
-    """min over rows of |centre| - radius of a BandedMatrix's Gershgorin disks,
-    read off band_to_dense: centre a_ii, radius sum_{j != i} |a_ij|."""
-    dense = np.abs(band_to_dense(matrix))
+def system_matrix(spec, grid, n: int) -> np.ndarray:
+    """The dense matrix of the fully implicit L1 system at level n, from the
+    scheme's formula, entry by entry: unknown (i, k) of interior node i at
+    row i K + k, with r_k = d_k Gamma(2 - a_k) dt^{a_k} / dx^2 and
+    fac_k = dx^2 r_k / d_k; 1 + 2 r_k + fac_k c_kk(x_i, t_n) on the
+    diagonal, -r_k between neighbouring nodes of component k, and
+    fac_k c_kl(x_i, t_n) between components k and l at node i.  Callable
+    couplings are called on the interior nodes.  The oracle for the band
+    the stepper writes and factors."""
+    K, x, t = spec.K, grid.x[1:-1], float(grid.times[n])
+    m = x.size
+    A = np.zeros((K * m, K * m))
+    for k, (a, d) in enumerate(zip(spec.orders, spec.diffusivities)):
+        r = d * math.gamma(2.0 - a) * grid.dt ** a / grid.dx ** 2
+        fac = grid.dx ** 2 * r / d
+        rows = np.arange(m) * K + k
+        A[rows, rows] = 1.0 + 2.0 * r
+        A[rows[1:], rows[:-1]] = A[rows[:-1], rows[1:]] = -r
+        for l, c in enumerate(spec.couplings[k]):
+            A[rows, rows - k + l] += fac * (c(x, t) if callable(c) else float(c))
+    return A
+
+
+def gershgorin_gap(dense: np.ndarray) -> float:
+    """min over rows of |centre| - radius of a dense matrix's Gershgorin
+    disks: centre a_ii, radius sum_{j != i} |a_ij|."""
+    dense = np.abs(dense)
     centres = np.diag(dense)
     return float(np.min(centres - (dense.sum(axis=1) - centres)))
 
@@ -169,10 +197,38 @@ def branch_cut_talbot_reference(sym, t: float, dps: int = 30) -> tuple[float, fl
                      for F in transforms)
 
 
+def picard_iterates(spec, T: float, n_steps: int):
+    """The path of picard_solve and the Picard iterates (U, V) of sweeps of
+    its discrete map from the zero pair, up to the first within 1e-12
+    max(1, |U|, |V|) of the path, in at most 200 sweeps.  The data U1, V1
+    are picard_solve's with the couplings zeroed, and a sweep updates U
+    from V, then V from the new U, by the map's own kernel moments and
+    convolution."""
+    path = picard_solve(spec, T, n_steps)
+    data = picard_solve(replace(spec, mu1=0.0, mu2=0.0), T, n_steps)
+    U1, V1 = data.U, data.V
+    kA = (_kernel_moments(spec.alpha, spec.eta1, path.times, layer_exp=spec.beta)
+          if spec.mu1 != 0.0 else None)
+    kB = (_kernel_moments(spec.beta, spec.eta2, path.times, layer_exp=spec.alpha)
+          if spec.mu2 != 0.0 else None)
+
+    def sweep(V):
+        U = U1 if kA is None else U1 + spec.mu1 * _convolve_linear(kA, V)
+        return U, (V1 if kB is None else V1 + spec.mu2 * _convolve_linear(kB, U))
+
+    scale = max(1.0, float(np.max(np.abs((path.U, path.V)))))
+    iterates = [(np.zeros(n_steps + 1), np.zeros(n_steps + 1))]
+    while np.max(np.abs(np.subtract(iterates[-1], (path.U, path.V)))) > 1e-12 * scale:
+        if len(iterates) > 200:
+            raise ValueError("Picard iterates miss the solution after 200 sweeps")
+        iterates.append(sweep(iterates[-1][1]))
+    return path, iterates
+
+
 def picard_monotonicity(iterates) -> bool:
     """True iff the recorded Picard iterate pairs are pointwise
     non-decreasing, as they are for nonnegative data, with a slack of 1e-12
-    of the iterate scale (see picard_solve's record_iterates)."""
+    of the iterate scale (see picard_iterates)."""
     for (U0, V0), (U1, V1) in zip(iterates, iterates[1:]):
         slack_u = 1e-12 * max(1.0, float(np.max(np.abs(U1))))
         slack_v = 1e-12 * max(1.0, float(np.max(np.abs(V1))))
@@ -190,8 +246,6 @@ def mode_one_norms(alpha: float, beta: float, dx: float, times) -> np.ndarray:
     with (U, V) the coupled ODE pair of c1 = lam + 1, c2 = 1, by branch-cut
     inversion: it shares no numerics with the L1 stepper.  The trapezoid norm
     of sin x on any grid of (0, pi) is sqrt(pi/2)."""
-    from subdecay.frac_ode import LaplaceSymbol, branch_cut_invert
-
     lam = 4.0 / dx ** 2 * math.sin(0.5 * dx) ** 2
     U, V = branch_cut_invert(LaplaceSymbol(c1=lam + 1.0, c2=1.0, alpha=alpha, beta=beta),
                              np.asarray(times, dtype=float))

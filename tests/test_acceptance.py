@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from conftest import gershgorin_gap, picard_monotonicity
+from conftest import gershgorin_gap, picard_iterates, picard_monotonicity, system_matrix
 from identities import im_parts, q_integral, q_of_r, r_series_identity
 from subdecay import decay as decay_mod
 from subdecay import frac_ode, spectral, subdiff_fd
@@ -226,7 +226,7 @@ class TestCriterion10:
         hist = simulate(spec, grid, "fully-implicit")
         norms = decay_mod.l2_norm(hist.values, grid.dx)
         growth = float(np.max(norms / norms[0]))
-        min_gap = gershgorin_gap(subdiff_fd.assemble_block_matrix(spec, grid, 1))
+        min_gap = gershgorin_gap(system_matrix(spec, grid, 1))
         ok = growth <= 10.0 and min_gap >= 1.0 - 1e-9
         _report(10, ok,
                 f"norm growth {growth:.3f} <= 10; min |center|-radius "
@@ -316,9 +316,8 @@ class TestCriterion11:
     def test_picard_monotonicity_and_positivity(self):
         spec = frac_ode.OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.0,
                                 eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
-        path = frac_ode.picard_solve(spec, T=10.0, n_steps=512,
-                                     record_iterates=True)
-        mono = picard_monotonicity(path.iterates)
+        path, iterates = picard_iterates(spec, T=10.0, n_steps=512)
+        mono = picard_monotonicity(iterates)
         strict = bool(np.all(path.U[1:] > 0.0) and np.all(path.V[1:] > 0.0))
         ok = path.converged and mono and strict
         _report("11-picard", ok,

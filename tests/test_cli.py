@@ -627,6 +627,19 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "exponent" not in captured.out
 
+    @pytest.mark.parametrize("bad", ["", "nan"])
+    def test_decay_missing_time_exit_one(self, tmp_path, capsys, bad):
+        # a blank or nan t cell inside the fit window is refused, not a row
+        # the fit silently drops
+        t = [f"{float(tv):.17g}" for tv in np.logspace(0.5, 3, 50)]
+        values = [f"{float(v):.17g}" for v in np.logspace(0.5, 3, 50) ** -0.9]
+        t[30] = bad
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n" + "".join(f"{tv},{v}\n" for tv, v in zip(t, values)))
+        assert main(["decay", str(path), "--window", "10", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert "times must be finite" in captured.err and "exponent" not in captured.out
+
     def test_report_prints_each_row_as_it_is_made(self, monkeypatch, capsys):
         fit = types.SimpleNamespace(total_fit=types.SimpleNamespace(exponent=-0.5))
         monkeypatch.setattr(cli, "run", lambda cfg: fit)

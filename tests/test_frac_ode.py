@@ -10,8 +10,8 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from conftest import (branch_cut_quad_reference, branch_cut_talbot_reference,
-                      kernel_gauss_nodes, ml_series_reference, picard_monotonicity,
-                      principal_zero_count)
+                      kernel_gauss_nodes, ml_series_reference, picard_iterates,
+                      picard_monotonicity, principal_zero_count)
 from identities import im_parts, q_of_r
 from subdecay import frac_ode, mittag_leffler
 from subdecay.errors import DomainError, NumericalError, QuadratureError
@@ -168,14 +168,14 @@ class TestPicard:
     def test_iterates_monotone_for_nonnegative_data(self):
         spec = OdeSpec(alpha=0.9, beta=0.5, a=1.0, b=0.0,
                        eta1=2.0, eta2=2.0, mu1=1.0, mu2=1.0)
-        path = picard_solve(spec, T=5.0, n_steps=256, record_iterates=True)
-        assert picard_monotonicity(path.iterates)
+        _, iterates = picard_iterates(spec, T=5.0, n_steps=256)
+        assert picard_monotonicity(iterates)
 
     def test_decoupled_iterates_fixed_after_first(self):
         spec = OdeSpec(alpha=0.5, beta=0.5, a=1.0, b=0.0,
                        eta1=1.0, eta2=1.0, mu1=0.0, mu2=0.0)
-        path = picard_solve(spec, T=2.0, n_steps=64, record_iterates=True)
-        (u1, v1), (u2, v2) = path.iterates[1], path.iterates[-1]
+        _, iterates = picard_iterates(spec, T=2.0, n_steps=64)
+        (u1, v1), (u2, v2) = iterates[1], iterates[-1]
         assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
 
     def test_monotonicity_detects_violation(self):
@@ -241,8 +241,8 @@ class TestPicard:
         beta = 0.1 + beta_share * (alpha - 0.1)
         spec = OdeSpec(alpha=alpha, beta=beta, a=a, b=b, eta1=eta1, eta2=eta2,
                        mu1=mu1_share * eta1, mu2=mu2_share * eta2)
-        path = picard_solve(spec, T=T, n_steps=64, record_iterates=True)
-        assert picard_monotonicity(path.iterates)
+        _, iterates = picard_iterates(spec, T=T, n_steps=64)
+        assert picard_monotonicity(iterates)
 
     @pytest.mark.parametrize("orders, a, b, mu, T, n", [
         ((0.809, 0.651), 0.98, 0.35, (0.96, 1.97), 9.33, 64),

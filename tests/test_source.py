@@ -12,7 +12,7 @@ import subdecay
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subdecay"
 # the most lines src/subdecay may hold outside docstrings (source_lines)
-_SRC_LINES = 1882
+_SRC_LINES = 1864
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -112,6 +112,65 @@ def test_test_only_public_surface_detected():
                               "def _helper(): return used()\n")}
     readers = [ast.parse("import m\nm.C().read()\n")]
     assert unreferenced_public(modules, readers) == ["m.unused", "m.C.unread"]
+
+
+def unpassed_defaults(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Defaulted parameters of the modules' public top-level functions that
+    no call in the callers passes, neither by keyword nor by position past
+    the required parameters, as "module.function(parameter)".  A call is
+    matched by the called Name or Attribute, and a function passed as a
+    positional argument counts as called with the arguments after it (a
+    wrapper's fn, *args, **kwargs).  *args or **kwargs pass every parameter
+    they could."""
+    keywords, positions = {}, {}
+    for tree in callers:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            forwarded = [(arg, call.args[j + 1:]) for j, arg in enumerate(call.args)
+                         if isinstance(arg, (ast.Name, ast.Attribute))]
+            for func, args in [(call.func, call.args)] + forwarded:
+                name = getattr(func, "id", getattr(func, "attr", None))
+                starred = any(isinstance(arg, ast.Starred) for arg in args)
+                positions[name] = max(positions.get(name, 0), 1_000 if starred else len(args))
+                keywords.setdefault(name, set()).update(kw.arg or "**" for kw in call.keywords)
+    unpassed = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args, passed = node.args, keywords.get(node.name, set())
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, arg.arg) for i, arg in
+                         enumerate(positional[len(positional) - len(args.defaults):],
+                                   len(positional) - len(args.defaults))]
+            defaulted += [(None, arg.arg) for arg, default in
+                          zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            unpassed += [f"{module}.{node.name}({name})" for i, name in defaulted
+                         if name not in passed and "**" not in passed
+                         and (i is None or positions.get(node.name, 0) <= i)]
+    return unpassed
+
+
+def test_every_default_is_passed():
+    # a parameter whose default no caller overrides is a switch only tests
+    # use; the console entry point's argv is passed by the interpreter
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SRC.glob("*.py"))}
+    callers = list(modules.values()) + [ast.parse(path.read_text(), filename=str(path))
+                                        for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert [name for name in unpassed_defaults(modules, callers)
+            if name != "cli.main(argv)"] == []
+
+
+def test_unpassed_default_detected():
+    modules = {"m": ast.parse("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+                              "def g(x=0): pass\ndef h(y=0): pass\ndef _p(z=0): pass\n")}
+    callers = [ast.parse("import m\nm.f(0, 1, e=5)\nf(0)\ng(**{})\n"
+                         "timed(m.h, 1)\n_p()\n")]
+    assert unpassed_defaults(modules, callers) == ["m.f(c)", "m.f(d)"]
+    callers = [ast.parse("f(*[0, 1, 2], d=3, e=4)\ng(1)\ntimed(h)\n")]
+    assert unpassed_defaults(modules, callers) == ["m.h(y)"]
 
 
 def test_every_export_resolves():
