@@ -30,7 +30,10 @@ class NumericalError(SubdecayError, RuntimeError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge; message carries diagnostics."""
+    """A fixed Bromwich sum (frac_ode._bromwich_sum) was refused: its error
+    estimate, from the 43- against the 64-node rule, exceeded the tolerance,
+    or the sum left the float64 range; the message names the entry and the
+    estimate or the overflow."""
 
 
 class SolverError(NumericalError):

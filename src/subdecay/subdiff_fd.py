@@ -39,13 +39,13 @@ level as two arrays, calling each callable once, so a step samples at most
 once (at t_n for the semi-implicit scheme, at t_{n+1} for the fully
 implicit one) and a run with constant couplings and no sources samples
 nothing, neither per step nor to build its band.
-A factor made once per run is certified at its second solve, once: a bound
-on A - L U and on the sweeps' rounding, from its bands, that implies the
-1e-12 residual bound for every finite x, so its later solves check only
-that x is finite.  The first solve of every factor, all solves of a
-per-step factor and of one with row interchanges, and those of a factor
-the certificate refuses check the residual itself, with A x from BLAS gbmv
-and the bound's scale formed only past 1e-12.
+The stepper certifies the factor it keeps for the run once, right after
+making it: a bound on A - L U and on the sweeps' rounding, from its bands
+and independent of n, that implies the 1e-12 residual bound for every
+finite x, so its solves check only that x is finite.  All solves of a
+per-step factor, of one with row interchanges and of one the certificate
+refuses check the residual itself, with A x from BLAS gbmv and the bound's
+scale formed only past 1e-12.
 The stability check c_kk >= sum_{l != k} |c_kl|
 (stability_margin) reads the couplings directly.
 """
@@ -276,21 +276,20 @@ class _BandedLU:
     two BLAS band sweeps (tbsv), the arithmetic of gbtrs without its call
     per column.
 
-    Every solve checks its residual, except those of a certified factor.  A
-    factor without interchanges is put to the certificate once, at its
-    second solve, so a factor used once never pays for it, and a factor
-    made again is certified again or not at all: with
-    gamma_k = k u / (1 - k u), u = 2^-53, it passes when
+    Every solve checks its residual, except those of a factor that holds a
+    certificate.  certify() puts the factor to it, and a passing factor
+    holds it until factor() makes another; the stepper certifies the factor
+    it keeps for a run, and no per-step factor.  With gamma_k = k u / (1 -
+    k u), u = 2^-53, a factor without interchanges passes when
 
-        ||A - L U||_inf + gamma_{3n} || |L| |U| ||_inf <= 1e-12 max|A|.
+        ||A - L U||_inf + gamma_{2 kl + ku + 1} || |L| |U| ||_inf <= 1e-12 max|A|.
 
-    The sweeps return an x with (L U + dA) x = b, |dA| <= gamma_{3n} |L| |U|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
-    9.4), so max|b - A x| is at most that sum times max|x|: every finite x
-    meets the residual bound, and a certified solve checks only that x is
-    finite.  BLAS ddot of x with zeros is NaN exactly where x holds NaN or
-    inf, cannot overflow on finite data near the float limit, and unlike
-    numpy's product it warns of no inf * 0."""
+    The sweeps return an x with (L U + dA) x = b and |dA| <= gamma_{2 kl +
+    ku + 1} |L| |U| (see certify), so max|b - A x| is at most that sum times
+    max|x|: every finite x meets the residual bound, and a certified solve
+    checks only that x is finite.  BLAS ddot of x with zeros is NaN exactly
+    where x holds NaN or inf, cannot overflow on finite data near the float
+    limit, and unlike numpy's product it warns of no inf * 0."""
 
     def __init__(self, matrix: BandedMatrix):
         kl, ku, n = matrix.lower, matrix.upper, matrix.n
@@ -304,10 +303,10 @@ class _BandedLU:
 
     def factor(self):
         """Factor the band the matrix holds now, in place of any earlier
-        factor, and drop that factor's certificate: the next two solves
-        check their residual, and the second puts the new factor to the
-        certificate.  gbtrf zeroes the spare rows itself where it needs them.
-        SolverError where gbtrf fails."""
+        factor, and drop that factor's certificate: the new factor's solves
+        check their residual until certify() passes it.  gbtrf zeroes the
+        spare rows itself where it needs them.  SolverError where gbtrf
+        fails."""
         kl, n = self.matrix.lower, self.matrix.n
         self.ab[kl:] = self.matrix.ab
         self.lu, self.piv, info = dgbtrf(self.ab, kl, self.matrix.upper, overwrite_ab=True)
@@ -316,17 +315,33 @@ class _BandedLU:
                               + (" (singular matrix)" if info > 0 else ""))
         # gbtrf's piv[i] >= i, so piv is the identity iff it sums to n(n-1)/2
         self.l_band = self._l_view if self.piv.sum() == n * (n - 1) // 2 else None
-        # zeros once certified: x . 0 by BLAS ddot is NaN iff x is not finite
-        self.solves, self.zeros = 0, None
+        self.zeros = None
 
     def certify(self) -> bool:
-        """The certificate of the class docstring, from the band storage.
+        """Put the factor to the certificate of the class docstring: hold it
+        (self.zeros) where it passes, drop it where it fails, and return the
+        verdict.  A factor with row interchanges fails it.
+
+        The bound counts the band, not n.  Row i of the L sweep (unit
+        diagonal) forms at most kl products, and row i of the U sweep, over
+        the kl + ku superdiagonals gbtrf keeps, at most kl + ku products and
+        one division.  Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., Lemma 8.4 and Thm 8.5, applied row by row to
+        the band storage, which is all the sweeps read, in whatever order
+        they sum: the sweeps' y and x satisfy (L + dL) y = b and (U + dU) x
+        = y with |dL| <= gamma_kl |L| and |dU| <= gamma_{kl + ku + 1} |U|.
+        So b = (L U + dL U + L dU + dL dU) x, and by Lemma 3.3, gamma_kl +
+        gamma_{kl + ku + 1} + gamma_kl gamma_{kl + ku + 1} <= gamma_{2 kl +
+        ku + 1}, which bounds dA = dL U + L dU + dL dU by that gamma times
+        |L| |U|; the term A - L U is computed, not bounded.
+
         A - L U is formed in the layout of lu, over U's kl + ku
-        superdiagonals, all that the sweep reads, from the products
-        L[k + p, k] U[k, k + q], k < n - max(p, q), and its row sums are
-        taken by gbmv, which skips the band's unused corners as the solve
-        does.  A NaN anywhere fails it."""
+        superdiagonals, from the products L[k + p, k] U[k, k + q], k < n -
+        max(p, q), and its row sums are taken by gbmv, which skips the
+        band's unused corners as the solve does.  A NaN anywhere fails it."""
         kl, uu, n = self.matrix.lower, self.matrix.lower + self.matrix.upper, self.matrix.n
+        if self.l_band is None:  # interchanges: factor() dropped the certificate
+            return False
         diff = np.vstack((np.zeros((kl, n)), self.matrix.ab))
         size = np.zeros(n)  # the row sums of |L| |U|
         for p in range(min(kl, n - 1) + 1):
@@ -335,9 +350,11 @@ class _BandedLU:
                 term = (self.lu[uu + p, :count] if p else 1.0) * self.lu[uu - q, q:q + count]
                 diff[uu + p - q, q:q + count] -= term
                 size[p:p + count] += np.abs(term)
-        gamma = 3 * n * 2.0 ** -53 / (1.0 - 3 * n * 2.0 ** -53)
+        gamma = (kl + uu + 1) * 2.0 ** -53 / (1.0 - (kl + uu + 1) * 2.0 ** -53)  # 2 kl + ku + 1
         error = _band_product(BandedMatrix(kl, uu, diff), np.abs(diff), np.ones(n)).max()
-        return bool(error + gamma * size.max() <= 1e-12 * np.abs(self.matrix.ab).max())
+        passed = bool(error + gamma * size.max() <= 1e-12 * np.abs(self.matrix.ab).max())
+        self.zeros = np.zeros(n) if passed else None
+        return passed
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with A x = rhs, for rhs a float vector of length n; SolverError
@@ -345,9 +362,6 @@ class _BandedLU:
         max(|x|, 1) + max|rhs|), which a certified factor meets for every
         finite x, or an x that is not finite."""
         matrix = self.matrix
-        if self.solves == 1 and self.l_band is not None and self.certify():
-            self.zeros = np.zeros(matrix.n)
-        self.solves += 1
         if self.l_band is not None:
             x = dtbsv(matrix.lower + matrix.upper, self.lu,
                       dtbsv(matrix.lower, self.l_band, rhs, lower=1, diag=1), overwrite_x=1)
@@ -355,15 +369,14 @@ class _BandedLU:
             x, info = dgbtrs(self.lu, matrix.lower, matrix.upper, rhs, self.piv)
             if info != 0:
                 raise SolverError(f"banded solve failed: gbtrs info {info}")
-        if self.zeros is not None:
-            if math.isnan(ddot(x, self.zeros)):
-                raise SolverError("banded solve residual not finite: x holds NaN or inf")
-            return x
-        resid = np.abs(_band_product(matrix, matrix.ab, x) - rhs).max()
-        # the bound is never below 1e-12, so its scale is formed only past that
-        if not resid <= 1e-12 and not resid <= 1e-12 * max(
-                np.abs(matrix.ab).max() * max(np.abs(x).max(), 1.0) + np.abs(rhs).max(), 1.0):
-            raise SolverError(f"banded solve residual {resid:.2e} exceeds tolerance")
+        if self.zeros is None:
+            resid = np.abs(_band_product(matrix, matrix.ab, x) - rhs).max()
+            # the bound is never below 1e-12, so its scale is formed only past that
+            if not resid <= 1e-12 and not resid <= 1e-12 * max(
+                    np.abs(matrix.ab).max() * max(np.abs(x).max(), 1.0) + np.abs(rhs).max(), 1.0):
+                raise SolverError(f"banded solve residual {resid:.2e} exceeds tolerance")
+        elif math.isnan(ddot(x, self.zeros)):
+            raise SolverError("banded solve residual not finite: x holds NaN or inf")
         return x
 
 
@@ -508,11 +521,12 @@ class _Stepper:
     right-hand side, and with the couplings for the fully implicit one,
     written from the constants where they are constant, with no sample.
     A constant band, which the semi-implicit scheme's always is, is factored
-    here, once.  Where a coefficient is a callable, a step samples them all
-    once, and from that sample takes the lagged load (C u summed over l,
-    for callable couplings), or rewrites the fully implicit band's coupling
-    diagonals in place and factors it again, and adds the sources in one
-    product.
+    here, once, and its factor certified here, once; a factor made per step
+    solves once and is never certified.  Where a coefficient is a callable,
+    a step samples them all once, and from that sample takes the lagged load
+    (C u summed over l, for callable couplings), or rewrites the fully
+    implicit band's coupling diagonals in place and factors it again, and
+    adds the sources in one product.
     """
 
     def __init__(self, spec: SystemSpec, grid: Grid, scheme: str, u0: np.ndarray):
@@ -563,13 +577,13 @@ class _Stepper:
             for p, q in enumerate(start):
                 self.folds[p].append((state[:, K + k], grow[p], y, y[:, q:], renorm[:, q:]))
             col += s.size
-        # the semi-implicit scheme's couplings are all on the right-hand side,
-        # and the fully implicit scheme writes callable ones at each step
         self.band = _band(self.r, m)
         if constant and not self.lagged:
             _write_couplings(self.band, self.r, self.fac,
                              spec._constants[:K * K].reshape(K, K, 1))
         self.lu = _BandedLU(self.band)
+        if not self.refactor:  # one factor solves every step: certify it once
+            self.lu.certify()
 
     def memory(self, n: int, u: np.ndarray) -> np.ndarray:
         """The L1 memory of step n -> n+1, shape (K, I-1), given level n,

@@ -12,7 +12,7 @@ import subdecay
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subdecay"
 # the most lines src/subdecay may hold outside docstrings (source_lines)
-_SRC_LINES = 1864
+_SRC_LINES = 1863
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg.lapack import dgbtrs
 
 from conftest import (band_to_dense, gershgorin_gap, l1_history_direct, l1_weights_reference,
@@ -12,9 +13,9 @@ from conftest import (band_to_dense, gershgorin_gap, l1_history_direct, l1_weigh
 from subdecay.decay import l2_norm
 from subdecay.errors import DomainError, SolverError
 from subdecay.mittag_leffler import ml_neg
-from subdecay.subdiff_fd import (_SOE_TOL, BandedMatrix, Grid, SystemSpec, _band_product,
-                                 _BandedLU, _Stepper, _soe_modes, l1_weights, levels, simulate,
-                                 stability_margin)
+from subdecay.subdiff_fd import (_SOE_TOL, SCHEMES, BandedMatrix, Grid, SystemSpec,
+                                 _band_product, _BandedLU, _Stepper, _soe_modes, l1_weights,
+                                 levels, simulate, stability_margin)
 
 HAT = lambda x: np.pi / 2 - np.abs(x - np.pi / 2)
 ZERO = lambda x: np.zeros_like(x)
@@ -180,15 +181,19 @@ class TestBandedSolve:
            dominant=st.booleans(), scale=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
     def test_certified_solves_meet_the_residual_bound(self, lower, upper, n, dominant,
                                                       scale, seed):
-        """A factor is certified at its second solve, and only where gbtrf
-        made no interchanges; every certified solve meets the per-solve
-        residual bound, computed here with the dense matrix."""
+        """A factor holds a certificate only after certify() passes it, and
+        only where gbtrf made no interchanges; every certified solve meets
+        the per-solve residual bound, computed here with the dense matrix."""
         rng = np.random.default_rng(seed)
         matrix = self._random_band(rng, lower, upper, n, dominant)
         matrix.ab *= 10.0 ** scale
         dense = band_to_dense(matrix)
         lu = _BandedLU(matrix)
-        for solve in range(5):
+        assert lu.zeros is None
+        certified = lu.certify()
+        assert (lu.zeros is not None) == certified
+        assert lu.l_band is not None or not certified
+        for _ in range(5):
             rhs = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-8, 9)
             try:
                 x = lu.solve(rhs)
@@ -197,8 +202,7 @@ class TestBandedSolve:
                 # would have passed every finite x
                 assert lu.zeros is None
                 continue
-            assert (lu.zeros is not None) == (solve >= 1 and lu.l_band is not None
-                                              and lu.certify())
+            assert (lu.zeros is not None) == certified
             if lu.zeros is not None:
                 assert np.array_equal(lu.piv, np.arange(n))
                 resid = np.abs(dense @ x - rhs).max()
@@ -213,24 +217,25 @@ class TestBandedSolve:
         ("fully-implicit", "U", 1), ("fully-implicit", "U", 2)])
     def test_certificate_refuses_a_perturbed_factor(self, scheme, band, offset):
         """One entry of the run's factor, in L's band or U's, moved by 1e-6
-        relative before its second solve: the certificate refuses the
-        factor, and the solve's residual check raises.  (The semi-implicit
-        band's offset-1 diagonals hold its zero couplings.)"""
+        relative after its first solve: the certificate, put to it again,
+        refuses the factor and drops the one it held, and the next solve's
+        residual check raises.  (The semi-implicit band's offset-1
+        diagonals hold its zero couplings.)"""
         grid = Grid(L=math.pi, I=8, T=1.0, N=4)
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=[[1.0, -1.0], [-1.0, 1.0]], initials=[np.sin, HAT])
         u0 = np.array([np.sin(grid.x[1:-1]), HAT(grid.x[1:-1])])
         stepper = _Stepper(spec, grid, scheme, u0)
         u1 = stepper.step(0, u0)
+        assert stepper.lu.zeros is not None
         # K = 2: gbtrf keeps L's offset p at row 4 + p, U's offset q at row 4 - q
         factors, row = stepper.lu, 4 + (offset if band == "L" else -offset)
         column = factors.matrix.n // 2
         assert factors.lu[row, column] != 0.0
         factors.lu[row, column] *= 1.0 + 1e-6
-        assert not factors.certify()
+        assert not factors.certify() and factors.zeros is None
         with pytest.raises(SolverError, match="residual"):
             stepper.step(1, u1)
-        assert factors.zeros is None
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_certified_factor_refuses_non_finite_right_hand_sides(self, rng, bad):
@@ -239,6 +244,7 @@ class TestBandedSolve:
         data of size 1e300 still solves."""
         matrix = self._random_band(rng, 2, 2, 40, dominant=True)
         lu = _BandedLU(matrix)
+        assert lu.certify()
         rhs = rng.uniform(-1.0, 1.0, size=40)
         first = lu.solve(rhs)
         assert np.array_equal(lu.solve(rhs), first) and lu.zeros is not None
@@ -250,23 +256,23 @@ class TestBandedSolve:
 
     def test_factored_again_checks_its_residual_again(self, rng):
         """factor() makes the factor of the band the matrix holds now, in the
-        same buffer, and drops the old factor's certificate: the next solve
-        checks its residual, so a bad new factor is refused where the
-        certified old one would have let any finite x through, and the
-        second solve of a sound new factor certifies it again."""
+        same buffer, and drops the old factor's certificate: its solves
+        check their residual, so a bad new factor is refused where the
+        certified old one would have let any finite x through, and certify()
+        puts a sound new factor to the certificate again."""
         matrix = self._random_band(rng, 2, 2, 40, dominant=True)
         lu = _BandedLU(matrix)
         buffer, rhs = lu.lu, rng.uniform(-1.0, 1.0, size=40)
-        lu.solve(rhs)
+        assert lu.certify()
         lu.solve(rhs)
         assert lu.zeros is not None
         matrix.ab[2] *= 2.0
         lu.factor()
-        assert lu.zeros is None and lu.solves == 0 and np.shares_memory(lu.lu, buffer)
+        assert lu.zeros is None and np.shares_memory(lu.lu, buffer)
         np.testing.assert_allclose(lu.solve(rhs), np.linalg.solve(band_to_dense(matrix), rhs),
                                    rtol=1e-12, atol=1e-14)
-        lu.solve(rhs)
-        assert lu.zeros is not None
+        assert lu.zeros is None
+        assert lu.certify() and lu.zeros is not None
         lu.factor()
         lu.lu[4, 20] *= 1.0 + 1e-6
         with pytest.raises(SolverError, match="residual"):
@@ -296,18 +302,19 @@ class TestBandedSolve:
             assert len(built) == 1 and len(factored) == factors
             assert all(np.shares_memory(lu, factored[0]) for lu in factored)
 
-    def test_certificate_counts_rounding_by_gamma_3n(self):
-        """L U = A to rounding, yet the gamma_{3n} || |L| |U| || term alone
-        refuses a long enough band: diag 4, off-diagonals -1 has |L| |U|
-        row sums near 6 = 1.5 max|A|, so it certifies up to n of about 2000."""
-        for n, certified in ((1000, True), (2500, False)):
+    def test_certificate_counts_rounding_by_the_band(self):
+        """The sweeps' rounding is counted by the band, gamma_{2 kl + ku + 1}
+        = gamma_4 here, not by n: diag 4, off-diagonals -1 has |L| |U| row
+        sums near 6 = 1.5 max|A|, and certifies at every length (a bound
+        of gamma_{3n} refused it past n of about 2000)."""
+        for n in (1000, 2500, 100_000):
             ab = np.array([[-1.0] * n, [4.0] * n, [-1.0] * n])
-            assert _BandedLU(BandedMatrix(lower=1, upper=1, ab=ab)).certify() is certified
+            assert _BandedLU(BandedMatrix(lower=1, upper=1, ab=ab)).certify() is True
 
     def test_one_shot_factors_compute_no_certificate(self, monkeypatch):
         """Each per-step factor of a fully implicit run with callable
-        couplings solves once and is never put to the certificate; a run's
-        constant factor is, once."""
+        couplings solves once and is never put to the certificate; the one
+        factor a run keeps is, once, when the stepper makes it."""
         calls = []
         certify = _BandedLU.certify
         monkeypatch.setattr(_BandedLU, "certify", lambda lu: calls.append(lu) or certify(lu))
@@ -319,6 +326,70 @@ class TestBandedSolve:
         assert calls == []
         list(levels(spec, grid, "semi-implicit"))
         assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(lower=st.integers(0, 3), upper=st.integers(0, 3), n=st.integers(1, 5000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(lower=3, upper=3, n=5000, seed=0)
+    def test_certificate_keeps_its_promise_on_long_bands(self, lower, upper, n, seed):
+        """Column-dominant bands, their columns scaled over six decades,
+        factor without interchanges up to n = 5000 and certify; then every
+        finite solve meets the 1e-12 residual bound, recomputed by gbmv."""
+        rng = np.random.default_rng(seed)
+        matrix = self._random_band(rng, lower, upper, n, dominant=True)
+        matrix.ab *= 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        lu = _BandedLU(matrix)
+        assert lu.l_band is not None and lu.certify()
+        for _ in range(3):
+            rhs = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-8, 9)
+            x = lu.solve(rhs)
+            assert np.all(np.isfinite(x))
+            resid = np.abs(_band_product(matrix, matrix.ab, x) - rhs).max()
+            assert resid <= 1e-12 * max(np.abs(matrix.ab).max() * max(np.abs(x).max(), 1.0)
+                                        + np.abs(rhs).max(), 1.0)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("K, I", [(2, 760), (2, 1024), (2, 8192), (3, 700), (3, 1024)])
+    def test_kept_bands_certify_at_every_size(self, scheme, K, I):
+        """The factor a run keeps holds its certificate from the stepper's
+        build at sizes past the ~1,500 unknowns where a gamma_{3n} bound
+        refused it, at under 1e-2 of the bound by an independent sparse
+        product; a 1e-6 relative change to one entry of L (the spatial
+        neighbour's multiplier) or of U (the diagonal) is refused."""
+        orders, couplings = (((0.9, 0.5), [[1.0, -1.0], [-1.0, 1.0]]) if K == 2 else
+                             ((1.0, 0.5, 0.3), [[1.0 if k == l else -0.5 for l in range(3)]
+                                                for k in range(3)]))
+        spec = SystemSpec(orders=orders, diffusivities=(1.0,) * K, couplings=couplings,
+                          initials=[np.sin] * K)
+        grid = Grid(L=math.pi, I=I, T=1000.0, N=4000)
+        lu = _Stepper(spec, grid, scheme, np.zeros((K, I - 1))).lu
+        assert lu.zeros is not None
+        assert certificate_ratio(lu) <= 1e-2
+        column = lu.matrix.n // 2
+        # gbtrf keeps L's offset p at row 2K + p and U's offset q at row 2K - q
+        for row in (3 * K, 2 * K):
+            kept = lu.lu[row, column]
+            lu.lu[row, column] = kept * (1.0 + 1e-6)
+            assert not lu.certify() and lu.zeros is None
+            lu.lu[row, column] = kept
+            assert lu.certify()
+
+
+def certificate_ratio(lu):
+    """(||A - L U||_inf + gamma_{2 kl + ku + 1} || |L| |U| ||_inf) / (1e-12
+    max|A|) for a factor without interchanges, from L and U read off
+    gbtrf's band into scipy.sparse matrices and multiplied there."""
+    kl, ku, n = lu.matrix.lower, lu.matrix.upper, lu.matrix.n
+    uu = kl + ku
+    A = sparse.dia_matrix((lu.matrix.ab, np.arange(ku, -kl - 1, -1)), shape=(n, n)).tocsr()
+    L = sparse.dia_matrix((np.vstack((np.ones(n), lu.lu[uu + 1:])), -np.arange(kl + 1)),
+                          shape=(n, n)).tocsr()
+    U = sparse.dia_matrix((lu.lu[:uu + 1], np.arange(uu, -1, -1)), shape=(n, n)).tocsr()
+    k = 2 * kl + ku + 1
+    gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+    error = abs(A - L @ U).sum(axis=1).max()
+    size = (abs(L) @ abs(U)).sum(axis=1).max()
+    return (error + gamma * size) / (1e-12 * np.abs(lu.matrix.ab).max())
 
 
 class TestGrid:
@@ -667,9 +738,8 @@ class TestStepping:
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "fully-implicit"])
     def test_nan_through_factored_matrix_raises(self, scheme):
-        """The constant matrix is factored once per run; its first solve runs
-        the residual check and later solves, certified, still refuse a
-        solution that is not finite."""
+        """The constant matrix is factored and certified once per run, and
+        its certified solves still refuse a solution that is not finite."""
         grid = Grid(L=math.pi, I=8, T=1.0, N=4)
         spec = SystemSpec(orders=(0.9, 0.5), diffusivities=(1.0, 1.0),
                           couplings=[[1.0, -1.0], [-1.0, 1.0]], initials=[np.sin, HAT])
