@@ -8,7 +8,7 @@ from .decay import (DecayFit, NormSeries, fit_exponent, l2_norm,
                     pointwise_exponent)
 from .frac_ode import LaplaceSymbol, OdePath, OdeSpec, branch_cut_invert, picard_solve
 from .mittag_leffler import ml_eval
-from .spectral import SpectralSolution, asymptotic_v, decoupled_solve, mode_convolution
+from .spectral import SpectralSolution, mode_convolution
 
 # subdiff_fd loads scipy's BLAS and LAPACK, which only the PDE solver needs:
 # its names are looked up on first use (PEP 562); every other export is
@@ -27,5 +27,5 @@ __all__ = [
     "OdeSpec", "OdePath", "LaplaceSymbol", "picard_solve", "branch_cut_invert",
     "Grid", "SystemSpec", "History", "BandedMatrix", "l1_weights", "levels", "simulate",
     "NormSeries", "DecayFit", "pointwise_exponent", "fit_exponent", "l2_norm",
-    "SpectralSolution", "decoupled_solve", "mode_convolution", "asymptotic_v",
+    "SpectralSolution", "mode_convolution",
 ]

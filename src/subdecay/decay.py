@@ -52,7 +52,6 @@ class DecayFit:
     exponent: float
     intercept: float
     rms_residual: float
-    n_samples: int
 
     @property
     def growing(self) -> bool:
@@ -92,7 +91,7 @@ def fit_exponent(series: NormSeries, window: tuple[float, float]) -> DecayFit:
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
     return DecayFit(window=(lo, hi), exponent=float(slope),
-                    intercept=float(intercept), rms_residual=rms, n_samples=sel.size)
+                    intercept=float(intercept), rms_residual=rms)
 
 
 def window_mask(times: np.ndarray, window) -> np.ndarray:

@@ -32,8 +32,8 @@ class NumericalError(SubdecayError, RuntimeError):
 class QuadratureError(NumericalError):
     """A fixed Bromwich sum (frac_ode._bromwich_sum) was refused: its error
     estimate, from the 43- against the 64-node rule, exceeded the tolerance,
-    or the sum left the float64 range; the message names the entry and the
-    estimate or the overflow."""
+    or the sum left float64's normal range; the message names the entry and
+    the estimate, the overflow or the underflow."""
 
 
 class SolverError(NumericalError):

@@ -468,14 +468,18 @@ def _bromwich_rule(n: int):
 _BROMWICH = tuple(_bromwich_rule(n) for n in (43, 64))
 # relative error the inversion's estimate must meet
 _BROMWICH_RTOL = 1e-10
+# the smallest normal float64: a smaller sum has lost digits to underflow
+_TINY = np.finfo(float).tiny
 
 
 def _bromwich_sum(terms_at, where, exact=0.0):
     """The 64-node sums of terms_at(s1, w), the terms Im(w_k F(s_k / t)) / t of
     each rule (s1, w) of _BROMWICH along axis -2 (w inside their product),
     plus exact, an inverse the transforms had subtracted.  A sum out of
-    float64 range, or whose estimate |I_43 - I_64| + eps sum |terms| exceeds
-    _BROMWICH_RTOL of it, raises QuadratureError, where(i) naming entry i."""
+    float64's normal range (infinite, NaN, or below finfo.tiny in size, where
+    it has lost digits or underflowed to 0), or whose estimate
+    |I_43 - I_64| + eps sum |terms| exceeds _BROMWICH_RTOL of it, raises
+    QuadratureError, where(i) naming entry i."""
     sums = []
     # past the float64 range the sums hold inf or nan, and are refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -485,12 +489,12 @@ def _bromwich_sum(terms_at, where, exact=0.0):
         rough, total = sums
         err = np.abs(rough - total) + np.finfo(float).eps * np.abs(terms).sum(axis=-2)
         total += exact
-    finite = np.isfinite(total)
-    ok = finite & (err <= _BROMWICH_RTOL * np.abs(total))
+    finite, size = np.isfinite(total), np.abs(total)
+    ok = finite & (size >= _TINY) & (err <= _BROMWICH_RTOL * size)
     if not ok.all():
         i = tuple(np.argwhere(~ok)[0])
-        problem = (f"has error {err[i]:.3e} (value {total[i]:.6e})" if finite[i]
-                   else "overflows float64")
+        problem = ("overflows float64" if not finite[i] else "underflows float64"
+                   if size[i] < _TINY else f"has error {err[i]:.3e} (value {total[i]:.6e})")
         raise QuadratureError(f"Bromwich sum {where(i)} {problem}")
     return total
 
@@ -508,8 +512,8 @@ def branch_cut_invert(sym: LaplaceSymbol, t):
     -c2 s^{alpha-1}(s^{alpha+beta} + c1 s^alpha + c1 s^beta) and c2 in place
     of c1.  Elsewhere it sums U^ and V^ as they are.  The estimate
     |I_43 - I_64| + eps sum |terms|, relative to the value, raises
-    QuadratureError past 1e-10, and so does a sum out of float64 range (see
-    _bromwich_sum).
+    QuadratureError past 1e-10, and so does a sum out of float64's normal
+    range (see _bromwich_sum).
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0

@@ -14,7 +14,10 @@ and for large t the slow component approaches the separated form
     v(t) ~ (A^{-3} u0) t^{-(1+beta)} / (-Gamma(-beta)),
 
 with the next correction (A^{-4} u0) t^{-(2+beta)} / Gamma(-1-beta).  This
-module is the independent oracle for that superlinear regime.
+module is the independent oracle for that superlinear regime:
+project_initial gives the coefficients (u0, phi_n), mode_convolution the
+integral of v_n, and SpectralSolution, one datum's solution, the v
+coefficients, their norm and the norm of the two-term expansion.
 
 The mode convolution f(t) is the inverse Laplace transform of
 F(s) = 1/((s^beta + lam)(s + lam)), analytic off the negative real axis.
@@ -33,7 +36,8 @@ Each mode takes one of two integrands, by lam * t:
 
 The estimate |I_43 - I_64| + eps sum |terms| (43 against 64 nodes, plus
 rounding) raises QuadratureError past frac_ode's _BROMWICH_RTOL, as does a
-sum out of float64 range (frac_ode._bromwich_sum).  Against
+sum that overflows float64 or falls below its smallest normal number
+(frac_ode._bromwich_sum).  Against
 40-digit Talbot inversion (beta 0.05-0.99, lam 1-4096, t 1e-8-1e4) the
 worst error is 5e-12.
 """
@@ -53,27 +57,6 @@ from .mittag_leffler import _rgamma
 _N_QUAD = 16384
 
 
-def _positive_time(t) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be finite and positive, got {t}")
-    return t
-
-
-def _finite_coeffs(coeffs) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size < 1:
-        raise DomainError(f"need a non-empty vector of coefficients, got {coeffs.shape}")
-    if not np.all(np.isfinite(coeffs)):
-        raise DomainError("mode coefficients must be finite")
-    return coeffs
-
-
-def eigenvalues(n_modes: int) -> np.ndarray:
-    """lambda_n = n^2 for the Dirichlet Laplacian on (0, pi)."""
-    return np.arange(1, n_modes + 1, dtype=float) ** 2
-
-
 def project_initial(u0, n_modes: int) -> np.ndarray:
     """Coefficients (u0, phi_n) by composite trapezoid on a fine grid, all at
     once: with x_j = j pi / M, sum_j w_j u0(x_j) sin(n x_j) is minus the
@@ -89,13 +72,15 @@ def project_initial(u0, n_modes: int) -> np.ndarray:
         raise DomainError("initial datum must be finite")
     weighted = vals * np.ones_like(x)
     weighted[[0, -1]] *= 0.5
-    # huge finite data overflows here; _finite_coeffs refuses the result
+    # huge finite data overflows here, and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.fft.rfft(weighted, 2 * _N_QUAD)
     coeffs = -math.sqrt(2.0 / math.pi) * (x[1] - x[0]) * spectrum.imag[1:n_modes + 1]
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError("mode coefficients must be finite")
     # trapezoid noise on exactly-orthogonal modes is pure rounding; zero it
     coeffs[np.abs(coeffs) < 1e-14 * np.max(np.abs(coeffs), initial=0.0)] = 0.0
-    return _finite_coeffs(coeffs)
+    return coeffs
 
 
 def mode_convolution(lam, beta: float, t: float):
@@ -107,7 +92,9 @@ def mode_convolution(lam, beta: float, t: float):
     """
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    t = _positive_time(t)
+    t = float(t)
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be finite and positive, got {t}")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.all(np.isfinite(lams) & (lams >= 0.0)):
         raise DomainError(f"eigenvalues must be finite and >= 0, got {lam}")
@@ -126,44 +113,19 @@ def mode_convolution(lam, beta: float, t: float):
     return float(out[0]) if np.ndim(lam) == 0 else out
 
 
-def decoupled_solve(u0_coeffs, beta: float, t: float):
-    """Mode coefficients (u_n(t), v_n(t)) of the exact solution."""
-    coeffs = _finite_coeffs(u0_coeffs)
-    t = _positive_time(t)
-    lam = eigenvalues(coeffs.size)
-    with np.errstate(under="ignore"):
-        u_coeffs = np.exp(-lam * t) * coeffs
-    v_coeffs = np.zeros(coeffs.size)
-    nz = coeffs != 0.0
-    v_coeffs[nz] = coeffs[nz] * mode_convolution(lam[nz], beta, t)
-    return u_coeffs, v_coeffs
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v, taken on v scaled by the power of two of max|v|,
+    so that no square underflows; the scaling is exact, and the norm is
+    np.linalg.norm(v) wherever no square would."""
+    _, e = math.frexp(np.max(np.abs(v)))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
 
 
-def asymptotic_v(u0_coeffs, beta: float, t: float) -> np.ndarray:
-    """Two-term large-time expansion of the v mode coefficients:
-
-    v_n ~ (u0,phi_n)/lam^3 * t^{-(1+beta)}/(-Gamma(-beta))
-        + (u0,phi_n)/lam^4 * t^{-(2+beta)}/Gamma(-1-beta).
-
-    The t^{-(1+beta)} coefficients (u0,phi_n)/lam_n^3 are the modes of the
-    limit pattern (the triple inverse of the elliptic operator applied to
-    the fast component's initial data).
-    """
-    if not (math.isfinite(t) and t >= 10.0):
-        raise DomainError(f"asymptotic form is for finite t >= 10, got {t}")
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    coeffs = _finite_coeffs(u0_coeffs)
-    lam = eigenvalues(coeffs.size)
-    lead = coeffs / lam ** 3 * t ** (-(1.0 + beta)) * -_rgamma(-beta)
-    nxt = coeffs / lam ** 4 * t ** (-(2.0 + beta)) * _rgamma(-1.0 - beta)
-    return lead + nxt
-
-
-@dataclass
+@dataclass(frozen=True)
 class SpectralSolution:
-    """Eigenmode solution wrapper: the initial datum u0 (a callable of x),
-    its n_modes projected coefficients u0_coeffs and the v norms."""
+    """Eigenmode solution of the decoupled system for the initial datum u0 (a
+    callable of x): its n_modes coefficients u0_coeffs, projected and checked
+    once, at construction, and read-only, and the v coefficients and norms."""
 
     beta: float
     u0: object
@@ -173,13 +135,35 @@ class SpectralSolution:
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
             raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
-        self.u0_coeffs = project_initial(self.u0, self.n_modes)
+        coeffs = project_initial(self.u0, self.n_modes)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "u0_coeffs", coeffs)
 
     def v_coeffs(self, t: float) -> np.ndarray:
-        return decoupled_solve(self.u0_coeffs, self.beta, t)[1]
+        """v_n(t) = (u0, phi_n) times the mode convolution of lambda_n = n^2,
+        one mode_convolution call over the nonzero coefficients."""
+        nz = np.flatnonzero(self.u0_coeffs)
+        v = np.zeros(self.n_modes)
+        v[nz] = self.u0_coeffs[nz] * mode_convolution((nz + 1.0) ** 2, self.beta, t)
+        return v
 
     def v_norm(self, t: float) -> float:
-        return float(np.linalg.norm(self.v_coeffs(t)))
+        return _norm(self.v_coeffs(t))
 
     def v_norm_asymptotic(self, t: float) -> float:
-        return float(np.linalg.norm(asymptotic_v(self.u0_coeffs, self.beta, t)))
+        """Norm of the two-term large-time expansion of the v coefficients:
+
+        v_n ~ (u0,phi_n)/lam^3 * t^{-(1+beta)}/(-Gamma(-beta))
+            + (u0,phi_n)/lam^4 * t^{-(2+beta)}/Gamma(-1-beta).
+
+        The t^{-(1+beta)} coefficients (u0,phi_n)/lam_n^3 are the modes of the
+        limit pattern (the triple inverse of the elliptic operator applied to
+        the fast component's initial data).
+        """
+        if not (math.isfinite(t) and t >= 10.0):
+            raise DomainError(f"asymptotic form is for finite t >= 10, got {t}")
+        lam = np.arange(1, self.n_modes + 1, dtype=float) ** 2
+        coeffs, beta = self.u0_coeffs, self.beta
+        lead = coeffs / lam ** 3 * t ** (-(1.0 + beta)) * -_rgamma(-beta)
+        nxt = coeffs / lam ** 4 * t ** (-(2.0 + beta)) * _rgamma(-1.0 - beta)
+        return _norm(lead + nxt)

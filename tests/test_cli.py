@@ -585,6 +585,25 @@ class TestCommandLine:
         last = [float(x) for x in lines[-1].split(",")]
         assert last[3] == pytest.approx(1.0, abs=0.02)
 
+    def test_oracle_far_horizon(self, capsys):
+        # |v| falls to 3.5e-301 at t = 1e200, whose square underflows; at
+        # t = 10 the expansion is still 10 % off
+        argv = ["oracle", "--beta", "0.5", "--t-max", "1e200", "--n-points", "3"]
+        assert main(argv) == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == pytest.approx([10.0, 10.0 ** 100.5, 1e200])
+        assert rows[0][3] == pytest.approx(1.096, abs=1e-3)
+        assert [row[3] for row in rows[1:]] == pytest.approx([1.0, 1.0], abs=1e-6)
+
+    def test_oracle_underflowing_horizon_exit_two(self, capsys):
+        argv = ["oracle", "--beta", "0.5", "--t-max", "1e300", "--n-points", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert ("numerical failure: Bromwich sum of mode lam=1 at t=1e+300 underflows float64"
+                in captured.err)
+        assert captured.out == ""
+
     def test_decay_subcommand(self, tmp_path, capsys):
         t = np.logspace(0.5, 3, 60)
         path = tmp_path / "series.csv"

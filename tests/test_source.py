@@ -12,7 +12,7 @@ import subdecay
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subdecay"
 # the most lines src/subdecay may hold outside docstrings (source_lines)
-_SRC_LINES = 1863
+_SRC_LINES = 1840
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -112,6 +112,44 @@ def test_test_only_public_surface_detected():
                               "def _helper(): return used()\n")}
     readers = [ast.parse("import m\nm.C().read()\n")]
     assert unreferenced_public(modules, readers) == ["m.unused", "m.C.unread"]
+
+
+def unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """Fields of the modules' public top-level dataclasses that no attribute
+    read (a loaded .name) names, neither in the modules nor in the readers,
+    as "module.Class.field"."""
+    read = {node.attr for tree in [*modules.values(), *readers] for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                       for d in decorators):
+                continue
+            unread += [f"{module}.{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                       and item.target.id not in read]
+    return unread
+
+
+def test_every_field_is_read():
+    # a field that only its constructor sets is a result nothing uses
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SRC.glob("*.py"))}
+    readers = [ast.parse(path.read_text(), filename=str(path))
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unread_fields(modules, readers) == []
+
+
+def test_unread_field_detected():
+    modules = {"m": ast.parse("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+                              "    z = 1\n@dataclasses.dataclass\nclass B:\n    w: float\n"
+                              "@dataclass\nclass _C:\n    v: int\nclass D:\n    u: int\n")}
+    readers = [ast.parse("a.x = 1\nprint(b.y)\n")]
+    assert unread_fields(modules, readers) == ["m.A.x", "m.B.w"]
 
 
 def unpassed_defaults(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:

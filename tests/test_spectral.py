@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -7,8 +9,7 @@ from scipy.special import rgamma
 
 from subdecay import frac_ode, spectral
 from subdecay.errors import DomainError, QuadratureError
-from subdecay.spectral import (SpectralSolution, asymptotic_v, decoupled_solve,
-                               eigenvalues, mode_convolution, project_initial)
+from subdecay.spectral import SpectralSolution, mode_convolution, project_initial
 
 from conftest import ml_series_reference
 from identities import q_integral, r_series_identity
@@ -49,9 +50,6 @@ def talbot_reference_mode(lam, beta, t, dps=40):
 
 
 class TestEigensystem:
-    def test_eigenvalues_are_squares(self):
-        assert np.array_equal(eigenvalues(5), np.array([1.0, 4.0, 9.0, 16.0, 25.0]))
-
     def test_sine_projects_to_first_mode(self):
         coeffs = project_initial(np.sin, 6)
         assert coeffs[0] == pytest.approx(SQRT_PI_HALF, rel=1e-10)
@@ -115,7 +113,7 @@ class TestModeConvolution:
                 assert g == pytest.approx(mode_convolution(float(lt), beta, t), rel=1e-14)
 
     def test_array_matches_scalar_calls(self):
-        lam = eigenvalues(64)
+        lam = np.arange(1.0, 65.0) ** 2
         for t in (1e-3, 1.0, 1000.0):
             got = mode_convolution(lam, 0.5, t)
             assert got.shape == lam.shape
@@ -131,6 +129,14 @@ class TestModeConvolution:
     def test_overflowing_eigenvalue_refused(self):
         with pytest.raises(QuadratureError, match=r"lam=1e\+300 at t=1 overflows float64"):
             mode_convolution(1e300, 0.5, 1.0)
+
+    @pytest.mark.parametrize("t", [1e210, 1e216])
+    def test_underflowing_value_refused(self, t):
+        # t^-1.5 / (2 sqrt(pi)) is 2.8e-316 at 1e210, where a subnormal sum
+        # has lost its digits, and 0 at 1e216, where it has lost the value
+        message = re.escape(f"lam=1 at t={t:g} underflows float64")
+        with pytest.raises(QuadratureError, match=message):
+            mode_convolution(1.0, 0.5, t)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -149,26 +155,32 @@ class TestModeConvolution:
 
 
 class TestDecoupledSolve:
-    def test_fast_component_is_heat_semigroup(self):
-        coeffs = project_initial(np.sin, 4)
-        u, v = decoupled_solve(coeffs, 0.5, 2.0)
-        assert u[0] == pytest.approx(math.exp(-2.0) * SQRT_PI_HALF, rel=1e-13)
-        assert np.all(u[1:] == 0.0)
-        assert v[0] > 0.0 and np.all(v[1:] == 0.0)
-
     def test_mode_value_cross_check(self):
-        coeffs = np.array([1.0, 0.5])
-        _, v = decoupled_solve(coeffs, 0.5, 1.0)
+        # (u0, phi_1) = 1 and (u0, phi_2) = 0.5, to the projection's rounding
+        sol = SpectralSolution(beta=0.5, n_modes=2,
+                               u0=lambda x: (np.sin(x) + 0.5 * np.sin(2.0 * x)) / SQRT_PI_HALF)
+        assert sol.u0_coeffs == pytest.approx([1.0, 0.5], rel=1e-12)
+        v = sol.v_coeffs(1.0)
         assert v[0] == pytest.approx(mode_convolution(1.0, 0.5, 1.0), rel=1e-12)
         assert v[1] == pytest.approx(0.5 * mode_convolution(4.0, 0.5, 1.0), rel=1e-12)
 
     def test_input_checks(self):
         with pytest.raises(DomainError):
-            decoupled_solve([], 0.5, 1.0)
-        with pytest.raises(DomainError):
-            decoupled_solve([1.0, math.nan], 0.5, 1.0)
-        with pytest.raises(DomainError):
-            decoupled_solve([0.0, 0.0], 0.5, -1.0)
+            SpectralSolution(beta=0.5, u0=np.zeros_like, n_modes=2).v_coeffs(-1.0)
+
+    def test_norm_does_not_underflow(self):
+        # |v| = |c_1| f_1(t) is 3.5e-226 at t = 1e150, whose square underflows
+        sol = SpectralSolution(beta=0.5, u0=np.sin, n_modes=8)
+        exact = abs(sol.u0_coeffs[0]) * mode_convolution(1.0, 0.5, 1e150)
+        assert sol.v_norm(1e150) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_solution_is_frozen(self):
+        # the beta and the coefficients checked at construction are the ones read
+        sol = SpectralSolution(beta=0.5, u0=np.sin, n_modes=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.beta = 1.5
+        with pytest.raises(ValueError, match="read-only"):
+            sol.u0_coeffs[0] = math.nan
 
 
 class TestQIntegral:
@@ -243,9 +255,8 @@ class TestRSeriesIdentity:
 class TestAsymptoticForm:
     def test_limit_pattern_for_first_mode(self):
         # u0 = sin x has unit eigenvalue, so the limit pattern equals u0
-        coeffs = project_initial(np.sin, 4)
-        lead = asymptotic_v(coeffs, 0.5, 1e6)
-        ratio = lead[0] * 1e6 ** 1.5 * (-1.0 / rgamma(-0.5))
+        sol = SpectralSolution(beta=0.5, u0=np.sin, n_modes=4)
+        ratio = sol.v_norm_asymptotic(1e6) * 1e6 ** 1.5 * (-1.0 / rgamma(-0.5))
         assert ratio == pytest.approx(SQRT_PI_HALF, rel=1e-3)
 
     def test_reflection_constant(self):
@@ -263,18 +274,15 @@ class TestAsymptoticForm:
 
     def test_requires_large_time(self):
         with pytest.raises(DomainError):
-            asymptotic_v(np.array([1.0]), 0.5, 1.0)
+            SpectralSolution(beta=0.5, u0=np.sin, n_modes=1).v_norm_asymptotic(1.0)
 
 
 class TestSpectralInputChecks:
     def test_asymptotic_non_finite_time(self):
+        sol = SpectralSolution(beta=0.5, u0=np.sin, n_modes=1)
         for t in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                asymptotic_v(np.array([1.0]), 0.5, t)
-
-    def test_asymptotic_non_finite_coefficient(self):
-        with pytest.raises(DomainError):
-            asymptotic_v(np.array([math.nan, 1.0]), 0.5, 100.0)
+                sol.v_norm_asymptotic(t)
 
     def test_non_finite_coefficients(self):
         # finite samples whose transform overflows: refused, with no warning
